@@ -7,6 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import transmit_power_from_corrected
 from .policy import PolicyKind
@@ -37,11 +39,18 @@ def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
     )
 
 
-def _default_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SECRECY_SIM_THREADS")
-    return int(env) if env else 1
+def _thread_count(flag: str | None) -> int:
+    """Worker count from ``--threads``, else ``SECRECY_SIM_THREADS``, else 1."""
+    source, text = "--threads", flag
+    if text is None:
+        source, text = "SECRECY_SIM_THREADS", os.environ.get("SECRECY_SIM_THREADS") or "1"
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return count
 
 
 def _policy_list(flag: str | None, loaded: LoadedScenario) -> list[PolicyKind]:
@@ -62,7 +71,11 @@ def _metrics_dict(m) -> dict:
 
 
 class _OutputSet:
-    """Tracks files written by one command so failures leave nothing behind."""
+    """Tracks files written by one command so failures leave nothing behind.
+
+    Used as a context manager, it removes them on any exception, an
+    interrupt included, and lets the exception propagate.
+    """
 
     def __init__(self):
         self.paths: list[Path] = []
@@ -78,10 +91,16 @@ class _OutputSet:
             except OSError:
                 pass
 
+    def __enter__(self) -> "_OutputSet":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.discard_all()
+
 
 def _run_sweep(args) -> int:
-    outputs = _OutputSet()
-    try:
+    with _OutputSet() as outputs:
         scenario_path, _ = _resolve_scenario(args.scenario)
         loaded = load_scenario(scenario_path)
         policies = _policy_list(args.policy, loaded)
@@ -106,38 +125,20 @@ def _run_sweep(args) -> int:
         params = loaded.scenario.params
         for policy in policies:
             summary = sweep_eavesdropper(
-                loaded.scenario, _with_policy(loaded, policy), retain_cells=True
+                loaded.scenario, _with_policy(loaded, policy), retain_cells=False
             )
-            xs = [cell.eve_pos.x for cell in summary.grid]
-            ys = [cell.eve_pos.y for cell in summary.grid]
+            cells = summary.arrays
             name = policy.value
-            write_heatmap(
-                outputs.add(out_dir / f"{name}_secrecy.csv"),
-                xs,
-                ys,
-                [max(cell.selection.secrecy, 0.0) for cell in summary.grid],
-            )
-            write_heatmap(
-                outputs.add(out_dir / f"{name}_eve_capacity.csv"),
-                xs,
-                ys,
-                [cell.selection.cap_eve for cell in summary.grid],
-            )
-            write_heatmap(
-                outputs.add(out_dir / f"{name}_association.csv"),
-                xs,
-                ys,
-                [float(cell.selection.chosen_ap) for cell in summary.grid],
-            )
-            write_heatmap(
-                outputs.add(out_dir / f"{name}_fj_power_dbm.csv"),
-                xs,
-                ys,
-                [
-                    watt_to_dbm(transmit_power_from_corrected(cell.selection.fj_power, params))
-                    for cell in summary.grid
-                ],
-            )
+            fj_watt = transmit_power_from_corrected(cells.fj_power, params).tolist()
+            columns = {
+                # the floor of Python's max(s, 0.0): keeps -0.0 and nan as they are
+                "secrecy": np.where(cells.secrecy < 0.0, 0.0, cells.secrecy),
+                "eve_capacity": cells.cap_eve,
+                "association": cells.chosen,
+                "fj_power_dbm": [watt_to_dbm(p) for p in fj_watt],
+            }
+            for kind, values in columns.items():
+                write_heatmap(outputs.add(out_dir / f"{name}_{kind}.csv"), cells.x, cells.y, values)
             document = {
                 "tool_version": __version__,
                 "policy": name,
@@ -155,10 +156,6 @@ def _run_sweep(args) -> int:
                 }
             write_summary(outputs.add(out_dir / f"{name}_summary.json"), document)
         return 0
-    except (ScenarioValidationError, OSError, ValueError) as exc:
-        outputs.discard_all()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _with_policy(loaded: LoadedScenario, policy: PolicyKind):
@@ -168,8 +165,7 @@ def _with_policy(loaded: LoadedScenario, policy: PolicyKind):
 
 
 def _run_compare(args) -> int:
-    outputs = _OutputSet()
-    try:
+    with _OutputSet() as outputs:
         rows = []
         mc_mode = args.monte_carlo_n is not None
         seed = args.seed if args.seed is not None else 0
@@ -207,10 +203,6 @@ def _run_compare(args) -> int:
         else:
             print(json.dumps(document, indent=2))
         return 0
-    except (ScenarioValidationError, OSError, ValueError) as exc:
-        outputs.discard_all()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     sweep_p.add_argument(
         "--threads",
-        type=int,
         default=None,
         help="Monte Carlo worker processes (default: SECRECY_SIM_THREADS or 1)",
     )
@@ -267,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare_p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
     compare_p.add_argument(
         "--threads",
-        type=int,
         default=None,
         help="Monte Carlo worker processes (default: SECRECY_SIM_THREADS or 1)",
     )
@@ -278,8 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.threads = _default_threads(getattr(args, "threads", None))
-    return args.func(args)
+    try:
+        args.threads = _thread_count(args.threads)
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

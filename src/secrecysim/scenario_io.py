@@ -225,19 +225,16 @@ def load_scenario(path) -> LoadedScenario:
     return LoadedScenario(scenario=scenario, sweep=sweep, monte_carlo=mc, echo=echo)
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def write_heatmap(path, x, y, values) -> None:
     """Write one ``x,y,value`` CSV; the arrays must already be in row order
-    (y outer ascending, x inner ascending)."""
-    lines = ["x,y,value"]
-    lines.extend(
-        f"{_format_value(float(xi))},{_format_value(float(yi))},{_format_value(float(vi))}"
-        for xi, yi, vi in zip(x, y, values)
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    (y outer ascending, x inner ascending).
+
+    Each number is converted to a float and written with 9 significant
+    digits (``-0``, ``inf``, ``-inf`` and ``nan`` as Python prints them).
+    """
+    rows = np.column_stack([np.asarray(column, dtype=float) for column in (x, y, values)])
+    body = ("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text("x,y,value\n" + body, encoding="utf-8", newline="\n")
 
 
 def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

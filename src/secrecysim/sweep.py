@@ -9,7 +9,7 @@ order and of the number of Monte Carlo workers.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,8 +50,23 @@ class CellResult:
 
 
 @dataclass(frozen=True)
+class GridArrays:
+    """Per-cell results of one policy over one grid, one array per field,
+    in the row order of :func:`grid_coordinates`."""
+
+    x: np.ndarray
+    y: np.ndarray
+    chosen: np.ndarray
+    cap_legit: np.ndarray
+    cap_eve: np.ndarray
+    secrecy: np.ndarray
+    fj_power: np.ndarray
+
+
+@dataclass(frozen=True)
 class SweepSummary:
-    """Aggregates of one sweep; ``grid`` is empty when cells were not retained.
+    """Aggregates of one sweep plus its per-cell ``arrays``; ``grid`` holds
+    the same cells as objects and is empty when cells were not retained.
 
     ``avg_secrecy`` is the mean of the raw (possibly negative) per-cell
     differences; ``avg_secrecy_truncated`` floors each cell at zero first,
@@ -62,6 +77,7 @@ class SweepSummary:
     avg_secrecy_truncated: float
     avg_eve_capacity: float
     coverage_ratio: float
+    arrays: GridArrays = field(compare=False, repr=False)
     grid: tuple[CellResult, ...] = ()
 
 
@@ -107,19 +123,6 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
-@dataclass(frozen=True)
-class _GridEval:
-    """Raw per-cell arrays for one policy over one grid."""
-
-    x: np.ndarray
-    y: np.ndarray
-    chosen: np.ndarray
-    cap_legit: np.ndarray
-    cap_eve: np.ndarray
-    secrecy: np.ndarray
-    fj_power: np.ndarray
-
-
 def _clamped_quadratic_candidates(a, b, c, p_max):
     """Vectorized roots of the derivative numerator, clamped to [0, p_max].
 
@@ -147,7 +150,7 @@ def _clamped_quadratic_candidates(a, b, c, p_max):
     return np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
 
 
-def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKind) -> _GridEval:
+def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKind) -> GridArrays:
     """Evaluate one policy at every grid cell; the array twin of policy.select."""
     par = scenario.params
     alpha = par.pathloss_alpha
@@ -226,7 +229,7 @@ def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKi
         cap_m = np.where(worse, cap_m, cap_m_fj)
         cap_e = np.where(worse, cap_e, cap_e_fj)
 
-    return _GridEval(
+    return GridArrays(
         x=x,
         y=y,
         chosen=chosen,
@@ -237,17 +240,17 @@ def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKi
     )
 
 
-def _metrics(ev: _GridEval) -> PolicyMeans:
+def _metrics(ev: GridArrays) -> PolicyMeans:
     size = ev.secrecy.size
     return PolicyMeans(
-        avg_secrecy=math.fsum(ev.secrecy) / size,
-        avg_secrecy_truncated=math.fsum(np.maximum(ev.secrecy, 0.0)) / size,
-        avg_eve_capacity=math.fsum(ev.cap_eve) / size,
+        avg_secrecy=math.fsum(ev.secrecy.tolist()) / size,
+        avg_secrecy_truncated=math.fsum(np.maximum(ev.secrecy, 0.0).tolist()) / size,
+        avg_eve_capacity=math.fsum(ev.cap_eve.tolist()) / size,
         coverage_ratio=int(np.count_nonzero(ev.secrecy > 0.0)) / size,
     )
 
 
-def _cells(ev: _GridEval) -> tuple[CellResult, ...]:
+def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
     return tuple(
         CellResult(
             eve_pos=Point2D(float(ev.x[i]), float(ev.y[i])),
@@ -273,6 +276,7 @@ def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool 
         avg_secrecy_truncated=m.avg_secrecy_truncated,
         avg_eve_capacity=m.avg_eve_capacity,
         coverage_ratio=m.coverage_ratio,
+        arrays=ev,
         grid=_cells(ev) if retain_cells else (),
     )
 

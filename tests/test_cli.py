@@ -6,13 +6,18 @@ from dataclasses import replace
 import pytest
 
 from secrecysim import (
+    ALL_POLICIES,
     PolicyKind,
+    bundled_scenario_path,
     load_scenario,
     monte_carlo,
     read_heatmap,
     read_summary,
     sweep_eavesdropper,
+    transmit_power_from_corrected,
+    watt_to_dbm,
 )
+from secrecysim import cli
 from secrecysim.cli import main
 
 SMALL = {
@@ -146,6 +151,46 @@ def test_sweep_invalid_scenario_fails_cleanly(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def per_cell_heatmaps(loaded) -> dict[str, bytes]:
+    """Every heatmap CSV of ``sweep --policy all``, built from per-cell
+    objects with one f-string per value."""
+    params = loaded.scenario.params
+    kinds = {
+        "secrecy": lambda sel: max(sel.secrecy, 0.0),
+        "eve_capacity": lambda sel: sel.cap_eve,
+        "association": lambda sel: sel.chosen_ap,
+        "fj_power_dbm": lambda sel: watt_to_dbm(transmit_power_from_corrected(sel.fj_power, params)),
+    }
+    files = {}
+    for policy in ALL_POLICIES:
+        cfg = replace(loaded.sweep, policy=policy)
+        grid = sweep_eavesdropper(loaded.scenario, cfg, retain_cells=True).grid
+        for kind, value in kinds.items():
+            lines = ["x,y,value"] + [
+                f"{float(c.eve_pos.x):.9g},{float(c.eve_pos.y):.9g},{float(value(c.selection)):.9g}"
+                for c in grid
+            ]
+            files[f"{policy.value}_{kind}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    return files
+
+
+@pytest.mark.parametrize("which", ["scenario1", "small_noise_e_10x"])
+def test_sweep_heatmaps_match_per_cell_oracle(which, tmp_path):
+    if which == "scenario1":
+        scenario = "scenario1"
+        path = bundled_scenario_path(scenario)
+    else:
+        doc = json.loads(json.dumps(SMALL))
+        doc["channel"]["noise_e_watt"] = 10 * doc["channel"]["noise_m_watt"]
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(doc))
+        scenario = str(path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", scenario, "--policy", "all", "--out-dir", str(out)]) == 0
+    written = {name: data for name, data in tree_bytes(out).items() if name.endswith(".csv")}
+    assert written == per_cell_heatmaps(load_scenario(path))
+
+
 def test_sweep_missing_scenario_fails(tmp_path, capsys):
     rc = main(["sweep", "--scenario", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
@@ -165,6 +210,18 @@ def test_sweep_partial_outputs_removed_on_write_failure(small_scenario, tmp_path
     leftovers = {p.name for p in out.iterdir() if p.is_file()}
     assert leftovers == {"unrelated.txt"}
     assert keep.read_text() == "precious"
+
+
+def test_sweep_interrupt_removes_outputs_and_propagates(small_scenario, tmp_path, monkeypatch):
+    def interrupted(path, document):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_summary", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)])
+    # the four CSVs of the first policy were written before the interrupt
+    assert list(out.iterdir()) == []
 
 
 def test_compare_three_scenarios_orders_policies(tmp_path):
@@ -255,6 +312,27 @@ def test_threads_env_fallback(small_scenario, tmp_path, monkeypatch):
     monkeypatch.delenv("SECRECY_SIM_THREADS")
     assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
     assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "plain")
+
+
+@pytest.mark.parametrize(
+    "env, flag",
+    [("abc", None), ("0", None), (None, "0"), (None, "-3"), (None, "abc")],
+    ids=["env-abc", "env-0", "flag-0", "flag-minus-3", "flag-abc"],
+)
+def test_threads_must_be_positive_integer(env, flag, small_scenario, tmp_path, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("SECRECY_SIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SECRECY_SIM_THREADS", env)
+    out = tmp_path / "out"
+    args = ["sweep", "--scenario", str(small_scenario), "--out-dir", str(out)]
+    if flag is not None:
+        args += ["--threads", flag]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("--threads" if flag is not None else "SECRECY_SIM_THREADS") in err
+    assert not out.exists()
 
 
 def test_console_script_version():

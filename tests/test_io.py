@@ -232,3 +232,36 @@ def test_watt_to_dbm():
     assert_close(watt_to_dbm(0.05), 16.98970004336019, rel=1e-12)
     assert_close(watt_to_dbm(0.001), 0.0, rel=0, abs_floor=1e-12)
     assert watt_to_dbm(0.0) == -math.inf
+
+
+def per_value_lines(x, y, values):
+    """The heatmap text as one f-string per value, the reference format."""
+    rows = "".join(
+        f"{float(a):.9g},{float(b):.9g},{float(c):.9g}\n" for a, b, c in zip(x, y, values)
+    )
+    return "x,y,value\n" + rows
+
+
+@pytest.mark.parametrize(
+    "x, y, values",
+    [
+        (
+            [-0.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0],
+            [1.0, -0.0, math.inf, 2.0, 1e300, 5e-324, 7.0],
+            [-0.0, math.nan, math.inf, -math.inf, 5e-324, 123456789.5, 0.1],
+        ),
+        (
+            np.arange(5, dtype=float),
+            np.arange(5, dtype=float),
+            np.array([1, 2, -7, 0, 2**62 + 1], dtype=np.int64),
+        ),
+        ([1, 2, 3], [4, 5, 6], [1, 2.5, -3]),
+        ([], [], []),
+        (np.array([]), np.array([]), np.array([])),
+    ],
+    ids=["special-floats", "int64-values", "python-lists", "empty-lists", "empty-arrays"],
+)
+def test_heatmap_matches_per_value_formatting(tmp_path, x, y, values):
+    path = tmp_path / "map.csv"
+    write_heatmap(path, x, y, values)
+    assert path.read_bytes() == per_value_lines(x, y, values).encode("utf-8")

@@ -127,6 +127,14 @@ def test_sweep_without_retained_cells_keeps_metrics():
     assert without.grid == ()
     assert without.avg_secrecy == with_cells.avg_secrecy
     assert without.coverage_ratio == with_cells.coverage_ratio
+    # the arrays hold exactly the values of the per-cell objects
+    arrays = without.arrays
+    fields = ("x", "y", "chosen", "cap_legit", "cap_eve", "secrecy", "fj_power")
+    assert list(zip(*(getattr(arrays, f).tolist() for f in fields))) == [
+        (c.eve_pos.x, c.eve_pos.y, c.selection.chosen_ap, c.selection.cap_legit,
+         c.selection.cap_eve, c.selection.secrecy, c.selection.fj_power)
+        for c in with_cells.grid
+    ]
 
 
 def test_mirror_symmetry_of_the_standard_layout():
