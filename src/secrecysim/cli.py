@@ -71,7 +71,8 @@ def _metrics_dict(m) -> dict:
 
 
 class _OutputSet:
-    """Tracks files written by one command so failures leave nothing behind.
+    """Tracks files and directories created by one command so failures
+    leave nothing behind; a directory that existed before stays.
 
     Used as a context manager, it removes them on any exception, an
     interrupt included, and lets the exception propagate.
@@ -79,15 +80,23 @@ class _OutputSet:
 
     def __init__(self):
         self.paths: list[Path] = []
+        self.dirs: list[Path] = []
 
     def add(self, path: Path) -> Path:
         self.paths.append(path)
         return path
 
+    def mkdir(self, path: Path) -> Path:
+        # recorded before creating, so a mkdir that fails half-way is undone too
+        self.dirs.extend(d for d in (path, *path.parents) if not d.exists())
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
     def discard_all(self) -> None:
-        for path in self.paths:
+        # rmdir removes only empty directories
+        for remove in [path.unlink for path in self.paths] + [path.rmdir for path in self.dirs]:
             try:
-                path.unlink()
+                remove()
             except OSError:
                 pass
 
@@ -104,8 +113,7 @@ def _run_sweep(args) -> int:
         scenario_path, _ = _resolve_scenario(args.scenario)
         loaded = load_scenario(scenario_path)
         policies = _policy_list(args.policy, loaded)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = outputs.mkdir(Path(args.out_dir))
 
         mc_summary = None
         mc_wanted = args.monte_carlo_n is not None or (

@@ -10,16 +10,24 @@ equals ``W * log2(f(p_j))`` where ``f`` is a ratio of two quadratics in
              / (A*p_j**2 + (B + p_i*E)*p_j + p_i*F + K)
 
 All seven constants are strictly positive products of clamped distances
-raised to the path-loss exponent and of the noise power, so numerator and
-denominator never vanish on ``p_j >= 0``. The derivative of ``f`` has the
-sign of a plain quadratic ``a*p_j**2 + b*p_j + c`` (its denominator is a
-positive square), so the maximizer over ``[0, p_max]`` is one of at most
-four candidates: the two clamped real roots of that quadratic plus the
-two interval endpoints.
+raised to the path-loss exponent and of the two receivers' noise powers
+(the legitimate station's ``N_m`` and the eavesdropper's ``N_e``, which
+may differ), so numerator and denominator never vanish on ``p_j >= 0``.
+The derivative of ``f`` has the sign of a plain quadratic
+``a*p_j**2 + b*p_j + c`` (its denominator is a positive square), so the
+maximizer over ``[0, p_max]`` is one of at most four candidates: the two
+clamped real roots of that quadratic plus the two interval endpoints.
+
+The closed form is written once, as arithmetic on floats or arrays,
+and shared by :func:`optimize_fj_power` (one geometry, pure Python) and
+:func:`optimize_fj_power_array` (arrays of geometries, for the grid
+sweep). Both break ties between candidates to the smallest power.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import shannon_capacity
 
@@ -35,9 +43,8 @@ class FjGeometry:
     """Inputs of one jamming-power optimization.
 
     Distances are meters and must already be clamped to the reference
-    distance; powers are distance-corrected (Watt*m^alpha). ``noise`` is
-    the common receiver noise floor -- the closed form assumes both
-    receivers see the same value.
+    distance; powers are distance-corrected (Watt*m^alpha). ``noise_m``
+    and ``noise_e`` are the station's and the eavesdropper's noise floors.
     """
 
     d_im: float
@@ -45,7 +52,8 @@ class FjGeometry:
     d_jm: float
     d_je: float
     alpha: float
-    noise: float
+    noise_m: float
+    noise_e: float
     p_i: float
     p_max: float
 
@@ -54,8 +62,8 @@ class FjGeometry:
             raise ValueError("distances must be positive (and pre-clamped)")
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if self.noise <= 0:
-            raise ValueError("noise must be strictly positive")
+        if self.noise_m <= 0 or self.noise_e <= 0:
+            raise ValueError("noise_m and noise_e must be strictly positive")
         if self.p_i <= 0:
             raise ValueError("p_i must be positive")
         if self.p_max < 0:
@@ -64,7 +72,8 @@ class FjGeometry:
 
 @dataclass(frozen=True)
 class FjCoefficients:
-    """The seven objective constants and the three derivative-numerator ones."""
+    """The seven objective constants and the three derivative-numerator
+    ones, as floats or as equal-shape arrays."""
 
     cap_a: float
     cap_b: float
@@ -87,6 +96,39 @@ class FjSolution:
     candidates: tuple[tuple[float, float], ...]
 
 
+def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i) -> FjCoefficients:
+    """A..K and a, b, c from floats or equal-shape arrays, bit for bit alike."""
+    dim_a = d_im ** alpha
+    die_a = d_ie ** alpha
+    djm_a = d_jm ** alpha
+    dje_a = d_je ** alpha
+
+    cap_a = dim_a * die_a
+    cap_b = noise_e * die_a * dje_a * dim_a + noise_m * dim_a * djm_a * die_a
+    cap_c = djm_a * die_a
+    cap_d = noise_e * die_a * dje_a * djm_a
+    cap_e = dim_a * dje_a
+    cap_f = noise_m * dim_a * djm_a * dje_a
+    cap_k = noise_m * noise_e * dim_a * djm_a * die_a * dje_a
+
+    quad_a = p_i * cap_a * (cap_e - cap_c)
+    quad_b = 2.0 * p_i * cap_a * (cap_f - cap_d)
+    quad_c = (
+        p_i * cap_b * (cap_f - cap_d)
+        + p_i * p_i * (cap_c * cap_f - cap_e * cap_d)
+        + p_i * cap_k * (cap_c - cap_e)
+    )
+    return FjCoefficients(cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k, quad_a, quad_b, quad_c)
+
+
+def _ratio_terms(co: FjCoefficients, p_i, p_j):
+    """Numerator and denominator of f at ``p_j``, from floats or arrays."""
+    p_sq = p_j * p_j
+    num = co.cap_a * p_sq + (co.cap_b + p_i * co.cap_c) * p_j + (p_i * co.cap_d + co.cap_k)
+    den = co.cap_a * p_sq + (co.cap_b + p_i * co.cap_e) * p_j + (p_i * co.cap_f + co.cap_k)
+    return num, den
+
+
 def compute_coefficients(geom: FjGeometry) -> FjCoefficients:
     """Evaluate the objective constants A..K and the derivative quadratic a, b, c.
 
@@ -100,35 +142,14 @@ def compute_coefficients(geom: FjGeometry) -> FjCoefficients:
     most four factors, which stays far from overflow for distances up to
     1e3 m and alpha up to 4.
     """
-    n = geom.noise
-    p_i = geom.p_i
-    dim_a = geom.d_im ** geom.alpha
-    die_a = geom.d_ie ** geom.alpha
-    djm_a = geom.d_jm ** geom.alpha
-    dje_a = geom.d_je ** geom.alpha
-
-    cap_a = dim_a * die_a
-    cap_b = n * die_a * dje_a * dim_a + n * dim_a * djm_a * die_a
-    cap_c = djm_a * die_a
-    cap_d = n * die_a * dje_a * djm_a
-    cap_e = dim_a * dje_a
-    cap_f = n * dim_a * djm_a * dje_a
-    cap_k = n * n * dim_a * djm_a * die_a * dje_a
-
-    quad_a = p_i * cap_a * (cap_e - cap_c)
-    quad_b = 2.0 * p_i * cap_a * (cap_f - cap_d)
-    quad_c = (
-        p_i * cap_b * (cap_f - cap_d)
-        + p_i * p_i * (cap_c * cap_f - cap_e * cap_d)
-        + p_i * cap_k * (cap_c - cap_e)
+    return _coefficients(
+        geom.d_im, geom.d_ie, geom.d_jm, geom.d_je, geom.alpha, geom.noise_m, geom.noise_e, geom.p_i
     )
-    return FjCoefficients(cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k, quad_a, quad_b, quad_c)
 
 
 def _log2_ratio(co: FjCoefficients, p_i: float, p_j: float) -> float:
     """log2 of the objective ratio f at jamming power p_j (bandwidth-free)."""
-    num = co.cap_a * p_j * p_j + (co.cap_b + p_i * co.cap_c) * p_j + (p_i * co.cap_d + co.cap_k)
-    den = co.cap_a * p_j * p_j + (co.cap_b + p_i * co.cap_e) * p_j + (p_i * co.cap_f + co.cap_k)
+    num, den = _ratio_terms(co, p_i, p_j)
     return math.log2(num) - math.log2(den)
 
 
@@ -145,10 +166,10 @@ def secrecy_from_capacities(geom: FjGeometry, p_j: float, bandwidth: float) -> f
     """
     alpha = geom.alpha
     cap_m = shannon_capacity(
-        geom.p_i * geom.d_im ** -alpha, p_j * geom.d_jm ** -alpha, geom.noise, bandwidth
+        geom.p_i * geom.d_im ** -alpha, p_j * geom.d_jm ** -alpha, geom.noise_m, bandwidth
     )
     cap_e = shannon_capacity(
-        geom.p_i * geom.d_ie ** -alpha, p_j * geom.d_je ** -alpha, geom.noise, bandwidth
+        geom.p_i * geom.d_ie ** -alpha, p_j * geom.d_je ** -alpha, geom.noise_e, bandwidth
     )
     return cap_m - cap_e
 
@@ -198,12 +219,41 @@ def optimize_fj_power(geom: FjGeometry, bandwidth: float) -> FjSolution:
         candidates.add(min(max(root, 0.0), geom.p_max))
     powers = sorted(candidates)
     values = [_log2_ratio(co, geom.p_i, p) for p in powers]
-    best = 0
-    for k in range(1, len(powers)):
-        if values[k] > values[best]:
-            best = k
+    best = values.index(max(values))
     return FjSolution(
         p_opt=powers[best],
         secrecy=bandwidth * values[best],
         candidates=tuple((p, bandwidth * v) for p, v in zip(powers, values)),
     )
+
+
+def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> np.ndarray:
+    """:func:`optimize_fj_power`'s ``p_opt`` per lane of 1-d arrays of
+    distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
+    Ties go to the smallest power; near ties may resolve otherwise than in
+    the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
+    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    a, b, c = co.quad_a, co.quad_b, co.quad_c
+    # derivative_numerator_roots per lane: np.where drops the branches a lane
+    # does not take, and a lane without a usable root gets 0, a candidate anyway
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(p_max > 0.0, p_max, 1.0)
+        a_n = np.abs(a) * s * s
+        b_n = np.abs(b) * s
+        c_n = np.abs(c)
+        linear = a_n <= DEGENERACY_EPS * np.maximum(b_n, c_n)
+        linear_ok = linear & ~(b_n <= DEGENERACY_EPS * c_n) & (b != 0.0)
+        disc = b * b - 4.0 * a * c
+        quadratic = ~linear & (disc >= 0.0)
+        q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
+        root1 = np.where(quadratic, q / a, np.where(linear_ok, -c / b, 0.0))
+        root2 = np.where(quadratic & (q != 0.0), c / q, 0.0)
+    cands = np.sort(
+        np.stack([np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)]),
+        axis=0,
+    )
+    num, den = _ratio_terms(co, p_i, cands)
+    values = np.log2(num) - np.log2(den)
+    # first maximum along the sorted axis = smallest power on ties
+    best = np.argmax(values, axis=0)
+    return np.take_along_axis(cands, best[None, :], axis=0)[0]

@@ -181,10 +181,8 @@ def select_with_fj(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
         d_jm=d_jm,
         d_je=d_je,
         alpha=par.pathloss_alpha,
-        # the closed form assumes a common noise floor; when the two
-        # configured noises differ, the legitimate receiver's value drives
-        # the optimization while the reported capacities keep their own
-        noise=par.noise_m,
+        noise_m=par.noise_m,
+        noise_e=par.noise_e,
         p_i=p_i,
         p_max=distance_corrected_power(idle_cfg.tx_power_max, par),
     )

@@ -3,6 +3,8 @@
 The sweep evaluates one policy at every cell of a square grid with a
 vectorized engine that mirrors :mod:`secrecysim.policy` cell for cell
 (the scalar selectors remain the reference semantics and the test oracle).
+The jamming power comes from :func:`secrecysim.fjopt.optimize_fj_power_array`,
+which shares the closed form with the scalar optimizer the selectors use.
 Aggregates use exact summation, so results are independent of evaluation
 order and of the number of Monte Carlo workers.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import Point2D, distance, distance_corrected_power, effective_distance
-from .fjopt import DEGENERACY_EPS
+from .fjopt import optimize_fj_power_array
 from .policy import PolicyKind, Scenario, SelectionResult
 
 ALL_POLICIES = (PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ)
@@ -123,33 +125,6 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
-def _clamped_quadratic_candidates(a, b, c, p_max):
-    """Vectorized roots of the derivative numerator, clamped to [0, p_max].
-
-    Mirrors :func:`secrecysim.fjopt.derivative_numerator_roots`: the
-    quadratic term is dropped where it cannot matter at the cap's scale,
-    and the stable form of the quadratic formula avoids cancellation.
-    Lanes without a usable root fall back to 0, which is already a
-    candidate and therefore harmless.
-    """
-    s = np.where(p_max > 0.0, p_max, 1.0)
-    a_n = np.abs(a) * s * s
-    b_n = np.abs(b) * s
-    c_n = np.abs(c)
-    linear = a_n <= DEGENERACY_EPS * np.maximum(b_n, c_n)
-    linear_ok = linear & ~(b_n <= DEGENERACY_EPS * c_n) & (b != 0.0)
-    disc = b * b - 4.0 * a * c
-    quadratic = ~linear & (disc >= 0.0)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    q = -(b + np.copysign(sq, b)) / 2.0
-    safe_a = np.where(a != 0.0, a, 1.0)
-    safe_b = np.where(b != 0.0, b, 1.0)
-    safe_q = np.where(q != 0.0, q, 1.0)
-    root1 = np.where(quadratic, q / safe_a, np.where(linear_ok, -c / safe_b, 0.0))
-    root2 = np.where(quadratic & (q != 0.0), c / safe_q, 0.0)
-    return np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
-
-
 def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKind) -> GridArrays:
     """Evaluate one policy at every grid cell; the array twin of policy.select."""
     par = scenario.params
@@ -192,34 +167,9 @@ def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKi
             distance_corrected_power(ap2.tx_power_max, par),
             distance_corrected_power(ap1.tx_power_max, par),
         )
-        n = par.noise_m
-        dim_a = d_im ** alpha
-        die_a = d_ie ** alpha
-        djm_a = d_jm ** alpha
-        dje_a = d_je ** alpha
-        cap_a = dim_a * die_a
-        cap_b = n * die_a * dje_a * dim_a + n * dim_a * djm_a * die_a
-        cap_c = djm_a * die_a
-        cap_d = n * die_a * dje_a * djm_a
-        cap_e_ = dim_a * dje_a
-        cap_f = n * dim_a * djm_a * dje_a
-        cap_k = n * n * dim_a * djm_a * die_a * dje_a
-        quad_a = p_i * cap_a * (cap_e_ - cap_c)
-        quad_b = 2.0 * p_i * cap_a * (cap_f - cap_d)
-        quad_c = (
-            p_i * cap_b * (cap_f - cap_d)
-            + p_i * p_i * (cap_c * cap_f - cap_e_ * cap_d)
-            + p_i * cap_k * (cap_c - cap_e_)
+        p_opt = optimize_fj_power_array(
+            d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max
         )
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            root1, root2 = _clamped_quadratic_candidates(quad_a, quad_b, quad_c, p_max)
-        cands = np.sort(np.stack([np.zeros_like(p_max), p_max, root1, root2]), axis=0)
-        num = cap_a * cands ** 2 + (cap_b + p_i * cap_c) * cands + (p_i * cap_d + cap_k)
-        den = cap_a * cands ** 2 + (cap_b + p_i * cap_e_) * cands + (p_i * cap_f + cap_k)
-        values = np.log2(num) - np.log2(den)
-        # first maximum along the sorted axis = smallest power on ties
-        best = np.argmax(values, axis=0)
-        p_opt = np.take_along_axis(cands, best[None, :], axis=0)[0]
 
         cap_m_fj = np.log2(1.0 + p_i * d_im ** -alpha / (p_opt * d_jm ** -alpha + par.noise_m))
         cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
@@ -289,22 +239,11 @@ def coverage_ratio(grid) -> float:
     return sum(1 for cell in cells if cell.selection.secrecy > 0.0) / len(cells)
 
 
-def _draw_position(scenario: Scenario, cfg: SweepConfig, seed: int, index: int, lattice: bool) -> Point2D:
-    # per-sample generator keyed by (seed, index): order- and worker-independent
-    rng = np.random.default_rng([seed, index])
-    if lattice:
-        ix, iy = rng.integers(0, cfg.grid_k, size=2)
-        return Point2D(
-            cfg.cell_origin.x + cfg.cell_step * float(ix),
-            cfg.cell_origin.y + cfg.cell_step * float(iy),
-        )
-    x, y = rng.uniform(0.0, scenario.map_extent, size=2)
-    return Point2D(float(x), float(y))
-
-
 def _run_sample(args) -> tuple[int, float, float, dict[PolicyKind, PolicyMeans]]:
-    scenario, cfg, seed, index, lattice = args
-    pos = _draw_position(scenario, cfg, seed, index, lattice)
+    scenario, cfg, seed, index = args
+    # per-sample generator keyed by (seed, index): order- and worker-independent
+    x, y = np.random.default_rng([seed, index]).uniform(0.0, scenario.map_extent, size=2)
+    pos = Point2D(float(x), float(y))
     placed = replace(scenario, sta_m=pos)
     metrics = {
         policy: _metrics(_evaluate_policy_grid(placed, cfg, policy)) for policy in ALL_POLICIES
@@ -318,21 +257,19 @@ def monte_carlo(
     n: int,
     seed: int,
     workers: int = 1,
-    lattice: bool = False,
     retain_samples: bool = False,
 ) -> MonteCarloSummary:
     """Average the sweep metrics of all three policies over ``n`` random
     legitimate-station placements.
 
-    Positions are drawn uniformly over the map square (or from the grid
-    lattice when ``lattice`` is set); ``cfg.policy`` is ignored because
-    every sample evaluates all policies.
+    Positions are drawn uniformly over the map square; ``cfg.policy`` is
+    ignored because every sample evaluates all policies.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    tasks = [(scenario_template, cfg, seed, index, lattice) for index in range(n)]
+    tasks = [(scenario_template, cfg, seed, index) for index in range(n)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_run_sample, tasks, chunksize=max(1, n // (4 * workers))))

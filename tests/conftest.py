@@ -53,9 +53,12 @@ def scenario1():
     return build_scenario(STA_SCENARIO_1)
 
 
-def random_fj_geometry(rng: np.random.Generator, d_low=1.0, d_high=170.0) -> FjGeometry:
+def random_fj_geometry(
+    rng: np.random.Generator, d_low=1.0, d_high=170.0, noise_e=1e-10
+) -> FjGeometry:
     """Random geometry matching the randomized-oracle setup: distances
-    uniform in [1,170] m, alpha in {2,3}, -70 dBm noise, 50 mW powers."""
+    uniform in [1,170] m, alpha in {2,3}, -70 dBm noise at the station
+    (``noise_e`` at the eavesdropper), 50 mW powers."""
     params = ChannelParams(pathloss_alpha=float(rng.choice([2.0, 3.0])))
     p_ref = distance_corrected_power(0.05, params)
     d = rng.uniform(d_low, d_high, size=4)
@@ -65,7 +68,8 @@ def random_fj_geometry(rng: np.random.Generator, d_low=1.0, d_high=170.0) -> FjG
         d_jm=float(d[2]),
         d_je=float(d[3]),
         alpha=params.pathloss_alpha,
-        noise=1e-10,
+        noise_m=1e-10,
+        noise_e=noise_e,
         p_i=p_ref,
         p_max=p_ref,
     )
@@ -75,8 +79,8 @@ def direct_secrecy_curve(geom: FjGeometry, powers: np.ndarray) -> np.ndarray:
     """Secrecy per Hz over an array of jamming powers, composed directly
     from the two SINRs; shares no code with the closed-form optimizer."""
     a = geom.alpha
-    sinr_m = geom.p_i * geom.d_im ** -a / (powers * geom.d_jm ** -a + geom.noise)
-    sinr_e = geom.p_i * geom.d_ie ** -a / (powers * geom.d_je ** -a + geom.noise)
+    sinr_m = geom.p_i * geom.d_im ** -a / (powers * geom.d_jm ** -a + geom.noise_m)
+    sinr_e = geom.p_i * geom.d_ie ** -a / (powers * geom.d_je ** -a + geom.noise_e)
     return np.log2(1.0 + sinr_m) - np.log2(1.0 + sinr_e)
 
 

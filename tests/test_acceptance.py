@@ -79,26 +79,32 @@ def standard_grids():
 
 
 def test_criterion_1_closed_form_matches_dense_grid_search():
-    # >= 1000 random geometries, distances U[1,170], alpha in {2,3},
-    # N = 1e-10 W, 50 mW powers; 100,001-point grid oracle; 1e-6*W absolute
+    # >= 1000 random geometries per eavesdropper noise, distances U[1,170],
+    # alpha in {2,3}, N_m = 1e-10 W and N_e = 1, 0.1 and 10 times that,
+    # 50 mW powers; 100,001-point grid oracle; 1e-6*W absolute
     started = time.time()
-    rng = np.random.default_rng(20240809)
     worst = 0.0
-    for _ in range(1000):
-        geom = random_fj_geometry(rng)
-        solution = optimize_fj_power(geom, 1.0)
-        oracle_best, _ = grid_search_best(geom, points=100001)
-        worst = max(worst, abs(solution.secrecy - oracle_best))
+    for noise_e in (1e-10, 1e-11, 1e-9):
+        rng = np.random.default_rng(20240809)
+        for _ in range(1000):
+            geom = random_fj_geometry(rng, noise_e=noise_e)
+            solution = optimize_fj_power(geom, 1.0)
+            oracle_best, _ = grid_search_best(geom, points=100001)
+            worst = max(worst, abs(solution.secrecy - oracle_best))
     elapsed = time.time() - started
     assert worst <= 1e-6, f"worst |closed-form - grid| = {worst:g}"
     assert elapsed < 60.0, f"took {elapsed:.1f} s"
-    report(1, f"1000 geometries, worst |closed-form - grid| = {worst:.3g} <= 1e-6 ({elapsed:.1f} s)")
+    report(
+        1,
+        f"1000 geometries x 3 noise ratios, worst |closed-form - grid| = {worst:.3g} <= 1e-6"
+        f" ({elapsed:.1f} s)",
+    )
 
 
 def _direct_ratio(geom, p):
     a = geom.alpha
-    sinr_m = geom.p_i * geom.d_im ** -a / (p * geom.d_jm ** -a + geom.noise)
-    sinr_e = geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise)
+    sinr_m = geom.p_i * geom.d_im ** -a / (p * geom.d_jm ** -a + geom.noise_m)
+    sinr_e = geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
     return (1.0 + sinr_m) / (1.0 + sinr_e)
 
 
@@ -106,8 +112,8 @@ def _denominator(geom, p):
     a = geom.alpha
     dim_a, die_a = geom.d_im ** a, geom.d_ie ** a
     djm_a, dje_a = geom.d_jm ** a, geom.d_je ** a
-    n = geom.noise
-    return (p * dim_a + n * dim_a * djm_a) * (p * die_a + n * die_a * dje_a + geom.p_i * dje_a)
+    n_m, n_e = geom.noise_m, geom.noise_e
+    return (p * dim_a + n_m * dim_a * djm_a) * (p * die_a + n_e * die_a * dje_a + geom.p_i * dje_a)
 
 
 def test_criterion_2_coefficients_match_derivative_and_exact_algebra():

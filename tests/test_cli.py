@@ -217,11 +217,12 @@ def test_sweep_interrupt_removes_outputs_and_propagates(small_scenario, tmp_path
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "write_summary", interrupted)
-    out = tmp_path / "out"
-    with pytest.raises(KeyboardInterrupt):
-        main(["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)])
-    # the four CSVs of the first policy were written before the interrupt
-    assert list(out.iterdir()) == []
+    for out, created in ((tmp_path / "out", tmp_path / "out"), (tmp_path / "a" / "b", tmp_path / "a")):
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)])
+        # the four CSVs of the first policy were written before the interrupt;
+        # they and every directory the run created are gone
+        assert not created.exists()
 
 
 def test_compare_three_scenarios_orders_policies(tmp_path):

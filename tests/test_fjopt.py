@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from secrecysim import (
     secrecy_from_capacities,
     secrecy_objective,
 )
-from secrecysim.fjopt import FjCoefficients, derivative_numerator_roots
+from secrecysim.fjopt import FjCoefficients, derivative_numerator_roots, optimize_fj_power_array
 
 from conftest import grid_search_best, random_fj_geometry
 
@@ -22,7 +23,8 @@ P_50MW = distance_corrected_power(0.05, ChannelParams())
 
 def unit_geometry():
     return FjGeometry(
-        d_im=1.0, d_ie=1.0, d_jm=1.0, d_je=1.0, alpha=2.0, noise=1e-10, p_i=1.0, p_max=1.0
+        d_im=1.0, d_ie=1.0, d_jm=1.0, d_je=1.0, alpha=2.0,
+        noise_m=1e-10, noise_e=1e-10, p_i=1.0, p_max=1.0
     )
 
 
@@ -43,7 +45,8 @@ def test_coefficients_unit_geometry():
 def test_symmetric_geometry_degenerates_fully():
     # equal AP distances on each side force the two quadratics to coincide
     geom = FjGeometry(
-        d_im=7.0, d_ie=7.0, d_jm=31.0, d_je=31.0, alpha=3.0, noise=1e-10, p_i=P_50MW, p_max=P_50MW
+        d_im=7.0, d_ie=7.0, d_jm=31.0, d_je=31.0, alpha=3.0,
+        noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
     co = compute_coefficients(geom)
     assert co.quad_a == 0.0 and co.quad_b == 0.0 and co.quad_c == 0.0
@@ -53,8 +56,8 @@ def test_symmetric_geometry_degenerates_fully():
 
 def _f_direct(geom, p):
     a = geom.alpha
-    sinr_m = geom.p_i * geom.d_im ** -a / (p * geom.d_jm ** -a + geom.noise)
-    sinr_e = geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise)
+    sinr_m = geom.p_i * geom.d_im ** -a / (p * geom.d_jm ** -a + geom.noise_m)
+    sinr_e = geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
     return (1.0 + sinr_m) / (1.0 + sinr_e)
 
 
@@ -63,8 +66,8 @@ def _v_direct(geom, p):
     a = geom.alpha
     dim_a, die_a = geom.d_im ** a, geom.d_ie ** a
     djm_a, dje_a = geom.d_jm ** a, geom.d_je ** a
-    n = geom.noise
-    return (p * dim_a + n * dim_a * djm_a) * (p * die_a + n * die_a * dje_a + geom.p_i * dje_a)
+    n_m, n_e = geom.noise_m, geom.noise_e
+    return (p * dim_a + n_m * dim_a * djm_a) * (p * die_a + n_e * die_a * dje_a + geom.p_i * dje_a)
 
 
 def test_quadratic_matches_numeric_derivative_values():
@@ -148,8 +151,8 @@ def test_objective_at_zero_matches_unjammed_difference():
     for _ in range(50):
         geom = random_fj_geometry(rng)
         via_ratio = secrecy_objective(geom, 0.0, 1.0)
-        unjammed = math.log2(1.0 + geom.p_i * geom.d_im ** -geom.alpha / geom.noise) - math.log2(
-            1.0 + geom.p_i * geom.d_ie ** -geom.alpha / geom.noise
+        unjammed = math.log2(1.0 + geom.p_i * geom.d_im ** -geom.alpha / geom.noise_m) - math.log2(
+            1.0 + geom.p_i * geom.d_ie ** -geom.alpha / geom.noise_e
         )
         assert via_ratio == pytest.approx(unjammed, rel=1e-9, abs=1e-9)
 
@@ -175,7 +178,8 @@ def test_objective_scales_with_bandwidth():
 
 def test_optimize_symmetric_geometry_prefers_zero_power():
     geom = FjGeometry(
-        d_im=12.0, d_ie=12.0, d_jm=50.0, d_je=50.0, alpha=2.0, noise=1e-10, p_i=P_50MW, p_max=P_50MW
+        d_im=12.0, d_ie=12.0, d_jm=50.0, d_je=50.0, alpha=2.0,
+        noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
     sol = optimize_fj_power(geom, 1.0)
     assert sol.p_opt == 0.0
@@ -206,7 +210,8 @@ def test_optimize_jammer_next_to_eavesdropper_strictly_improves():
     # jammer 1 m from the eavesdropper and far from the station: jamming
     # must beat silence, and the dense grid confirms the achieved value
     geom = FjGeometry(
-        d_im=30.0, d_ie=40.0, d_jm=150.0, d_je=1.0, alpha=2.0, noise=1e-10, p_i=P_50MW, p_max=P_50MW
+        d_im=30.0, d_ie=40.0, d_jm=150.0, d_je=1.0, alpha=2.0,
+        noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
     sol = optimize_fj_power(geom, 1.0)
     at_zero = secrecy_objective(geom, 0.0, 1.0)
@@ -223,7 +228,7 @@ def test_optimize_monotone_harm_to_eavesdropper():
         sol = optimize_fj_power(geom, 1.0)
         a = geom.alpha
         eve_at = lambda p: math.log2(
-            1.0 + geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise)
+            1.0 + geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
         )
         assert eve_at(sol.p_opt) <= eve_at(0.0)
 
@@ -272,7 +277,8 @@ def test_linear_degenerate_geometry_matches_grid():
     # alpha=1 with d_im*d_je == d_jm*d_ie makes the quadratic term vanish
     # exactly while the linear one survives
     geom = FjGeometry(
-        d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0, alpha=1.0, noise=1e-10, p_i=P_50MW, p_max=P_50MW
+        d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0, alpha=1.0,
+        noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
     co = compute_coefficients(geom)
     assert co.quad_a == 0.0
@@ -281,6 +287,46 @@ def test_linear_degenerate_geometry_matches_grid():
     best_grid, _ = grid_search_best(geom)
     assert sol.secrecy >= best_grid - 1e-6
 
+
+
+def test_array_optimizer_matches_scalar():
+    # the grid engine's optimizer against the scalar one, lane by lane, on
+    # random (three noise ratios), p_max = 0, symmetric (a = b = c = 0)
+    # and linear (a ~ 0) geometries; ties near rounding level may pick a
+    # neighbouring candidate, hence a tolerance rather than equality
+    rng = np.random.default_rng(15)
+    lanes = [random_fj_geometry(rng, noise_e=n_e) for n_e in (1e-10, 1e-11, 1e-9) for _ in range(2000)]
+    lanes += [replace(geom, p_max=0.0) for geom in lanes[::60]]
+    common = dict(noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW)
+    symmetric = [
+        FjGeometry(d_im=d, d_ie=d, d_jm=e, d_je=e, alpha=3.0, **common)
+        for d, e in rng.uniform(1.0, 170.0, (50, 2)).tolist()
+    ]
+    assert all(
+        (co.quad_a, co.quad_b, co.quad_c) == (0.0, 0.0, 0.0)
+        for co in map(compute_coefficients, symmetric)
+    )
+    linear = [
+        FjGeometry(d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0 * (1.0 + eps), alpha=1.0, **common)
+        for eps in (0.0, 1e-16, 1e-14, 1e-12)
+    ]
+    lanes += symmetric + linear
+
+    groups = {}
+    for geom in lanes:
+        groups.setdefault((geom.alpha, geom.noise_m, geom.noise_e), []).append(geom)
+    for (alpha, noise_m, noise_e), group in groups.items():
+        col = {
+            name: np.array([getattr(geom, name) for geom in group])
+            for name in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")
+        }
+        p_opt = optimize_fj_power_array(
+            col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], alpha, noise_m, noise_e,
+            col["p_i"], col["p_max"],
+        )
+        for geom, power in zip(group, p_opt.tolist()):
+            expected = optimize_fj_power(geom, 1.0).p_opt
+            assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
 
 def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)
@@ -297,7 +343,7 @@ def test_candidate_list_shape_and_bounds():
 def test_no_overflow_at_kilometer_scale_and_alpha_4():
     # coefficient magnitudes span ~1e-20..1e39 here; everything must stay finite
     geom = FjGeometry(
-        d_im=1e3, d_ie=900.0, d_jm=950.0, d_je=1e3, alpha=4.0, noise=1e-10,
+        d_im=1e3, d_ie=900.0, d_jm=950.0, d_je=1e3, alpha=4.0, noise_m=1e-10, noise_e=1e-10,
         p_i=P_50MW, p_max=P_50MW,
     )
     co = compute_coefficients(geom)
@@ -312,10 +358,12 @@ def test_no_overflow_at_kilometer_scale_and_alpha_4():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        FjGeometry(d_im=0.0, d_ie=1, d_jm=1, d_je=1, alpha=2, noise=1e-10, p_i=1, p_max=1)
+        FjGeometry(d_im=0.0, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=1, p_max=1)
     with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise=0.0, p_i=1, p_max=1)
+        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=0.0, noise_e=1e-10, p_i=1, p_max=1)
     with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise=1e-10, p_i=0.0, p_max=1)
+        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=0.0, p_i=1, p_max=1)
     with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise=1e-10, p_i=1, p_max=-1.0)
+        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=0.0, p_max=1)
+    with pytest.raises(ValueError):
+        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=1, p_max=-1.0)

@@ -117,6 +117,31 @@ def test_fj_active_in_the_interior():
     assert result.secrecy > select_max_secrecy(scenario, Point2D(60.0, 60.0)).secrecy
 
 
+@pytest.mark.parametrize("noise_ratio", [0.1, 10.0])
+def test_fj_optimal_with_distinct_receiver_noises(noise_ratio):
+    # two-capacity oracle on a 20,001-point grid over the idle AP's power,
+    # at 18 x 18 eavesdropper cells, with noise_e != noise_m
+    scenario = build_scenario(sta_m=(20.0, 100.0), noise_e=noise_ratio * 1e-10)
+    par = scenario.params
+    a = par.pathloss_alpha
+    for y in range(1, 120, 7):
+        for x in range(1, 120, 7):
+            sta_e = Point2D(float(x), float(y))
+            result = select_with_fj(scenario, sta_e)
+            data, idle = scenario.ap1, scenario.ap2
+            if result.chosen_ap == 2:
+                data, idle = idle, data
+            p_i = distance_corrected_power(data.tx_power, par)
+            powers = np.linspace(0.0, distance_corrected_power(idle.tx_power_max, par), 20001)
+            gains = []
+            for sta, noise in ((scenario.sta_m, par.noise_m), (sta_e, par.noise_e)):
+                d_i = effective_distance(distance(data.position, sta), par)
+                d_j = effective_distance(distance(idle.position, sta), par)
+                gains.append(np.log2(1.0 + p_i * d_i ** -a / (powers * d_j ** -a + noise)))
+            best = par.bandwidth_w * float(np.max(gains[0] - gains[1]))
+            assert best <= result.secrecy + 1e-9 * par.bandwidth_w, (x, y)
+
+
 def test_fj_power_respects_idle_cap():
     rng = np.random.default_rng(44)
     for _ in range(100):

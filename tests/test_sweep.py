@@ -42,11 +42,18 @@ def test_grid_row_order_y_outer_x_inner():
     ]
 
 
-@pytest.mark.parametrize("policy", list(PolicyKind))
-def test_sweep_matches_naive_double_loop(policy):
+@pytest.mark.parametrize(
+    "policy, noise_ratio",
+    [
+        pytest.param(policy, ratio, id=f"{policy}{suffix}")
+        for policy in PolicyKind
+        for ratio, suffix in ((1.0, ""), (0.1, "-noise_e_0.1x"), (10.0, "-noise_e_10x"))
+    ],
+)
+def test_sweep_matches_naive_double_loop(policy, noise_ratio):
     # independent oracle: an explicitly coded double loop over cells using
     # the scalar selector, re-summed with exact accumulation
-    scenario = build_scenario((20.0, 100.0))
+    scenario = build_scenario((20.0, 100.0), noise_e=noise_ratio * 1e-10)
     cfg = small_cfg(policy)
     summary = sweep_eavesdropper(scenario, cfg)
     assert len(summary.grid) == cfg.grid_k ** 2
@@ -205,16 +212,6 @@ def test_monte_carlo_seed_changes_draws():
     a = monte_carlo(scenario, cfg, n=5, seed=1, retain_samples=True)
     b = monte_carlo(scenario, cfg, n=5, seed=2, retain_samples=True)
     assert [s.sta_m for s in a.samples] != [s.sta_m for s in b.samples]
-
-
-def test_monte_carlo_lattice_draws_land_on_grid_points():
-    scenario = build_scenario((20.0, 100.0))
-    cfg = SweepConfig(grid_k=7, cell_origin=Point2D(1.0, 1.0), cell_step=3.0)
-    mc = monte_carlo(scenario, cfg, n=25, seed=3, lattice=True, retain_samples=True)
-    valid = {1.0 + 3.0 * i for i in range(7)}
-    for sample in mc.samples:
-        assert sample.sta_m.x in valid
-        assert sample.sta_m.y in valid
 
 
 def test_monte_carlo_validates_arguments():
