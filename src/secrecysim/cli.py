@@ -18,6 +18,7 @@ from .scenario_io import (
     ScenarioValidationError,
     bundled_scenario_path,
     load_scenario,
+    temp_path,
     watt_to_dbm,
     write_heatmap,
     write_summary,
@@ -83,7 +84,8 @@ class _OutputSet:
         self.dirs: list[Path] = []
 
     def add(self, path: Path) -> Path:
-        self.paths.append(path)
+        # with the temp file it is written through, should a write be cut short
+        self.paths += [path, temp_path(path)]
         return path
 
     def mkdir(self, path: Path) -> Path:

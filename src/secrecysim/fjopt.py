@@ -227,15 +227,11 @@ def optimize_fj_power(geom: FjGeometry, bandwidth: float) -> FjSolution:
     )
 
 
-def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> np.ndarray:
-    """:func:`optimize_fj_power`'s ``p_opt`` per lane of 1-d arrays of
-    distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
-    Ties go to the smallest power; near ties may resolve otherwise than in
-    the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
-    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+def _candidate_powers(co: FjCoefficients, p_max) -> tuple[np.ndarray, ...]:
+    """Per lane: 0, ``p_max`` and the two roots of :func:`derivative_numerator_roots`
+    clamped to ``[0, p_max]``; a lane without a usable root gets 0."""
     a, b, c = co.quad_a, co.quad_b, co.quad_c
-    # derivative_numerator_roots per lane: np.where drops the branches a lane
-    # does not take, and a lane without a usable root gets 0, a candidate anyway
+    # np.where drops the branches a lane does not take
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.where(p_max > 0.0, p_max, 1.0)
         a_n = np.abs(a) * s * s
@@ -248,12 +244,20 @@ def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i
         q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
         root1 = np.where(quadratic, q / a, np.where(linear_ok, -c / b, 0.0))
         root2 = np.where(quadratic & (q != 0.0), c / q, 0.0)
-    cands = np.sort(
-        np.stack([np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)]),
-        axis=0,
-    )
-    num, den = _ratio_terms(co, p_i, cands)
-    values = np.log2(num) - np.log2(den)
-    # first maximum along the sorted axis = smallest power on ties
-    best = np.argmax(values, axis=0)
-    return np.take_along_axis(cands, best[None, :], axis=0)[0]
+    return np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
+
+
+def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> np.ndarray:
+    """:func:`optimize_fj_power`'s ``p_opt`` per lane of 1-d arrays of
+    distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
+    Ties go to the smallest power; near ties may resolve otherwise than in
+    the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
+    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    powers = _candidate_powers(co, p_max)
+    values = [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(co, p_i, p) for p in powers)]
+    # running maximum over the candidates; the smallest power wins ties
+    best_p, best_v = powers[0], values[0]
+    for p, v in zip(powers[1:], values[1:]):
+        better = (v > best_v) | ((v == best_v) & (p < best_p))
+        best_p, best_v = np.where(better, p, best_p), np.where(better, v, best_v)
+    return best_p

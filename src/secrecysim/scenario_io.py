@@ -9,6 +9,7 @@ file byte-round-trips through its own reader.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -225,6 +226,23 @@ def load_scenario(path) -> LoadedScenario:
     return LoadedScenario(scenario=scenario, sweep=sweep, monte_carlo=mc, echo=echo)
 
 
+def temp_path(path) -> Path:
+    """The sibling file a write goes through before it replaces ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".tmp")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write through :func:`temp_path`, so ``path`` is never partly written."""
+    tmp = temp_path(path)
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_heatmap(path, x, y, values) -> None:
     """Write one ``x,y,value`` CSV; the arrays must already be in row order
     (y outer ascending, x inner ascending).
@@ -234,7 +252,7 @@ def write_heatmap(path, x, y, values) -> None:
     """
     rows = np.column_stack([np.asarray(column, dtype=float) for column in (x, y, values)])
     body = ("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    Path(path).write_text("x,y,value\n" + body, encoding="utf-8", newline="\n")
+    _write_atomic(path, "x,y,value\n" + body)
 
 
 def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,9 +269,7 @@ def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def write_summary(path, document: dict) -> None:
     """Serialize a summary document as JSON with a stable key order."""
-    Path(path).write_text(
-        json.dumps(document, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_atomic(path, json.dumps(document, indent=2) + "\n")
 
 
 def read_summary(path) -> dict:

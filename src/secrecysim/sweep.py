@@ -1,17 +1,19 @@
 """Grid sweeps over eavesdropper positions and Monte Carlo over station placements.
 
-The sweep evaluates one policy at every cell of a square grid with a
+The sweep evaluates policies at every cell of a square grid with a
 vectorized engine that mirrors :mod:`secrecysim.policy` cell for cell
 (the scalar selectors remain the reference semantics and the test oracle).
+Terms that do not depend on the station are computed once per sweep or
+Monte Carlo chunk, and one pass evaluates all requested policies.
 The jamming power comes from :func:`secrecysim.fjopt.optimize_fj_power_array`,
 which shares the closed form with the scalar optimizer the selectors use.
-Aggregates use exact summation, so results are independent of evaluation
-order and of the number of Monte Carlo workers.
+Aggregates use exact, correctly rounded summation, so results are
+independent of evaluation order and of the number of Monte Carlo workers.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -125,48 +127,66 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
-def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKind) -> GridArrays:
-    """Evaluate one policy at every grid cell; the array twin of policy.select."""
+def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
+    """The per-cell terms that do not depend on the station: the cell
+    coordinates, the clamped AP distances and the eavesdropper capacities."""
     par = scenario.params
-    alpha = par.pathloss_alpha
-    w = par.bandwidth_w
     ap1, ap2 = scenario.ap1, scenario.ap2
     x, y = grid_coordinates(cfg)
-
-    d1m = effective_distance(distance(ap1.position, scenario.sta_m), par)
-    d2m = effective_distance(distance(ap2.position, scenario.sta_m), par)
     d0 = par.ref_distance_d0
     d1e = np.maximum(np.sqrt((x - ap1.position.x) ** 2 + (y - ap1.position.y) ** 2), d0)
     d2e = np.maximum(np.sqrt((x - ap2.position.x) ** 2 + (y - ap2.position.y) ** 2), d0)
     p1 = distance_corrected_power(ap1.tx_power, par)
     p2 = distance_corrected_power(ap2.tx_power, par)
+    c1e = np.log2(1.0 + p1 * d1e ** -par.pathloss_alpha / par.noise_e)
+    c2e = np.log2(1.0 + p2 * d2e ** -par.pathloss_alpha / par.noise_e)
+    return x, y, d1e, d2e, c1e, c2e
 
+
+def _evaluate_grid(scenario: Scenario, eve, policies) -> dict[PolicyKind, GridArrays]:
+    """Evaluate ``policies`` at every grid cell in one pass over the
+    station-dependent terms; the array twin of policy.select. ``eve`` is
+    :func:`_eve_terms` of the same scenario and grid. ``smart_fj`` starts
+    from ``smart``'s association."""
+    par = scenario.params
+    alpha = par.pathloss_alpha
+    w = par.bandwidth_w
+    ap1, ap2 = scenario.ap1, scenario.ap2
+    x, y, d1e, d2e, c1e, c2e = eve
+
+    d1m = effective_distance(distance(ap1.position, scenario.sta_m), par)
+    d2m = effective_distance(distance(ap2.position, scenario.sta_m), par)
+    p1 = distance_corrected_power(ap1.tx_power, par)
+    p2 = distance_corrected_power(ap2.tx_power, par)
     c1m = math.log2(1.0 + p1 * d1m ** -alpha / par.noise_m)
     c2m = math.log2(1.0 + p2 * d2m ** -alpha / par.noise_m)
-    c1e = np.log2(1.0 + p1 * d1e ** -alpha / par.noise_e)
-    c2e = np.log2(1.0 + p2 * d2e ** -alpha / par.noise_e)
 
-    if policy is PolicyKind.NORMAL_WIFI:
+    def capacities(pick1):
+        return np.where(pick1, c1m, c2m), np.where(pick1, c1e, c2e)
+
+    def arrays(chosen, cap_m, cap_e, fj_power=None):
+        fj_power = np.zeros_like(cap_e) if fj_power is None else fj_power
+        return GridArrays(x, y, chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)
+
+    out = {}
+    if PolicyKind.NORMAL_WIFI in policies:
         choice = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
         chosen = np.full(x.shape, choice, dtype=np.int64)
-    else:
+        out[PolicyKind.NORMAL_WIFI] = arrays(chosen, *capacities(chosen == 1))
+    if PolicyKind.SMART_AP in policies or PolicyKind.SMART_AP_FJ in policies:
         chosen = np.where(c1m - c1e >= c2m - c2e, 1, 2).astype(np.int64)
-    pick1 = chosen == 1
-    cap_m = np.where(pick1, c1m, c2m)
-    cap_e = np.where(pick1, c1e, c2e)
-    fj_power = np.zeros_like(cap_e)
-
-    if policy is PolicyKind.SMART_AP_FJ:
+        pick1 = chosen == 1
+        cap_m, cap_e = capacities(pick1)
+        if PolicyKind.SMART_AP in policies:
+            out[PolicyKind.SMART_AP] = arrays(chosen, cap_m, cap_e)
+    if PolicyKind.SMART_AP_FJ in policies:
         d_im = np.where(pick1, d1m, d2m)
         d_ie = np.where(pick1, d1e, d2e)
         d_jm = np.where(pick1, d2m, d1m)
         d_je = np.where(pick1, d2e, d1e)
         p_i = np.where(pick1, p1, p2)
-        p_max = np.where(
-            pick1,
-            distance_corrected_power(ap2.tx_power_max, par),
-            distance_corrected_power(ap1.tx_power_max, par),
-        )
+        p1_max, p2_max = (distance_corrected_power(ap.tx_power_max, par) for ap in (ap1, ap2))
+        p_max = np.where(pick1, p2_max, p1_max)
         p_opt = optimize_fj_power_array(
             d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max
         )
@@ -175,27 +195,45 @@ def _evaluate_policy_grid(scenario: Scenario, cfg: SweepConfig, policy: PolicyKi
         cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
         # same guard as the scalar path: never fall below the no-jamming result
         worse = (cap_m_fj - cap_e_fj) < (cap_m - cap_e)
-        fj_power = np.where(worse, 0.0, p_opt)
-        cap_m = np.where(worse, cap_m, cap_m_fj)
-        cap_e = np.where(worse, cap_e, cap_e_fj)
+        out[PolicyKind.SMART_AP_FJ] = arrays(
+            chosen,
+            np.where(worse, cap_m, cap_m_fj),
+            np.where(worse, cap_e, cap_e_fj),
+            np.where(worse, 0.0, p_opt),
+        )
+    return out
 
-    return GridArrays(
-        x=x,
-        y=y,
-        chosen=chosen,
-        cap_legit=w * cap_m,
-        cap_eve=w * cap_e,
-        secrecy=w * (cap_m - cap_e),
-        fj_power=fj_power,
-    )
+
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a.tolist())`` of a float64 array: the same float, at numpy speed.
+
+    ``np.bincount`` sums the 26-bit halves of the mantissas per sign and
+    exponent, exactly below ``2**26`` values; the bins make one integer
+    count of ``2**-1075``, and its quotient is correctly rounded, as ``fsum``
+    is. Inf, nan and zero sums (the sign of zero) go to ``fsum``.
+    """
+    bits = a.view(np.int64)
+    key = (bits >> 52) & 0xFFF
+    count = np.bincount(key, minlength=0x1000)
+    if a.size >= 1 << 26 or count[0x7FF] or count[0xFFF]:
+        return math.fsum(a.tolist())
+    hi = np.bincount(key, weights=(bits >> 26) & 0x3FFFFFF, minlength=0x1000)
+    lo = np.bincount(key, weights=bits & 0x3FFFFFF, minlength=0x1000)
+    used = np.flatnonzero(count)
+    total = 0
+    for k, n, h, l in zip(used.tolist(), count[used].tolist(), hi[used].tolist(), lo[used].tolist()):
+        e = k & 0x7FF
+        part = (((n << 52) if e else 0) + (int(h) << 26) + int(l)) << max(e, 1)
+        total += -part if k & 0x800 else part
+    return total / (1 << 1075) if total else math.fsum(a.tolist())
 
 
 def _metrics(ev: GridArrays) -> PolicyMeans:
     size = ev.secrecy.size
     return PolicyMeans(
-        avg_secrecy=math.fsum(ev.secrecy.tolist()) / size,
-        avg_secrecy_truncated=math.fsum(np.maximum(ev.secrecy, 0.0).tolist()) / size,
-        avg_eve_capacity=math.fsum(ev.cap_eve.tolist()) / size,
+        avg_secrecy=_exact_sum(ev.secrecy) / size,
+        avg_secrecy_truncated=_exact_sum(np.maximum(ev.secrecy, 0.0)) / size,
+        avg_eve_capacity=_exact_sum(ev.cap_eve) / size,
         coverage_ratio=int(np.count_nonzero(ev.secrecy > 0.0)) / size,
     )
 
@@ -219,16 +257,8 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
     """Evaluate ``cfg.policy`` at every grid cell and aggregate the metrics."""
-    ev = _evaluate_policy_grid(scenario, cfg, cfg.policy)
-    m = _metrics(ev)
-    return SweepSummary(
-        avg_secrecy=m.avg_secrecy,
-        avg_secrecy_truncated=m.avg_secrecy_truncated,
-        avg_eve_capacity=m.avg_eve_capacity,
-        coverage_ratio=m.coverage_ratio,
-        arrays=ev,
-        grid=_cells(ev) if retain_cells else (),
-    )
+    ev = _evaluate_grid(scenario, _eve_terms(scenario, cfg), (cfg.policy,))[cfg.policy]
+    return SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
 
 
 def coverage_ratio(grid) -> float:
@@ -239,16 +269,17 @@ def coverage_ratio(grid) -> float:
     return sum(1 for cell in cells if cell.selection.secrecy > 0.0) / len(cells)
 
 
-def _run_sample(args) -> tuple[int, float, float, dict[PolicyKind, PolicyMeans]]:
-    scenario, cfg, seed, index = args
-    # per-sample generator keyed by (seed, index): order- and worker-independent
-    x, y = np.random.default_rng([seed, index]).uniform(0.0, scenario.map_extent, size=2)
-    pos = Point2D(float(x), float(y))
-    placed = replace(scenario, sta_m=pos)
-    metrics = {
-        policy: _metrics(_evaluate_policy_grid(placed, cfg, policy)) for policy in ALL_POLICIES
-    }
-    return index, pos.x, pos.y, metrics
+def _run_chunk(args) -> list[SampleRecord]:
+    scenario, cfg, seed, indices = args
+    eve = _eve_terms(scenario, cfg)
+    records = []
+    for index in indices:
+        # per-sample generator keyed by (seed, index): order- and worker-independent
+        x, y = np.random.default_rng([seed, index]).uniform(0.0, scenario.map_extent, size=2)
+        placed = replace(scenario, sta_m=Point2D(float(x), float(y)))
+        grids = _evaluate_grid(placed, eve, ALL_POLICIES)
+        records.append(SampleRecord(placed.sta_m, {p: _metrics(ev) for p, ev in grids.items()}))
+    return records
 
 
 def monte_carlo(
@@ -263,32 +294,28 @@ def monte_carlo(
     legitimate-station placements.
 
     Positions are drawn uniformly over the map square; ``cfg.policy`` is
-    ignored because every sample evaluates all policies.
+    ignored because every sample evaluates all policies. With
+    ``workers > 1`` the samples run in contiguous chunks on a pool of at
+    most ``min(workers, n)`` processes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    tasks = [(scenario_template, cfg, seed, index) for index in range(n)]
+    workers = min(workers, n)
+    # contiguous chunks in sample order, each computing the eavesdropper terms once
+    k = min(n, 4 * workers) if workers > 1 else 1
+    tasks = [(scenario_template, cfg, seed, range(i * n // k, (i + 1) * n // k)) for i in range(k)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_sample, tasks, chunksize=max(1, n // (4 * workers))))
+            records = [record for part in pool.map(_run_chunk, tasks) for record in part]
     else:
-        raw = [_run_sample(task) for task in tasks]
-    raw.sort(key=lambda item: item[0])
+        records = _run_chunk(tasks[0])
 
-    means: dict[PolicyKind, PolicyMeans] = {}
+    means = {}
     for policy in ALL_POLICIES:
-        per_policy = [item[3][policy] for item in raw]
-        means[policy] = PolicyMeans(
-            avg_secrecy=math.fsum(m.avg_secrecy for m in per_policy) / n,
-            avg_secrecy_truncated=math.fsum(m.avg_secrecy_truncated for m in per_policy) / n,
-            avg_eve_capacity=math.fsum(m.avg_eve_capacity for m in per_policy) / n,
-            coverage_ratio=math.fsum(m.coverage_ratio for m in per_policy) / n,
-        )
-    samples = ()
-    if retain_samples:
-        samples = tuple(
-            SampleRecord(sta_m=Point2D(x, y), metrics=metrics) for _, x, y, metrics in raw
-        )
+        # one column per metric, in sample order
+        columns = zip(*(astuple(record.metrics[policy]) for record in records))
+        means[policy] = PolicyMeans(*(math.fsum(column) / n for column in columns))
+    samples = tuple(records) if retain_samples else ()
     return MonteCarloSummary(n_samples=n, seed=seed, means=means, samples=samples)

@@ -19,6 +19,7 @@ from secrecysim import (
 )
 from secrecysim import cli
 from secrecysim.cli import main
+from secrecysim.scenario_io import temp_path
 
 SMALL = {
     "channel": {
@@ -223,6 +224,19 @@ def test_sweep_interrupt_removes_outputs_and_propagates(small_scenario, tmp_path
         # the four CSVs of the first policy were written before the interrupt;
         # they and every directory the run created are gone
         assert not created.exists()
+
+
+def test_sweep_failure_removes_leftover_temp_files(small_scenario, tmp_path, monkeypatch):
+    def cut_short(path, document):
+        # a write stopped between creating its temp file and the rename
+        temp_path(path).write_text("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_summary", cut_short)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--scenario", str(small_scenario), "--out-dir", str(out)])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_compare_three_scenarios_orders_policies(tmp_path):

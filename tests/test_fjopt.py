@@ -14,7 +14,14 @@ from secrecysim import (
     secrecy_from_capacities,
     secrecy_objective,
 )
-from secrecysim.fjopt import FjCoefficients, derivative_numerator_roots, optimize_fj_power_array
+from secrecysim.fjopt import (
+    FjCoefficients,
+    _candidate_powers,
+    _coefficients,
+    _ratio_terms,
+    derivative_numerator_roots,
+    optimize_fj_power_array,
+)
 
 from conftest import grid_search_best, random_fj_geometry
 
@@ -327,6 +334,35 @@ def test_array_optimizer_matches_scalar():
         for geom, power in zip(group, p_opt.tolist()):
             expected = optimize_fj_power(geom, 1.0).p_opt
             assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
+
+@pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
+def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
+    # the running maximum against the reference it replaced: the four
+    # candidates sorted per lane and the first maximum taken; lanes with
+    # p_max = 0, and symmetric lanes whose candidates all tie exactly
+    rng = np.random.default_rng(16)
+    d = rng.uniform(1.0, 170.0, (4, 3000))
+    sym = rng.uniform(1.0, 170.0, (2, 300))
+    d_im, d_ie = np.concatenate([d[0], sym[0]]), np.concatenate([d[1], sym[0]])
+    d_jm, d_je = np.concatenate([d[2], sym[1]]), np.concatenate([d[3], sym[1]])
+    p_i = np.full(d_im.size, P_50MW)
+    p_max = np.where(np.arange(d_im.size) % 7 == 0, 0.0, P_50MW)
+
+    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i)
+    cands = np.sort(np.stack(_candidate_powers(co, p_max)), axis=0)
+    num, den = _ratio_terms(co, p_i, cands)
+    values = np.log2(num) - np.log2(den)
+    expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
+
+    got = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.count_nonzero(got[p_max == 0.0]) == 0
+    if noise_e == 1e-10:
+        ties = np.all(values == values[0], axis=0) & (p_max > 0.0)
+        assert np.count_nonzero(ties) > 200
+        assert np.count_nonzero(got[ties]) == 0
+
 
 def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)

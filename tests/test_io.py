@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +266,34 @@ def test_heatmap_matches_per_value_formatting(tmp_path, x, y, values):
     path = tmp_path / "map.csv"
     write_heatmap(path, x, y, values)
     assert path.read_bytes() == per_value_lines(x, y, values).encode("utf-8")
+
+
+WRITERS = {
+    "heatmap": lambda path: write_heatmap(path, [1.0, 2.0], [1.0, 1.0], [0.5, -0.5]),
+    "summary": lambda path: write_summary(path, {"policy": "smart", "avg_secrecy": 1.5}),
+}
+
+
+@pytest.mark.parametrize("fault", [OSError("disk full"), KeyboardInterrupt()], ids=["oserror", "interrupt"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_no_partial_target_or_temp(tmp_path, monkeypatch, writer, existing, fault):
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("previous")
+    real_write_text = Path.write_text
+
+    def cut_short(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise fault
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    with pytest.raises(type(fault)):
+        WRITERS[writer](target)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+    if existing:
+        assert target.read_text() == "previous"
+    # a write that completes replaces the target in full
+    WRITERS[writer](target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

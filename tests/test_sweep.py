@@ -1,7 +1,9 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from secrecysim import (
     CellResult,
@@ -14,7 +16,8 @@ from secrecysim import (
     select,
     sweep_eavesdropper,
 )
-from secrecysim.sweep import ALL_POLICIES, grid_coordinates
+from secrecysim import sweep as sweep_module
+from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sum, grid_coordinates
 
 from conftest import build_scenario
 
@@ -206,6 +209,61 @@ def test_monte_carlo_worker_count_does_not_change_bits():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_monte_carlo_samples_match_per_policy_sweeps(workers):
+    # distinct noises and a non-integer exponent; 9 samples over 1, 8 or 9 chunks
+    scenario = build_scenario((20.0, 100.0), noise_e=1e-9, alpha=2.418)
+    cfg = small_cfg(k=25, step=4.0)
+    mc = monte_carlo(scenario, cfg, n=9, seed=11, workers=workers, retain_samples=True)
+    assert len(mc.samples) == 9
+    for index, sample in enumerate(mc.samples):
+        x, y = np.random.default_rng([11, index]).uniform(0.0, scenario.map_extent, size=2)
+        assert sample.sta_m == Point2D(float(x), float(y))
+        placed = replace(scenario, sta_m=sample.sta_m)
+        for policy in ALL_POLICIES:
+            ev = sweep_eavesdropper(placed, replace(cfg, policy=policy), retain_cells=False).arrays
+            size = ev.secrecy.size
+            expected = PolicyMeans(
+                avg_secrecy=math.fsum(ev.secrecy.tolist()) / size,
+                avg_secrecy_truncated=math.fsum(np.maximum(ev.secrecy, 0.0).tolist()) / size,
+                avg_eve_capacity=math.fsum(ev.cap_eve.tolist()) / size,
+                coverage_ratio=int(np.count_nonzero(ev.secrecy > 0.0)) / size,
+            )
+            got = sample.metrics[policy]
+            assert [float(v).hex() for v in vars(got).values()] == [
+                float(v).hex() for v in vars(expected).values()
+            ], (index, policy)
+
+
+def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Runs the tasks in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    scenario = build_scenario((20.0, 100.0))
+    cfg = small_cfg(k=5, step=24.0)
+    capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64, retain_samples=True)
+    assert started == [3]
+    assert capped == monte_carlo(scenario, cfg, n=3, seed=4, workers=1, retain_samples=True)
+    # one sample needs no pool at all
+    monte_carlo(scenario, cfg, n=1, seed=4, workers=64)
+    assert started == [3]
+
+
 def test_monte_carlo_seed_changes_draws():
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
@@ -227,3 +285,54 @@ def test_sweep_config_validation():
         SweepConfig(grid_k=0)
     with pytest.raises(ValueError):
         SweepConfig(cell_step=0.0)
+
+
+def fsum_outcome(values):
+    """``math.fsum`` as a comparable value: the float's hex, or the error type."""
+    try:
+        return math.fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def exact_sum_outcome(array):
+    try:
+        return _exact_sum(array).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+TINY = 2.2250738585072014e-308  # smallest normal double
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+subnormal = st.floats(min_value=-TINY, max_value=TINY)
+special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0])
+
+
+@given(
+    st.lists(st.one_of(finite, scaled, subnormal), max_size=300),
+    st.lists(st.one_of(scaled, subnormal), max_size=50),
+)
+def test_exact_sum_matches_fsum(values, cancelling):
+    # each cancelling value also appears negated, so large terms cancel exactly
+    values = values + cancelling + [-v for v in cancelling]
+    assert exact_sum_outcome(np.array(values, dtype=float)) == fsum_outcome(values)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0]), max_size=20))
+def test_exact_sum_of_zeros_keeps_fsum_sign(values):
+    assert exact_sum_outcome(np.array(values, dtype=float)) == fsum_outcome(values)
+
+
+@given(st.lists(st.one_of(scaled, special), min_size=1, max_size=30))
+def test_exact_sum_falls_back_on_inf_and_nan(values):
+    array = np.array(values, dtype=float)
+    assert exact_sum_outcome(array) == fsum_outcome(values)
+
+
+def test_exact_sum_on_grid_sized_arrays():
+    rng = np.random.default_rng(3)
+    full_mantissa = np.full(100_000, np.nextafter(2.0, 0.0))
+    mixed = rng.normal(size=14_400) * 10.0 ** rng.integers(-300, 300, size=14_400)
+    for array in (full_mantissa, -full_mantissa, mixed, rng.normal(size=14_400)):
+        assert _exact_sum(array).hex() == math.fsum(array.tolist()).hex()
