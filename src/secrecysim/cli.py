@@ -40,15 +40,22 @@ def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
     )
 
 
+def _integer(source: str, text: str | None) -> int | None:
+    """``text`` as an int, None when absent; the error names ``source``."""
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {text!r}") from None
+
+
 def _thread_count(flag: str | None) -> int:
     """Worker count from ``--threads``, else ``SECRECY_SIM_THREADS``, else 1."""
     source, text = "--threads", flag
     if text is None:
         source, text = "SECRECY_SIM_THREADS", os.environ.get("SECRECY_SIM_THREADS") or "1"
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
+    count = _integer(source, text)
     if count < 1:
         raise ValueError(f"{source} must be a positive integer, got {text!r}")
     return count
@@ -135,7 +142,7 @@ def _run_sweep(args) -> int:
         params = loaded.scenario.params
         for policy in policies:
             summary = sweep_eavesdropper(
-                loaded.scenario, _with_policy(loaded, policy), retain_cells=False
+                loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False
             )
             cells = summary.arrays
             name = policy.value
@@ -152,10 +159,7 @@ def _run_sweep(args) -> int:
             document = {
                 "tool_version": __version__,
                 "policy": name,
-                "avg_secrecy": summary.avg_secrecy,
-                "avg_secrecy_truncated": summary.avg_secrecy_truncated,
-                "avg_eve_capacity": summary.avg_eve_capacity,
-                "coverage_ratio": summary.coverage_ratio,
+                **_metrics_dict(summary),
                 "scenario": loaded.echo,
             }
             if mc_summary is not None:
@@ -166,12 +170,6 @@ def _run_sweep(args) -> int:
                 }
             write_summary(outputs.add(out_dir / f"{name}_summary.json"), document)
         return 0
-
-
-def _with_policy(loaded: LoadedScenario, policy: PolicyKind):
-    if loaded.sweep.policy is policy:
-        return loaded.sweep
-    return replace(loaded.sweep, policy=policy)
 
 
 def _run_compare(args) -> int:
@@ -196,7 +194,7 @@ def _run_compare(args) -> int:
             else:
                 for policy in ALL_POLICIES:
                     summary = sweep_eavesdropper(
-                        loaded.scenario, _with_policy(loaded, policy), retain_cells=False
+                        loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False
                     )
                     metrics[policy.value] = _metrics_dict(summary)
             rows.append({"scenario": label, "metrics": metrics})
@@ -238,11 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out-dir", required=True, help="directory for the output files")
     sweep_p.add_argument(
         "--monte-carlo-n",
-        type=int,
         default=None,
         help="also average metrics over this many random station placements",
     )
-    sweep_p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    sweep_p.add_argument("--seed", default=None, help="Monte Carlo seed")
     sweep_p.add_argument(
         "--threads",
         default=None,
@@ -261,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare_p.add_argument(
         "--monte-carlo-n",
-        type=int,
         default=None,
         help="compare Monte Carlo means instead of single sweeps",
     )
-    compare_p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
+    compare_p.add_argument("--seed", default=None, help="Monte Carlo seed (default 0)")
     compare_p.add_argument(
         "--threads",
         default=None,
@@ -280,6 +276,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.threads = _thread_count(args.threads)
+        args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n)
+        args.seed = _integer("--seed", args.seed)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

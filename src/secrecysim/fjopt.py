@@ -21,15 +21,14 @@ clamped real roots of that quadratic plus the two interval endpoints.
 The closed form is written once, as arithmetic on floats or arrays,
 and shared by :func:`optimize_fj_power` (one geometry, pure Python) and
 :func:`optimize_fj_power_array` (arrays of geometries, for the grid
-sweep). Both break ties between candidates to the smallest power.
+sweep). Both return only the chosen power, which does not depend on the
+bandwidth, and break ties between candidates to the smallest power.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import shannon_capacity
 
 # Relative threshold below which the derivative quadratic is treated as
 # linear (and below which the linear term is treated as absent). Symmetric
@@ -85,15 +84,6 @@ class FjCoefficients:
     quad_a: float
     quad_b: float
     quad_c: float
-
-
-@dataclass(frozen=True)
-class FjSolution:
-    """Outcome of one optimization: chosen power, its secrecy, all candidates."""
-
-    p_opt: float
-    secrecy: float
-    candidates: tuple[tuple[float, float], ...]
 
 
 def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i) -> FjCoefficients:
@@ -153,27 +143,6 @@ def _log2_ratio(co: FjCoefficients, p_i: float, p_j: float) -> float:
     return math.log2(num) - math.log2(den)
 
 
-def secrecy_objective(geom: FjGeometry, p_j: float, bandwidth: float) -> float:
-    """Secrecy capacity in bits/s at jamming power ``p_j``, via the ratio form."""
-    return bandwidth * _log2_ratio(compute_coefficients(geom), geom.p_i, p_j)
-
-
-def secrecy_from_capacities(geom: FjGeometry, p_j: float, bandwidth: float) -> float:
-    """Secrecy capacity at ``p_j`` composed from the two link capacities.
-
-    Independent evaluation route of :func:`secrecy_objective`; the two
-    must agree to rounding error and are cross-checked in the test suite.
-    """
-    alpha = geom.alpha
-    cap_m = shannon_capacity(
-        geom.p_i * geom.d_im ** -alpha, p_j * geom.d_jm ** -alpha, geom.noise_m, bandwidth
-    )
-    cap_e = shannon_capacity(
-        geom.p_i * geom.d_ie ** -alpha, p_j * geom.d_je ** -alpha, geom.noise_e, bandwidth
-    )
-    return cap_m - cap_e
-
-
 def derivative_numerator_roots(co: FjCoefficients, p_scale: float) -> list[float]:
     """Real roots of ``quad_a*x**2 + quad_b*x + quad_c = 0``, unclamped.
 
@@ -204,8 +173,8 @@ def derivative_numerator_roots(co: FjCoefficients, p_scale: float) -> list[float
     return roots
 
 
-def optimize_fj_power(geom: FjGeometry, bandwidth: float) -> FjSolution:
-    """Pick the jamming power in ``[0, p_max]`` that maximizes secrecy.
+def optimize_fj_power(geom: FjGeometry) -> float:
+    """The jamming power in ``[0, p_max]`` that maximizes secrecy.
 
     Candidates are the clamped roots of the derivative numerator plus the
     interval endpoints; the best objective value among them is the global
@@ -217,14 +186,8 @@ def optimize_fj_power(geom: FjGeometry, bandwidth: float) -> FjSolution:
     candidates = {0.0, geom.p_max}
     for root in derivative_numerator_roots(co, geom.p_max):
         candidates.add(min(max(root, 0.0), geom.p_max))
-    powers = sorted(candidates)
-    values = [_log2_ratio(co, geom.p_i, p) for p in powers]
-    best = values.index(max(values))
-    return FjSolution(
-        p_opt=powers[best],
-        secrecy=bandwidth * values[best],
-        candidates=tuple((p, bandwidth * v) for p, v in zip(powers, values)),
-    )
+    # max keeps the first of equal values, and the powers ascend
+    return max(sorted(candidates), key=lambda p: _log2_ratio(co, geom.p_i, p))
 
 
 def _candidate_powers(co: FjCoefficients, p_max) -> tuple[np.ndarray, ...]:
@@ -248,8 +211,8 @@ def _candidate_powers(co: FjCoefficients, p_max) -> tuple[np.ndarray, ...]:
 
 
 def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> np.ndarray:
-    """:func:`optimize_fj_power`'s ``p_opt`` per lane of 1-d arrays of
-    distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
+    """The power :func:`optimize_fj_power` returns, per lane of 1-d arrays
+    of distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
     Ties go to the smallest power; near ties may resolve otherwise than in
     the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
     co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)

@@ -186,23 +186,23 @@ def select_with_fj(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
         p_i=p_i,
         p_max=distance_corrected_power(idle_cfg.tx_power_max, par),
     )
-    solution = optimize_fj_power(geom, 1.0)
-    if solution.p_opt == 0.0:
+    p_opt = optimize_fj_power(geom)
+    if p_opt == 0.0:
         return _result(par, chosen, base_m, base_e, 0.0)
     alpha = par.pathloss_alpha
     cap_m, cap_e = _capacities_hz(
         links,
         par,
         chosen,
-        interference_m=solution.p_opt * d_jm ** -alpha,
-        interference_e=solution.p_opt * d_je ** -alpha,
+        interference_m=p_opt * d_jm ** -alpha,
+        interference_e=p_opt * d_je ** -alpha,
     )
     # the optimizer compares the ratio form; guard the reported metric
     # against a last-ulp disagreement with the two-capacity form so the
     # jamming result can never fall below the no-jamming one
     if cap_m - cap_e < base_m - base_e:
         return _result(par, chosen, base_m, base_e, 0.0)
-    return _result(par, chosen, cap_m, cap_e, solution.p_opt)
+    return _result(par, chosen, cap_m, cap_e, p_opt)
 
 
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:

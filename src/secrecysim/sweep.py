@@ -68,31 +68,29 @@ class GridArrays:
 
 
 @dataclass(frozen=True)
-class SweepSummary:
-    """Aggregates of one sweep plus its per-cell ``arrays``; ``grid`` holds
-    the same cells as objects and is empty when cells were not retained.
+class PolicyMeans:
+    """The four metrics of one policy over one grid, each a mean over its
+    cells; Monte Carlo averages them again over the samples.
 
     ``avg_secrecy`` is the mean of the raw (possibly negative) per-cell
     differences; ``avg_secrecy_truncated`` floors each cell at zero first,
-    matching how secrecy maps are usually displayed.
+    matching how secrecy maps are usually displayed. ``coverage_ratio`` is
+    the fraction of cells with strictly positive secrecy.
     """
 
     avg_secrecy: float
     avg_secrecy_truncated: float
     avg_eve_capacity: float
     coverage_ratio: float
-    arrays: GridArrays = field(compare=False, repr=False)
-    grid: tuple[CellResult, ...] = ()
 
 
 @dataclass(frozen=True)
-class PolicyMeans:
-    """The sweep metrics averaged over Monte Carlo samples for one policy."""
+class SweepSummary(PolicyMeans):
+    """The metrics of one sweep plus its per-cell ``arrays``; ``grid`` holds
+    the same cells as objects and is empty when cells were not retained."""
 
-    avg_secrecy: float
-    avg_secrecy_truncated: float
-    avg_eve_capacity: float
-    coverage_ratio: float
+    arrays: GridArrays = field(compare=False, repr=False)
+    grid: tuple[CellResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,17 @@ class SampleRecord:
 class MonteCarloSummary:
     """Per-policy means over random legitimate-station placements.
 
-    Reproducible by construction: the same ``seed`` and ``n_samples``
-    give bit-identical results for any worker count, because each
-    sample's randomness is derived from ``(seed, sample_index)`` and the
-    reduction runs in sample order with exact summation.
+    ``samples`` holds one record per draw, in sample order. Reproducible
+    by construction: the same ``seed`` and ``n_samples`` give
+    bit-identical results for any worker count, because each sample's
+    randomness is derived from ``(seed, sample_index)`` and the reduction
+    runs in sample order with exact summation.
     """
 
     n_samples: int
     seed: int
     means: dict[PolicyKind, PolicyMeans]
-    samples: tuple[SampleRecord, ...] = ()
+    samples: tuple[SampleRecord, ...]
 
 
 def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -261,14 +260,6 @@ def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool 
     return SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
 
 
-def coverage_ratio(grid) -> float:
-    """Fraction of cells whose secrecy is strictly positive."""
-    cells = list(grid)
-    if not cells:
-        raise ValueError("coverage_ratio needs a non-empty grid")
-    return sum(1 for cell in cells if cell.selection.secrecy > 0.0) / len(cells)
-
-
 def _run_chunk(args) -> list[SampleRecord]:
     scenario, cfg, seed, indices = args
     eve = _eve_terms(scenario, cfg)
@@ -288,7 +279,6 @@ def monte_carlo(
     n: int,
     seed: int,
     workers: int = 1,
-    retain_samples: bool = False,
 ) -> MonteCarloSummary:
     """Average the sweep metrics of all three policies over ``n`` random
     legitimate-station placements.
@@ -317,5 +307,4 @@ def monte_carlo(
         # one column per metric, in sample order
         columns = zip(*(astuple(record.metrics[policy]) for record in records))
         means[policy] = PolicyMeans(*(math.fsum(column) / n for column in columns))
-    samples = tuple(records) if retain_samples else ()
-    return MonteCarloSummary(n_samples=n, seed=seed, means=means, samples=samples)
+    return MonteCarloSummary(n_samples=n, seed=seed, means=means, samples=tuple(records))

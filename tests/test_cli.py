@@ -276,7 +276,7 @@ def test_compare_monte_carlo_single_sample_equals_sweep_at_drawn_location(small_
     assert table["monte_carlo"] == {"n": 1, "seed": 5}
 
     loaded = load_scenario(small_scenario)
-    mc = monte_carlo(loaded.scenario, loaded.sweep, n=1, seed=5, retain_samples=True)
+    mc = monte_carlo(loaded.scenario, loaded.sweep, n=1, seed=5)
     placed = replace(loaded.scenario, sta_m=mc.samples[0].sta_m)
     metrics = table["rows"][0]["metrics"]
     for policy in PolicyKind:
@@ -348,6 +348,39 @@ def test_threads_must_be_positive_integer(env, flag, small_scenario, tmp_path, m
     assert err.startswith("error:")
     assert ("--threads" if flag is not None else "SECRECY_SIM_THREADS") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("option, text", [("--monte-carlo-n", "abc"), ("--seed", "x")])
+def test_bad_integer_option_fails_cleanly(command, option, text, small_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = [command, "--scenario", str(small_scenario), option, text]
+    args += ["--out-dir", str(out)] if command == "sweep" else ["--out", str(out)]
+    if option == "--seed":
+        args += ["--monte-carlo-n", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert option in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("monte_carlo_n", [None, "2"])
+def test_sweep_summary_key_order(monte_carlo_n, small_scenario, tmp_path):
+    out = tmp_path / "out"
+    args = ["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)]
+    if monte_carlo_n is not None:
+        args += ["--monte-carlo-n", monte_carlo_n]
+    assert main(args) == 0
+    expected = [
+        "tool_version", "policy", "avg_secrecy", "avg_secrecy_truncated",
+        "avg_eve_capacity", "coverage_ratio", "scenario",
+    ]
+    if monte_carlo_n is not None:
+        expected.append("monte_carlo")
+    for policy in ("normal", "smart", "smart_fj"):
+        document = json.loads((out / f"{policy}_summary.json").read_text())
+        assert list(document) == expected
 
 
 def test_console_script_version():

@@ -11,21 +11,31 @@ from secrecysim import (
     compute_coefficients,
     distance_corrected_power,
     optimize_fj_power,
-    secrecy_from_capacities,
-    secrecy_objective,
 )
 from secrecysim.fjopt import (
     FjCoefficients,
     _candidate_powers,
     _coefficients,
+    _log2_ratio,
     _ratio_terms,
     derivative_numerator_roots,
     optimize_fj_power_array,
 )
 
-from conftest import grid_search_best, random_fj_geometry
+from conftest import direct_secrecy_curve, grid_search_best, random_fj_geometry
 
 P_50MW = distance_corrected_power(0.05, ChannelParams())
+
+
+def ratio_secrecy(geom, p_j):
+    """Secrecy per Hz at ``p_j`` through the optimizer's own ratio form."""
+    return _log2_ratio(compute_coefficients(geom), geom.p_i, p_j)
+
+
+def candidate_powers(geom):
+    """0, ``p_max`` and the derivative roots clamped to ``[0, p_max]``."""
+    roots = derivative_numerator_roots(compute_coefficients(geom), geom.p_max)
+    return [0.0, geom.p_max] + [min(max(root, 0.0), geom.p_max) for root in roots]
 
 
 def unit_geometry():
@@ -58,7 +68,7 @@ def test_symmetric_geometry_degenerates_fully():
     co = compute_coefficients(geom)
     assert co.quad_a == 0.0 and co.quad_b == 0.0 and co.quad_c == 0.0
     for p_j in (0.0, 0.3 * geom.p_max, geom.p_max):
-        assert secrecy_objective(geom, p_j, 1.0) == 0.0
+        assert ratio_secrecy(geom, p_j) == 0.0
 
 
 def _f_direct(geom, p):
@@ -157,7 +167,7 @@ def test_objective_at_zero_matches_unjammed_difference():
     rng = np.random.default_rng(5)
     for _ in range(50):
         geom = random_fj_geometry(rng)
-        via_ratio = secrecy_objective(geom, 0.0, 1.0)
+        via_ratio = ratio_secrecy(geom, 0.0)
         unjammed = math.log2(1.0 + geom.p_i * geom.d_im ** -geom.alpha / geom.noise_m) - math.log2(
             1.0 + geom.p_i * geom.d_ie ** -geom.alpha / geom.noise_e
         )
@@ -170,17 +180,9 @@ def test_objective_cross_check_dual_route():
     for _ in range(300):
         geom = random_fj_geometry(rng)
         p_j = float(rng.uniform(0.0, geom.p_max))
-        a = secrecy_objective(geom, p_j, 1.0)
-        b = secrecy_from_capacities(geom, p_j, 1.0)
+        a = ratio_secrecy(geom, p_j)
+        b = float(direct_secrecy_curve(geom, np.array([p_j]))[0])
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
-def test_objective_scales_with_bandwidth():
-    geom = random_fj_geometry(np.random.default_rng(7))
-    base = secrecy_objective(geom, 0.4 * geom.p_max, 1.0)
-    assert secrecy_objective(geom, 0.4 * geom.p_max, 2.5e6) == pytest.approx(
-        2.5e6 * base, rel=1e-12
-    )
 
 
 def test_optimize_symmetric_geometry_prefers_zero_power():
@@ -188,29 +190,29 @@ def test_optimize_symmetric_geometry_prefers_zero_power():
         d_im=12.0, d_ie=12.0, d_jm=50.0, d_je=50.0, alpha=2.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    sol = optimize_fj_power(geom, 1.0)
-    assert sol.p_opt == 0.0
-    assert sol.secrecy == 0.0
-    assert all(v == 0.0 for _, v in sol.candidates)
+    p_opt = optimize_fj_power(geom)
+    assert p_opt == 0.0
+    assert ratio_secrecy(geom, p_opt) == 0.0
+    assert all(ratio_secrecy(geom, p) == 0.0 for p in candidate_powers(geom))
 
 
 def test_optimize_matches_grid_search():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         geom = random_fj_geometry(rng)
-        sol = optimize_fj_power(geom, 1.0)
+        p_opt = optimize_fj_power(geom)
         best_grid, _ = grid_search_best(geom, points=20001)
-        assert sol.secrecy >= best_grid - 1e-6
-        assert 0.0 <= sol.p_opt <= geom.p_max
+        assert ratio_secrecy(geom, p_opt) >= best_grid - 1e-6
+        assert 0.0 <= p_opt <= geom.p_max
 
 
 def test_optimize_boundary_candidates_never_beat_solution():
     rng = np.random.default_rng(2025)
     for _ in range(200):
         geom = random_fj_geometry(rng)
-        sol = optimize_fj_power(geom, 1.0)
-        assert sol.secrecy >= secrecy_objective(geom, 0.0, 1.0)
-        assert sol.secrecy >= secrecy_objective(geom, geom.p_max, 1.0)
+        secrecy = ratio_secrecy(geom, optimize_fj_power(geom))
+        assert secrecy >= ratio_secrecy(geom, 0.0)
+        assert secrecy >= ratio_secrecy(geom, geom.p_max)
 
 
 def test_optimize_jammer_next_to_eavesdropper_strictly_improves():
@@ -220,33 +222,24 @@ def test_optimize_jammer_next_to_eavesdropper_strictly_improves():
         d_im=30.0, d_ie=40.0, d_jm=150.0, d_je=1.0, alpha=2.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    sol = optimize_fj_power(geom, 1.0)
-    at_zero = secrecy_objective(geom, 0.0, 1.0)
-    assert sol.p_opt > 0.0
-    assert sol.secrecy > at_zero
+    p_opt = optimize_fj_power(geom)
+    at_zero = ratio_secrecy(geom, 0.0)
+    assert p_opt > 0.0
+    assert ratio_secrecy(geom, p_opt) > at_zero
     best_grid, _ = grid_search_best(geom)
-    assert abs(sol.secrecy - best_grid) <= 1e-6
+    assert abs(ratio_secrecy(geom, p_opt) - best_grid) <= 1e-6
 
 
 def test_optimize_monotone_harm_to_eavesdropper():
     rng = np.random.default_rng(11)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        sol = optimize_fj_power(geom, 1.0)
+        p_opt = optimize_fj_power(geom)
         a = geom.alpha
         eve_at = lambda p: math.log2(
             1.0 + geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
         )
-        assert eve_at(sol.p_opt) <= eve_at(0.0)
-
-
-def test_optimize_power_is_bandwidth_independent():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        geom = random_fj_geometry(rng)
-        reference = optimize_fj_power(geom, 1.0).p_opt
-        for w in (0.5, 20e6, 7.3e9):
-            assert optimize_fj_power(geom, w).p_opt == reference
+        assert eve_at(p_opt) <= eve_at(0.0)
 
 
 def test_root_residuals_are_small():
@@ -290,9 +283,8 @@ def test_linear_degenerate_geometry_matches_grid():
     co = compute_coefficients(geom)
     assert co.quad_a == 0.0
     assert co.quad_b != 0.0
-    sol = optimize_fj_power(geom, 1.0)
     best_grid, _ = grid_search_best(geom)
-    assert sol.secrecy >= best_grid - 1e-6
+    assert ratio_secrecy(geom, optimize_fj_power(geom)) >= best_grid - 1e-6
 
 
 
@@ -332,7 +324,7 @@ def test_array_optimizer_matches_scalar():
             col["p_i"], col["p_max"],
         )
         for geom, power in zip(group, p_opt.tolist()):
-            expected = optimize_fj_power(geom, 1.0).p_opt
+            expected = optimize_fj_power(geom)
             assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
 
 @pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
@@ -368,12 +360,12 @@ def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        sol = optimize_fj_power(geom, 1.0)
-        assert 2 <= len(sol.candidates) <= 4
-        powers = [p for p, _ in sol.candidates]
-        assert powers == sorted(powers)
+        p_opt = optimize_fj_power(geom)
+        powers = candidate_powers(geom)
+        assert 2 <= len(powers) <= 4
         assert all(0.0 <= p <= geom.p_max for p in powers)
-        assert sol.secrecy == max(v for _, v in sol.candidates)
+        assert p_opt in powers
+        assert ratio_secrecy(geom, p_opt) == max(ratio_secrecy(geom, p) for p in powers)
 
 
 def test_no_overflow_at_kilometer_scale_and_alpha_4():
@@ -386,10 +378,10 @@ def test_no_overflow_at_kilometer_scale_and_alpha_4():
     for value in (co.cap_a, co.cap_b, co.cap_c, co.cap_d, co.cap_e, co.cap_f, co.cap_k,
                   co.quad_a, co.quad_b, co.quad_c):
         assert math.isfinite(value)
-    sol = optimize_fj_power(geom, 1.0)
-    assert math.isfinite(sol.secrecy)
+    secrecy = ratio_secrecy(geom, optimize_fj_power(geom))
+    assert math.isfinite(secrecy)
     best_grid, _ = grid_search_best(geom)
-    assert sol.secrecy >= best_grid - 1e-6
+    assert secrecy >= best_grid - 1e-6
 
 
 def test_geometry_validation():

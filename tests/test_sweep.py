@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from secrecysim import (
-    CellResult,
     Point2D,
     PolicyKind,
-    SelectionResult,
     SweepConfig,
-    coverage_ratio,
     monte_carlo,
     select,
     sweep_eavesdropper,
@@ -24,15 +21,6 @@ from conftest import build_scenario
 
 def small_cfg(policy=PolicyKind.SMART_AP_FJ, k=25, step=4.0):
     return SweepConfig(grid_k=k, cell_step=step, policy=policy)
-
-
-def make_cell(secrecy):
-    return CellResult(
-        eve_pos=Point2D(0.0, 0.0),
-        selection=SelectionResult(
-            chosen_ap=1, idle_ap=2, cap_legit=1.0, cap_eve=1.0 - secrecy, secrecy=secrecy, fj_power=0.0
-        ),
-    )
 
 
 def test_grid_row_order_y_outer_x_inner():
@@ -100,22 +88,11 @@ def test_single_cell_on_station_has_zero_coverage():
     assert summary.grid[0].selection.secrecy == 0.0
 
 
-def test_coverage_ratio_trivial_cases():
-    assert coverage_ratio([make_cell(1.0)] * 4) == 1.0
-    assert coverage_ratio([make_cell(0.0)] * 4) == 0.0
-    assert coverage_ratio([make_cell(1.0), make_cell(0.0)]) == 0.5
-    assert coverage_ratio([make_cell(1.0), make_cell(-1.0)]) == 0.5
-
-
-def test_coverage_ratio_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        coverage_ratio([])
-
-
 def test_coverage_matches_summary_grid():
     scenario = build_scenario((60.0, 38.0))
     summary = sweep_eavesdropper(scenario, small_cfg())
-    assert coverage_ratio(summary.grid) == summary.coverage_ratio
+    positives = sum(1 for cell in summary.grid if cell.selection.secrecy > 0.0)
+    assert positives / len(summary.grid) == summary.coverage_ratio
 
 
 def test_policy_ordering_scenario1():
@@ -175,7 +152,7 @@ def test_mirror_symmetry_of_the_standard_layout():
 def test_monte_carlo_single_sample_degenerates_to_sweep():
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg()
-    mc = monte_carlo(scenario, cfg, n=1, seed=123, retain_samples=True)
+    mc = monte_carlo(scenario, cfg, n=1, seed=123)
     drawn = mc.samples[0].sta_m
     assert 0.0 <= drawn.x <= scenario.map_extent
     assert 0.0 <= drawn.y <= scenario.map_extent
@@ -204,8 +181,8 @@ def test_monte_carlo_preserves_policy_ordering():
 def test_monte_carlo_worker_count_does_not_change_bits():
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=12, step=10.0)
-    serial = monte_carlo(scenario, cfg, n=200, seed=42, workers=1, retain_samples=True)
-    parallel = monte_carlo(scenario, cfg, n=200, seed=42, workers=2, retain_samples=True)
+    serial = monte_carlo(scenario, cfg, n=200, seed=42, workers=1)
+    parallel = monte_carlo(scenario, cfg, n=200, seed=42, workers=2)
     assert serial == parallel
 
 
@@ -214,7 +191,7 @@ def test_monte_carlo_samples_match_per_policy_sweeps(workers):
     # distinct noises and a non-integer exponent; 9 samples over 1, 8 or 9 chunks
     scenario = build_scenario((20.0, 100.0), noise_e=1e-9, alpha=2.418)
     cfg = small_cfg(k=25, step=4.0)
-    mc = monte_carlo(scenario, cfg, n=9, seed=11, workers=workers, retain_samples=True)
+    mc = monte_carlo(scenario, cfg, n=9, seed=11, workers=workers)
     assert len(mc.samples) == 9
     for index, sample in enumerate(mc.samples):
         x, y = np.random.default_rng([11, index]).uniform(0.0, scenario.map_extent, size=2)
@@ -256,9 +233,9 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
-    capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64, retain_samples=True)
+    capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64)
     assert started == [3]
-    assert capped == monte_carlo(scenario, cfg, n=3, seed=4, workers=1, retain_samples=True)
+    assert capped == monte_carlo(scenario, cfg, n=3, seed=4, workers=1)
     # one sample needs no pool at all
     monte_carlo(scenario, cfg, n=1, seed=4, workers=64)
     assert started == [3]
@@ -267,8 +244,8 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
 def test_monte_carlo_seed_changes_draws():
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
-    a = monte_carlo(scenario, cfg, n=5, seed=1, retain_samples=True)
-    b = monte_carlo(scenario, cfg, n=5, seed=2, retain_samples=True)
+    a = monte_carlo(scenario, cfg, n=5, seed=1)
+    b = monte_carlo(scenario, cfg, n=5, seed=2)
     assert [s.sta_m for s in a.samples] != [s.sta_m for s in b.samples]
 
 

@@ -1,0 +1,113 @@
+"""Capture the outputs that a behaviour-preserving change must reproduce byte for byte.
+
+Usage::
+
+    PYTHONPATH=src python tools/goldens.py OUT_DIR
+
+OUT_DIR must not exist yet. For every scenario of the golden matrix the
+script writes:
+
+- ``sweep --policy all``, plain and with ``--monte-carlo-n 6`` at
+  ``--threads`` 1 and 2;
+- the ``compare`` document, plain and with ``--monte-carlo-n 4``;
+- ``float.hex`` dumps of ``sweep_eavesdropper(..., retain_cells=False).arrays``
+  for each policy, and of ``monte_carlo(...).means`` at one and two workers.
+
+To check that two revisions compute the same bytes, run the script once with
+``PYTHONPATH`` pointing at each revision's ``src`` and compare the two
+directories with ``diff -r``. The script uses only the command line,
+``load_scenario``, ``sweep_eavesdropper``, ``monte_carlo`` and the grid
+arrays, which older revisions have too.
+"""
+
+import json
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
+
+from secrecysim import bundled_scenario_path, load_scenario, monte_carlo, sweep_eavesdropper
+from secrecysim.cli import main
+from secrecysim.sweep import ALL_POLICIES
+
+# name -> (bundled scenario, channel keys to override)
+GOLDEN_ROWS = {
+    "scenario1": ("scenario1", {}),
+    "scenario2": ("scenario2", {}),
+    "scenario3": ("scenario3", {}),
+    "scenario1_noise_e_0.1x": ("scenario1", {"noise_e_watt": 1e-11}),
+    "scenario1_noise_e_10x": ("scenario1", {"noise_e_watt": 1e-9}),
+    "scenario1_alpha_3.1_d0_1.7": ("scenario1", {"alpha": 3.1, "ref_distance_m": 1.7}),
+    "scenario1_alpha_2.418_noise_e_10x": ("scenario1", {"alpha": 2.418, "noise_e_watt": 1e-9}),
+}
+MC_CLI_N = 6
+MC_COMPARE_N = 4
+MC_LIBRARY_N = 40
+SEED = 7
+
+
+def _cli(*argv: str) -> None:
+    if main(list(argv)) != 0:
+        raise RuntimeError(f"secrecysim {' '.join(argv)} failed")
+
+
+def _hex(value) -> str:
+    return float(value).hex()
+
+
+def _write_scenario(path: Path, bundled: str, channel: dict) -> None:
+    doc = json.loads(bundled_scenario_path(bundled).read_text())
+    doc["channel"].update(channel)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _dump_arrays(path: Path, arrays) -> None:
+    names = [f.name for f in fields(arrays)]
+    columns = [getattr(arrays, name).tolist() for name in names]
+    lines = [" ".join(names)] + [" ".join(map(_hex, row)) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _dump_means(path: Path, means) -> None:
+    lines = [
+        f"{policy.value} {f.name} {_hex(getattr(means[policy], f.name))}"
+        for policy in ALL_POLICIES
+        for f in fields(means[policy])
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_goldens(out_dir: Path, rows=GOLDEN_ROWS) -> None:
+    """Write the golden files of ``rows`` (a subset of :data:`GOLDEN_ROWS`)
+    under ``out_dir``, one directory per row."""
+    out_dir.mkdir(parents=True)
+    for name, (bundled, channel) in rows.items():
+        row = out_dir / name
+        row.mkdir()
+        scenario = row / f"{name}.json"
+        _write_scenario(scenario, bundled, channel)
+
+        sweep = ["sweep", "--scenario", str(scenario), "--policy", "all"]
+        _cli(*sweep, "--out-dir", str(row / "sweep"))
+        for threads in ("1", "2"):
+            mc = ["--monte-carlo-n", str(MC_CLI_N), "--seed", str(SEED), "--threads", threads]
+            _cli(*sweep, *mc, "--out-dir", str(row / f"sweep_mc_threads{threads}"))
+
+        compare = ["compare", "--scenario", str(scenario), "--threads", "1"]
+        _cli(*compare, "--out", str(row / "compare.json"))
+        mc = ["--monte-carlo-n", str(MC_COMPARE_N), "--seed", str(SEED)]
+        _cli(*compare, *mc, "--out", str(row / "compare_mc.json"))
+
+        loaded = load_scenario(scenario)
+        for policy in ALL_POLICIES:
+            cfg = replace(loaded.sweep, policy=policy)
+            arrays = sweep_eavesdropper(loaded.scenario, cfg, retain_cells=False).arrays
+            _dump_arrays(row / f"arrays_{policy.value}.hex", arrays)
+        for workers in (1, 2):
+            summary = monte_carlo(loaded.scenario, loaded.sweep, n=MC_LIBRARY_N, seed=SEED, workers=workers)
+            _dump_means(row / f"mc_means_workers{workers}.hex", summary.means)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/goldens.py OUT_DIR")
+    write_goldens(Path(sys.argv[1]))
