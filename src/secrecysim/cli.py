@@ -40,14 +40,17 @@ def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
     )
 
 
-def _integer(source: str, text: str | None) -> int | None:
-    """``text`` as an int, None when absent; the error names ``source``."""
+def _integer(source: str, text: str | None, minimum: int) -> int | None:
+    """``text`` as an int ``>= minimum``, None when absent; errors name ``source``."""
     if text is None:
         return None
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(f"{source} must be an integer, got {text!r}") from None
+    if value < minimum:
+        raise ValueError(f"{source} must be >= {minimum}, got {text!r}")
+    return value
 
 
 def _thread_count(flag: str | None) -> int:
@@ -55,10 +58,16 @@ def _thread_count(flag: str | None) -> int:
     source, text = "--threads", flag
     if text is None:
         source, text = "SECRECY_SIM_THREADS", os.environ.get("SECRECY_SIM_THREADS") or "1"
-    count = _integer(source, text)
-    if count < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return count
+    return _integer(source, text, 1)
+
+
+def _dbm_column(p_watt: np.ndarray) -> np.ndarray:
+    """:func:`watt_to_dbm` of every lane; the lanes it maps to ``-inf``
+    (``p <= 0``) skip the call, and ``nan`` still goes through it."""
+    dbm = np.full(p_watt.shape, -np.inf)
+    live = ~(p_watt <= 0.0)
+    dbm[live] = [watt_to_dbm(p) for p in p_watt[live].tolist()]
+    return dbm
 
 
 def _policy_list(flag: str | None, loaded: LoadedScenario) -> list[PolicyKind]:
@@ -139,20 +148,19 @@ def _run_sweep(args) -> int:
                 loaded.scenario, loaded.sweep, n=n, seed=seed, workers=args.threads
             )
 
-        params = loaded.scenario.params
         for policy in policies:
             summary = sweep_eavesdropper(
                 loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False
             )
             cells = summary.arrays
             name = policy.value
-            fj_watt = transmit_power_from_corrected(cells.fj_power, params).tolist()
+            fj_watt = transmit_power_from_corrected(cells.fj_power, loaded.scenario.params)
             columns = {
                 # the floor of Python's max(s, 0.0): keeps -0.0 and nan as they are
                 "secrecy": np.where(cells.secrecy < 0.0, 0.0, cells.secrecy),
                 "eve_capacity": cells.cap_eve,
                 "association": cells.chosen,
-                "fj_power_dbm": [watt_to_dbm(p) for p in fj_watt],
+                "fj_power_dbm": _dbm_column(fj_watt),
             }
             for kind, values in columns.items():
                 write_heatmap(outputs.add(out_dir / f"{name}_{kind}.csv"), cells.x, cells.y, values)
@@ -276,8 +284,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.threads = _thread_count(args.threads)
-        args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n)
-        args.seed = _integer("--seed", args.seed)
+        args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n, 1)
+        args.seed = _integer("--seed", args.seed, 0)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

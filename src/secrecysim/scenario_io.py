@@ -7,6 +7,7 @@ fixed row order; summaries are JSON with a stable key order, so every
 file byte-round-trips through its own reader.
 """
 
+import functools
 import json
 import math
 import os
@@ -251,8 +252,18 @@ def write_heatmap(path, x, y, values) -> None:
     digits (``-0``, ``inf``, ``-inf`` and ``nan`` as Python prints them).
     """
     rows = np.column_stack([np.asarray(column, dtype=float) for column in (x, y, values)])
-    body = ("%.9g,%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    _write_atomic(path, "x,y,value\n" + body)
+    if rows.ndim != 2 or rows.shape[1] != 3:  # column_stack itself refuses unequal lengths
+        raise ValueError(f"x, y and values must be 1-D columns, got rows of shape {rows.shape}")
+    template = _row_template(rows[:, :2].tobytes())
+    _write_atomic(path, "x,y,value\n" + template % tuple(rows[:, 2].tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def _row_template(xy: bytes) -> str:
+    """Heatmap rows with x, y written and ``%.9g`` left for the value; keyed
+    by the exact bits of the pairs, as ``-0.0`` and ``nan`` defeat ``==``."""
+    pairs = np.frombuffer(xy).tolist()
+    return ("%.9g,%.9g,%%.9g\n" * (len(pairs) // 2)) % tuple(pairs)
 
 
 def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

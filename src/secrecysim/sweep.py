@@ -12,7 +12,6 @@ independent of evaluation order and of the number of Monte Carlo workers.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -297,6 +296,8 @@ def monte_carlo(
     k = min(n, 4 * workers) if workers > 1 else 1
     tasks = [(scenario_template, cfg, seed, range(i * n // k, (i + 1) * n // k)) for i in range(k)]
     if workers > 1:
+        # imported here: the pool's modules cost every other run ~13 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [record for part in pool.map(_run_chunk, tasks) for record in part]
     else:

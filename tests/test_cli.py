@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from secrecysim import (
@@ -351,7 +355,10 @@ def test_threads_must_be_positive_integer(env, flag, small_scenario, tmp_path, m
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-@pytest.mark.parametrize("option, text", [("--monte-carlo-n", "abc"), ("--seed", "x")])
+@pytest.mark.parametrize(
+    "option, text",
+    [("--monte-carlo-n", "abc"), ("--seed", "x"), ("--monte-carlo-n", "0"), ("--seed", "-1")],
+)
 def test_bad_integer_option_fails_cleanly(command, option, text, small_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     args = [command, "--scenario", str(small_scenario), option, text]
@@ -381,6 +388,34 @@ def test_sweep_summary_key_order(monte_carlo_n, small_scenario, tmp_path):
     for policy in ("normal", "smart", "smart_fj"):
         document = json.loads((out / f"{policy}_summary.json").read_text())
         assert list(document) == expected
+
+
+def test_dbm_column_matches_scalar_watt_to_dbm():
+    powers = np.array(
+        [0.0, -0.0, -1e-3, -math.inf, math.nan, math.inf, 5e-324, 1e-3, 0.05, 0.1234, 2.0, 0.0]
+    )
+    got = cli._dbm_column(powers)
+    assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
+
+
+def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):
+    script = (
+        "import sys\n"
+        "import secrecysim.cli\n"
+        "argv = ['sweep', '--scenario', sys.argv[1], '--policy', 'all', '--out-dir', sys.argv[2]]\n"
+        "assert secrecysim.cli.main(argv) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+    )
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(small_scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert len(list((tmp_path / "out").iterdir())) == 15
 
 
 def test_console_script_version():

@@ -268,6 +268,48 @@ def test_heatmap_matches_per_value_formatting(tmp_path, x, y, values):
     assert path.read_bytes() == per_value_lines(x, y, values).encode("utf-8")
 
 
+def test_heatmap_row_template_follows_the_coordinates(tmp_path):
+    values = [0.5, -1.0, math.inf, 7.0]
+    grids = {
+        "a": ([1.0, 2.0, 1.0, 2.0], [1.0, 1.0, 2.0, 2.0]),
+        "b": ([3.0, 4.0, 3.0, 4.0], [5.0, 5.0, 6.0, 6.0]),
+        # each equal under == to the grid before it, but printed differently
+        "plus-zero": ([0.0, 2.0, 0.0, 2.0], [1.0, 1.0, 2.0, 0.0]),
+        "minus-zero": ([-0.0, 2.0, -0.0, 2.0], [1.0, 1.0, 2.0, -0.0]),
+        "plus-zero-again": ([0.0, 2.0, 0.0, 2.0], [1.0, 1.0, 2.0, 0.0]),
+        # nan never compares equal, yet the same grid twice must print the same
+        "nan": ([math.nan, 2.0, 1.0, 2.0], [1.0, math.nan, 2.0, 2.0]),
+        "nan-again": ([math.nan, 2.0, 1.0, 2.0], [1.0, math.nan, 2.0, 2.0]),
+    }
+    order = ["a", "b", "a", "plus-zero", "minus-zero", "plus-zero-again", "nan", "nan-again"]
+    for index, name in enumerate(order):
+        x, y = grids[name]
+        path = tmp_path / f"{index}_{name}.csv"
+        write_heatmap(path, np.array(x), y, values)
+        assert path.read_bytes() == per_value_lines(x, y, values).encode("utf-8"), name
+
+
+@pytest.mark.parametrize(
+    "x, y, values",
+    [
+        ([1.0, 2.0], [1.0, 1.0], [0.5]),
+        ([1.0, 2.0], [1.0], [0.5, 0.5]),
+        ([1.0], [1.0, 1.0], [0.5]),
+        # 2-D columns would stack to more than three values per row
+        (*np.meshgrid([1.0, 2.0], [1.0, 2.0]), [[0.5, 0.5], [0.5, 0.5]]),
+        ([1.0, 2.0], [1.0, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
+    ],
+    ids=["short-values", "short-y", "short-x", "2d-grid", "2d-values"],
+)
+def test_heatmap_unequal_columns_raise_value_error(tmp_path, x, y, values):
+    write_heatmap(tmp_path / "warm.csv", [1.0, 2.0], [1.0, 1.0], [0.5, 0.5])
+    target = tmp_path / "map.csv"
+    with pytest.raises(ValueError):
+        write_heatmap(target, x, y, values)
+    assert not target.exists()
+    assert not (tmp_path / "map.csv.tmp").exists()
+
+
 WRITERS = {
     "heatmap": lambda path: write_heatmap(path, [1.0, 2.0], [1.0, 1.0], [0.5, -0.5]),
     "summary": lambda path: write_summary(path, {"policy": "smart", "avg_secrecy": 1.5}),

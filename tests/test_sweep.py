@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from secrecysim import (
     select,
     sweep_eavesdropper,
 )
-from secrecysim import sweep as sweep_module
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sum, grid_coordinates
 
 from conftest import build_scenario
@@ -230,7 +230,8 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    # monte_carlo imports the pool inside its pool branch, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
     capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64)
