@@ -51,7 +51,6 @@ class ChannelParams:
     pathloss_alpha: float = 2.0
     noise_m: float = 1e-10
     noise_e: float = 1e-10
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.bandwidth_w <= 0:
@@ -64,8 +63,6 @@ class ChannelParams:
             raise ValueError("pathloss_alpha must be >= 1")
         if self.noise_m <= 0 or self.noise_e <= 0:
             raise ValueError("noise powers must be strictly positive")
-        if self.speed_of_light <= 0:
-            raise ValueError("speed_of_light must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,13 @@ def distance_corrected_power(tx_power: float, params: ChannelParams) -> float:
     Watt*m^alpha; the received power at (clamped) distance d is then this
     value times ``d**-alpha``.
     """
-    gain = params.speed_of_light / (4.0 * math.pi * params.center_freq_f0 * params.ref_distance_d0)
+    gain = SPEED_OF_LIGHT / (4.0 * math.pi * params.center_freq_f0 * params.ref_distance_d0)
     return tx_power * gain * gain * params.ref_distance_d0 ** params.pathloss_alpha
 
 
 def transmit_power_from_corrected(p_corrected: float, params: ChannelParams) -> float:
     """Invert :func:`distance_corrected_power`, recovering Watt at the antenna."""
-    gain = params.speed_of_light / (4.0 * math.pi * params.center_freq_f0 * params.ref_distance_d0)
+    gain = SPEED_OF_LIGHT / (4.0 * math.pi * params.center_freq_f0 * params.ref_distance_d0)
     return p_corrected / (gain * gain * params.ref_distance_d0 ** params.pathloss_alpha)
 
 

@@ -57,7 +57,6 @@ class SelectionResult:
     """
 
     chosen_ap: int
-    idle_ap: int
     cap_legit: float
     cap_eve: float
     secrecy: float
@@ -66,10 +65,13 @@ class SelectionResult:
     def __post_init__(self):
         if self.chosen_ap not in (1, 2):
             raise ValueError("chosen_ap must be 1 or 2")
-        if self.idle_ap != 3 - self.chosen_ap:
-            raise ValueError("idle_ap must be the other AP")
         if self.fj_power < 0:
             raise ValueError("fj_power must be nonnegative")
+
+    @property
+    def idle_ap(self) -> int:
+        """The AP that does not serve the station; the jammer under ``smart_fj``."""
+        return 3 - self.chosen_ap
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def _result(params: ChannelParams, chosen: int, cap_m_hz: float, cap_e_hz: float
     w = params.bandwidth_w
     return SelectionResult(
         chosen_ap=chosen,
-        idle_ap=3 - chosen,
         cap_legit=w * cap_m_hz,
         cap_eve=w * cap_e_hz,
         # one multiply of the per-Hz difference keeps orderings W-invariant

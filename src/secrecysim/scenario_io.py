@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,43 +59,68 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resources.files("secrecysim").joinpath(f"data/{name}.json")))
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ScenarioValidationError(f"unknown key {key!r} in {where}")
-    for key in required:
-        if key not in section:
-            raise ScenarioValidationError(f"missing key {key!r} in {where}")
+# One table per section: its keys in echo order, each as (key, type) when
+# required or (key, type, default) when optional; a default of None leaves
+# an absent key out. Each section is unpacked into its constructor in this
+# order. ``object`` leaves a top-level value to its own section's checks.
+_SCENARIO = (
+    ("channel", object), ("aps", object), ("sta_m", object),
+    ("grid", object, {}), ("policy", object), ("monte_carlo", object, None),
+)
+_CHANNEL = (
+    ("bandwidth_hz", float, 1.0),
+    ("center_freq_hz", float),
+    ("ref_distance_m", float),
+    ("alpha", float),
+    ("noise_m_watt", float),
+    ("noise_e_watt", float),
+)
+_AP = (("x", float), ("y", float), ("tx_power_watt", float), ("tx_power_max_watt", float))
+_POINT = (("x", float), ("y", float))
+_GRID = (("k", int, 120), ("step_m", float, 1.0))
+_MONTE_CARLO = (("enabled", bool), ("n", int), ("seed", int))
+
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), bool: (bool, "a boolean")}
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{where}.{key} must be a number")
-    return float(value)
-
-
-def _integer(section: dict, key: str, where: str) -> int:
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioValidationError(f"{where}.{key} must be an integer")
-    return value
-
-
-def _point(section: dict, where: str) -> Point2D:
-    if not isinstance(section, dict):
+def _section(doc, fields, where: str) -> dict:
+    """Check one section against its table and return it normalized:
+    defaults filled in, float fields as finite floats, keys in table order."""
+    if not isinstance(doc, dict):
         raise ScenarioValidationError(f"{where} must be an object")
-    _require_keys(section, {"x", "y"}, {"x", "y"}, where)
-    return Point2D(_number(section, "x", where), _number(section, "y", where))
+    keys = [key for key, *_ in fields]
+    for key in doc:
+        if key not in keys:
+            raise ScenarioValidationError(f"unknown key {key!r} in {where}")
+    out = {}
+    for key, kind, *default in fields:
+        if key not in doc:
+            if not default:
+                raise ScenarioValidationError(f"missing key {key!r} in {where}")
+            if default[0] is not None:
+                out[key] = default[0]
+            continue
+        value = doc[key]
+        if kind is not object:
+            accepted, noun = _KINDS[kind]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ScenarioValidationError(f"{where}.{key} must be {noun}")
+        if kind is float:
+            # also refuses nan, and ints that float() cannot hold
+            if not abs(value) <= sys.float_info.max:
+                raise ScenarioValidationError(f"{where}.{key} must be a finite number")
+            value = float(value)
+        out[key] = value
+    return out
 
 
 def load_scenario(path) -> LoadedScenario:
     """Read and fully validate a scenario file.
 
     Only the channel bandwidth (1 Hz) and the grid (K=120, 1 m step)
-    have defaults; everything else must be present. Raises
-    :class:`ScenarioValidationError` naming the offending key or
-    constraint, or the underlying ``OSError`` for unreadable paths.
+    have defaults; everything else must be present, and every number
+    finite. Raises :class:`ScenarioValidationError` naming the offending
+    key or constraint, or the underlying ``OSError`` for unreadable paths.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -103,127 +129,43 @@ def load_scenario(path) -> LoadedScenario:
         raise ScenarioValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioValidationError("top level must be an object")
-    _require_keys(
-        doc,
-        {"channel", "aps", "sta_m", "grid", "policy", "monte_carlo"},
-        {"channel", "aps", "sta_m", "policy"},
-        "scenario",
-    )
-
-    channel = doc["channel"]
-    if not isinstance(channel, dict):
-        raise ScenarioValidationError("channel must be an object")
-    _require_keys(
-        channel,
-        {"bandwidth_hz", "center_freq_hz", "ref_distance_m", "alpha", "noise_m_watt", "noise_e_watt"},
-        {"center_freq_hz", "ref_distance_m", "alpha", "noise_m_watt", "noise_e_watt"},
-        "channel",
-    )
-    bandwidth = _number(channel, "bandwidth_hz", "channel") if "bandwidth_hz" in channel else 1.0
-
-    aps_doc = doc["aps"]
-    if not isinstance(aps_doc, list) or len(aps_doc) != 2:
+    echo = _section(doc, _SCENARIO, "scenario")
+    echo["channel"] = _section(echo["channel"], _CHANNEL, "channel")
+    if not isinstance(echo["aps"], list) or len(echo["aps"]) != 2:
         raise ScenarioValidationError("aps must be a list of exactly 2 access points")
-    aps = []
-    for idx, ap_doc in enumerate(aps_doc, start=1):
-        where = f"aps[{idx}]"
-        if not isinstance(ap_doc, dict):
-            raise ScenarioValidationError(f"{where} must be an object")
-        _require_keys(
-            ap_doc,
-            {"x", "y", "tx_power_watt", "tx_power_max_watt"},
-            {"x", "y", "tx_power_watt", "tx_power_max_watt"},
-            where,
-        )
-        aps.append(ap_doc)
-
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ScenarioValidationError("grid must be an object")
-    _require_keys(grid_doc, {"k", "step_m"}, set(), "grid")
-    grid_k = _integer(grid_doc, "k", "grid") if "k" in grid_doc else 120
-    step_m = _number(grid_doc, "step_m", "grid") if "step_m" in grid_doc else 1.0
-
-    policy_doc = doc["policy"]
+    echo["aps"] = [_section(ap, _AP, f"aps[{i}]") for i, ap in enumerate(echo["aps"], start=1)]
+    echo["sta_m"] = _section(echo["sta_m"], _POINT, "sta_m")
+    echo["grid"] = _section(echo["grid"], _GRID, "grid")
     try:
-        policy = PolicyKind(policy_doc)
+        policy = PolicyKind(echo["policy"])
     except ValueError:
         raise ScenarioValidationError(
-            f"policy must be one of 'normal', 'smart', 'smart_fj', got {policy_doc!r}"
+            f"policy must be one of 'normal', 'smart', 'smart_fj', got {echo['policy']!r}"
         ) from None
+    echo["policy"] = policy.value
 
     mc = None
-    if "monte_carlo" in doc:
-        mc_doc = doc["monte_carlo"]
-        if not isinstance(mc_doc, dict):
-            raise ScenarioValidationError("monte_carlo must be an object")
-        _require_keys(mc_doc, {"enabled", "n", "seed"}, {"enabled", "n", "seed"}, "monte_carlo")
-        if not isinstance(mc_doc["enabled"], bool):
-            raise ScenarioValidationError("monte_carlo.enabled must be a boolean")
-        mc = McSettings(
-            enabled=mc_doc["enabled"],
-            n=_integer(mc_doc, "n", "monte_carlo"),
-            seed=_integer(mc_doc, "seed", "monte_carlo"),
-        )
+    if "monte_carlo" in echo:
+        echo["monte_carlo"] = _section(echo["monte_carlo"], _MONTE_CARLO, "monte_carlo")
+        mc = McSettings(*echo["monte_carlo"].values())
         if mc.n < 1:
             raise ScenarioValidationError("monte_carlo.n must be >= 1")
         if mc.seed < 0:
             raise ScenarioValidationError("monte_carlo.seed must be nonnegative")
 
+    grid_k, step_m = echo["grid"].values()
+    if abs(grid_k) > sys.float_info.max or not math.isfinite(grid_k * step_m):
+        raise ScenarioValidationError("grid extent k * step_m must be finite")
     try:
-        params = ChannelParams(
-            bandwidth_w=bandwidth,
-            center_freq_f0=_number(channel, "center_freq_hz", "channel"),
-            ref_distance_d0=_number(channel, "ref_distance_m", "channel"),
-            pathloss_alpha=_number(channel, "alpha", "channel"),
-            noise_m=_number(channel, "noise_m_watt", "channel"),
-            noise_e=_number(channel, "noise_e_watt", "channel"),
+        ap1, ap2 = (
+            ApConfig(Point2D(x, y), tx_power, tx_power_max)
+            for x, y, tx_power, tx_power_max in (ap.values() for ap in echo["aps"])
         )
-        ap_cfgs = [
-            ApConfig(
-                position=Point2D(_number(ap, "x", f"aps[{i}]"), _number(ap, "y", f"aps[{i}]")),
-                tx_power=_number(ap, "tx_power_watt", f"aps[{i}]"),
-                tx_power_max=_number(ap, "tx_power_max_watt", f"aps[{i}]"),
-            )
-            for i, ap in enumerate(aps, start=1)
-        ]
-        scenario = Scenario(
-            ap1=ap_cfgs[0],
-            ap2=ap_cfgs[1],
-            sta_m=_point(doc["sta_m"], "sta_m"),
-            params=params,
-            map_extent=grid_k * step_m,
-        )
+        params = ChannelParams(*echo["channel"].values())
+        scenario = Scenario(ap1, ap2, Point2D(*echo["sta_m"].values()), params, grid_k * step_m)
         sweep = SweepConfig(grid_k=grid_k, cell_step=step_m, policy=policy)
-    except ScenarioValidationError:
-        raise
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-
-    echo = {
-        "channel": {
-            "bandwidth_hz": bandwidth,
-            "center_freq_hz": params.center_freq_f0,
-            "ref_distance_m": params.ref_distance_d0,
-            "alpha": params.pathloss_alpha,
-            "noise_m_watt": params.noise_m,
-            "noise_e_watt": params.noise_e,
-        },
-        "aps": [
-            {
-                "x": cfg.position.x,
-                "y": cfg.position.y,
-                "tx_power_watt": cfg.tx_power,
-                "tx_power_max_watt": cfg.tx_power_max,
-            }
-            for cfg in ap_cfgs
-        ],
-        "sta_m": {"x": scenario.sta_m.x, "y": scenario.sta_m.y},
-        "grid": {"k": grid_k, "step_m": step_m},
-        "policy": policy.value,
-    }
-    if mc is not None:
-        echo["monte_carlo"] = {"enabled": mc.enabled, "n": mc.n, "seed": mc.seed}
     return LoadedScenario(scenario=scenario, sweep=sweep, monte_carlo=mc, echo=echo)
 
 

@@ -242,7 +242,6 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
             eve_pos=Point2D(float(ev.x[i]), float(ev.y[i])),
             selection=SelectionResult(
                 chosen_ap=int(ev.chosen[i]),
-                idle_ap=3 - int(ev.chosen[i]),
                 cap_legit=float(ev.cap_legit[i]),
                 cap_eve=float(ev.cap_eve[i]),
                 secrecy=float(ev.secrecy[i]),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from secrecysim import (
+    SPEED_OF_LIGHT,
     ApConfig,
     ChannelParams,
     Point2D,
@@ -124,7 +125,7 @@ def test_free_space_consistency():
     params = ChannelParams(pathloss_alpha=2.0)
     d = 73.5
     received = distance_corrected_power(0.05, params) * d ** -2
-    gain = params.speed_of_light / (4.0 * math.pi * params.center_freq_f0)
+    gain = SPEED_OF_LIGHT / (4.0 * math.pi * params.center_freq_f0)
     assert received == pytest.approx(0.05 * gain * gain / d ** 2, rel=1e-12)
 
 

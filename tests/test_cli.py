@@ -156,6 +156,30 @@ def test_sweep_invalid_scenario_fails_cleanly(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "section, key, literal, message",
+    [
+        ("channel", "noise_m_watt", "NaN", "channel.noise_m_watt must be a finite number"),
+        ("channel", "alpha", "9" * 400, "channel.alpha must be a finite number"),
+        ("sta_m", "x", "-Infinity", "sta_m.x must be a finite number"),
+        ("grid", "step_m", "1e999", "grid.step_m must be a finite number"),
+        ("grid", "k", "9" * 400, "grid"),
+    ],
+    ids=["nan-noise", "400-digit-alpha", "-inf-sta", "1e999-step", "400-digit-k"],
+)
+def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(SMALL))
+    doc[section][key] = "@literal@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"@literal@"', literal))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--scenario", str(path), "--policy", "all", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def per_cell_heatmaps(loaded) -> dict[str, bytes]:
     """Every heatmap CSV of ``sweep --policy all``, built from per-cell
     objects with one f-string per value."""

@@ -168,11 +168,222 @@ def test_grid_partial_defaults(tmp_path):
     assert loaded.scenario.map_extent == 40.0
 
 
+# integer literals where floats go, every section's keys shuffled, and
+# bandwidth_hz and grid left out
+SHUFFLED = {
+    "monte_carlo": {"seed": 3, "n": 4, "enabled": False},
+    "policy": "smart",
+    "sta_m": {"y": 100, "x": 20},
+    "aps": [
+        {"tx_power_max_watt": 1, "y": 60, "x": 40, "tx_power_watt": 0.05},
+        {"x": -80, "tx_power_watt": 0.05, "tx_power_max_watt": 0.05, "y": 0},
+    ],
+    "channel": {
+        "noise_e_watt": 1e-10,
+        "alpha": 3,
+        "noise_m_watt": 1e-10,
+        "ref_distance_m": 1,
+        "center_freq_hz": 2400000000,
+    },
+}
+
+SHUFFLED_ECHO = """{
+  "channel": {
+    "bandwidth_hz": 1.0,
+    "center_freq_hz": 2400000000.0,
+    "ref_distance_m": 1.0,
+    "alpha": 3.0,
+    "noise_m_watt": 1e-10,
+    "noise_e_watt": 1e-10
+  },
+  "aps": [
+    {
+      "x": 40.0,
+      "y": 60.0,
+      "tx_power_watt": 0.05,
+      "tx_power_max_watt": 1.0
+    },
+    {
+      "x": -80.0,
+      "y": 0.0,
+      "tx_power_watt": 0.05,
+      "tx_power_max_watt": 0.05
+    }
+  ],
+  "sta_m": {
+    "x": 20.0,
+    "y": 100.0
+  },
+  "grid": {
+    "k": 120,
+    "step_m": 1.0
+  },
+  "policy": "smart",
+  "monte_carlo": {
+    "enabled": false,
+    "n": 4,
+    "seed": 3
+  }
+}
+"""
+
+
 def test_echo_is_normalized(tmp_path):
     loaded = load_scenario(write_config(tmp_path, MINIMAL))
     assert loaded.echo["channel"]["bandwidth_hz"] == 1.0
     assert loaded.echo["grid"] == {"k": 120, "step_m": 1.0}
     assert loaded.echo["policy"] == "smart_fj"
+    # floats as floats, keys in the documented order, defaults present
+    loaded = load_scenario(write_config(tmp_path, SHUFFLED))
+    assert loaded.echo == json.loads(SHUFFLED_ECHO)
+    path = tmp_path / "echo.json"
+    write_summary(path, loaded.echo)
+    assert path.read_bytes() == SHUFFLED_ECHO.encode("utf-8")
+
+
+FULL = {
+    "channel": {"bandwidth_hz": 1.0, **MINIMAL["channel"]},
+    "aps": MINIMAL["aps"],
+    "sta_m": MINIMAL["sta_m"],
+    "grid": {"k": 40, "step_m": 1.0},
+    "policy": "smart_fj",
+    "monte_carlo": {"enabled": True, "n": 5, "seed": 7},
+}
+
+# each section by the name error messages give it, as a path from the top
+SECTIONS = {
+    "channel": ("channel",),
+    "aps[1]": ("aps", 0),
+    "aps[2]": ("aps", 1),
+    "sta_m": ("sta_m",),
+    "grid": ("grid",),
+    "monte_carlo": ("monte_carlo",),
+}
+REQUIRED = {
+    "channel": ("center_freq_hz", "ref_distance_m", "alpha", "noise_m_watt", "noise_e_watt"),
+    "aps[1]": ("x", "y", "tx_power_watt", "tx_power_max_watt"),
+    "aps[2]": ("x", "y", "tx_power_watt", "tx_power_max_watt"),
+    "sta_m": ("x", "y"),
+    "grid": (),
+    "monte_carlo": ("enabled", "n", "seed"),
+}
+FLOAT_KEYS = {
+    "channel": ("bandwidth_hz",) + REQUIRED["channel"],
+    "aps[1]": REQUIRED["aps[1]"],
+    "aps[2]": REQUIRED["aps[2]"],
+    "sta_m": REQUIRED["sta_m"],
+    "grid": ("step_m",),
+}
+INTEGER_KEYS = (("grid", "k"), ("monte_carlo", "n"), ("monte_carlo", "seed"))
+DROP = object()
+
+
+def with_fault(path, key, value):
+    """A deep copy of FULL with ``value`` at ``path + (key,)`` (the whole
+    document when ``key`` is None), or that key deleted for DROP."""
+    if key is None:
+        return value
+    doc = json.loads(json.dumps(FULL))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    if value is DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def single_faults():
+    """(path, key, value, message): scenario files with exactly one fault
+    and the exact message each must give."""
+    policy = "policy must be one of 'normal', 'smart', 'smart_fj', got {!r}"
+    cases = [((), None, value, "top level must be an object") for value in ([], "x", 1, None)]
+    cases.append(((), "fading", {}, "unknown key 'fading' in scenario"))
+    cases += [((), key, DROP, f"missing key {key!r} in scenario") for key in ("channel", "aps", "sta_m", "policy")]
+    for where, path in SECTIONS.items():
+        cases += [(path[:-1], path[-1], value, f"{where} must be an object") for value in ([], "x", 1.0, None)]
+        cases.append((path, "fading", 1.0, f"unknown key 'fading' in {where}"))
+        cases += [(path, key, DROP, f"missing key {key!r} in {where}") for key in REQUIRED[where]]
+    for where, keys in FLOAT_KEYS.items():
+        for key in keys:
+            cases += [(SECTIONS[where], key, value, f"{where}.{key} must be a number") for value in ("1", True, None)]
+    for where, key in INTEGER_KEYS:
+        cases += [(SECTIONS[where], key, value, f"{where}.{key} must be an integer") for value in ("1", True, 1.0, None)]
+    cases += [(SECTIONS["monte_carlo"], "enabled", value, "monte_carlo.enabled must be a boolean") for value in ("yes", 1, None)]
+    ranges = [
+        ("channel", "bandwidth_hz", (0, -1.0), "bandwidth_w must be positive"),
+        ("channel", "center_freq_hz", (0, -2.4e9), "center_freq_f0 must be positive"),
+        ("channel", "ref_distance_m", (0.0, -1), "ref_distance_d0 must be positive"),
+        ("channel", "alpha", (0.5, -2.0), "pathloss_alpha must be >= 1"),
+        ("channel", "noise_m_watt", (0, -0.0, -1e-10), "noise powers must be strictly positive"),
+        ("channel", "noise_e_watt", (0.0, -1e-10), "noise powers must be strictly positive"),
+        ("aps[1]", "tx_power_watt", (0, -0.05), "tx_power must be positive"),
+        ("aps[2]", "tx_power_watt", (0.0, -1), "tx_power must be positive"),
+        ("aps[1]", "tx_power_max_watt", (0.01,), "tx_power must not exceed tx_power_max"),
+        ("aps[2]", "tx_power_max_watt", (0,), "tx_power must not exceed tx_power_max"),
+        ("grid", "k", (0, -3), "map_extent must be positive"),
+        ("grid", "step_m", (0, -1.0), "map_extent must be positive"),
+        ("monte_carlo", "n", (0, -1), "monte_carlo.n must be >= 1"),
+        ("monte_carlo", "seed", (-1,), "monte_carlo.seed must be nonnegative"),
+    ]
+    for where, key, values, message in ranges:
+        cases += [(SECTIONS[where], key, value, message) for value in values]
+    ap = FULL["aps"][0]
+    one_ap_lists = ({}, "x", None, [], [ap], [ap, ap, ap])
+    cases += [((), "aps", value, "aps must be a list of exactly 2 access points") for value in one_ap_lists]
+    cases.append((("aps", 1), "x", ap["x"], "the two APs must not share a position"))
+    cases += [((), "policy", value, policy.format(value)) for value in ("stealth", "", 1, None, True)]
+    return cases
+
+
+def fault_id(case):
+    path, key, value, _ = case
+    return ".".join(str(step) for step in path + (key,)) + ("-dropped" if value is DROP else f"={value!r}")
+
+
+SINGLE_FAULTS = single_faults()
+
+
+@pytest.mark.parametrize("path, key, value, message", SINGLE_FAULTS, ids=[fault_id(c) for c in SINGLE_FAULTS])
+def test_single_fault_message(tmp_path, path, key, value, message):
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(write_config(tmp_path, with_fault(path, key, value)))
+    assert type(info.value) is ScenarioValidationError
+    assert str(info.value) == message
+
+
+def write_with_literal(tmp_path, path, key, literal):
+    """FULL as JSON text with ``literal`` written verbatim at ``path + (key,)``."""
+    text = json.dumps(with_fault(path, key, "@literal@")).replace('"@literal@"', literal)
+    target = tmp_path / "scenario.json"
+    target.write_text(text)
+    return target
+
+
+# JSON literals that Python's json module reads as nan, +-inf, or an int
+# too large for a float
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e999": "1e999", "400-digits": "9" * 400}
+FLOAT_FIELDS = [(where, key) for where, keys in FLOAT_KEYS.items() for key in keys]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("where, key", FLOAT_FIELDS, ids=[f"{where}.{key}" for where, key in FLOAT_FIELDS])
+def test_non_finite_number_rejected(tmp_path, where, key, literal):
+    path = write_with_literal(tmp_path, SECTIONS[where], key, literal)
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{where}.{key} must be a finite number"
+
+
+@pytest.mark.parametrize(
+    "grid", [{"k": 10**400}, {"k": 10**200, "step_m": 1e200}, {"k": -(10**400)}], ids=["400-digits", "inf", "-400-digits"]
+)
+def test_grid_extent_must_be_finite(tmp_path, grid):
+    doc = json.loads(json.dumps(FULL))
+    doc["grid"] = grid
+    with pytest.raises(ScenarioValidationError, match="grid"):
+        load_scenario(write_config(tmp_path, doc))
 
 
 def test_heatmap_write_format(tmp_path):
