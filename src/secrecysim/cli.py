@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .scenario_io import (
     write_heatmap,
     write_summary,
 )
-from .sweep import ALL_POLICIES, monte_carlo, sweep_eavesdropper
+from .sweep import ALL_POLICIES, PolicyMeans, monte_carlo, sweep_eavesdropper
 
 _POLICY_CHOICES = [p.value for p in ALL_POLICIES] + ["all"]
 
@@ -78,13 +78,8 @@ def _policy_list(flag: str | None, loaded: LoadedScenario) -> list[PolicyKind]:
     return [PolicyKind(flag)]
 
 
-def _metrics_dict(m) -> dict:
-    return {
-        "avg_secrecy": m.avg_secrecy,
-        "avg_secrecy_truncated": m.avg_secrecy_truncated,
-        "avg_eve_capacity": m.avg_eve_capacity,
-        "coverage_ratio": m.coverage_ratio,
-    }
+def _metrics_dict(m: PolicyMeans) -> dict:
+    return {f.name: getattr(m, f.name) for f in fields(PolicyMeans)}
 
 
 class _OutputSet:
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
         args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n, 1)
         args.seed = _integer("--seed", args.seed, 0)
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
 """The three association policies for one eavesdropper position.
 
-All three selectors are pure and deterministic; argmax ties break to the
-lower AP index. Capacity comparisons are made per-Hz so the chosen AP and
-the jamming power never depend on the configured bandwidth, which only
-scales the reported numbers.
+:func:`select` runs every policy as one sequence of rules, in the order
+of the grid engine in :mod:`secrecysim.sweep`; the three named selectors
+are shorthands for it. Selection is pure and deterministic; argmax ties
+break to the lower AP index. Capacity comparisons are made per-Hz so the
+chosen AP and the jamming power never depend on the configured
+bandwidth, which only scales the reported numbers.
 """
 
 import enum
@@ -74,68 +76,18 @@ class SelectionResult:
         return 3 - self.chosen_ap
 
 
-@dataclass(frozen=True)
-class _Links:
-    """Clamped distances and corrected powers for both APs at one cell."""
-
-    d1m: float
-    d2m: float
-    d1e: float
-    d2e: float
-    p1: float
-    p2: float
-
-    def for_ap(self, n: int) -> tuple[float, float, float]:
-        if n == 1:
-            return self.d1m, self.d1e, self.p1
-        return self.d2m, self.d2e, self.p2
-
-
-def _links(scenario: Scenario, sta_e: Point2D) -> _Links:
+def _links(scenario: Scenario, sta_e: Point2D) -> list[tuple[float, float, float]]:
+    """One ``(d_m, d_e, p)`` per AP, in index order: the clamped distances
+    to the station and to the eavesdropper, and the corrected power."""
     par = scenario.params
-    return _Links(
-        d1m=effective_distance(distance(scenario.ap1.position, scenario.sta_m), par),
-        d2m=effective_distance(distance(scenario.ap2.position, scenario.sta_m), par),
-        d1e=effective_distance(distance(scenario.ap1.position, sta_e), par),
-        d2e=effective_distance(distance(scenario.ap2.position, sta_e), par),
-        p1=distance_corrected_power(scenario.ap1.tx_power, par),
-        p2=distance_corrected_power(scenario.ap2.tx_power, par),
-    )
-
-
-def _capacities_hz(
-    links: _Links,
-    params: ChannelParams,
-    n: int,
-    interference_m: float = 0.0,
-    interference_e: float = 0.0,
-) -> tuple[float, float]:
-    """Per-Hz capacities of AP n's two links under the given interference."""
-    d_m, d_e, p = links.for_ap(n)
-    alpha = params.pathloss_alpha
-    cap_m = shannon_capacity(p * d_m ** -alpha, interference_m, params.noise_m, 1.0)
-    cap_e = shannon_capacity(p * d_e ** -alpha, interference_e, params.noise_e, 1.0)
-    return cap_m, cap_e
-
-
-def _result(params: ChannelParams, chosen: int, cap_m_hz: float, cap_e_hz: float, fj_power: float) -> SelectionResult:
-    w = params.bandwidth_w
-    return SelectionResult(
-        chosen_ap=chosen,
-        cap_legit=w * cap_m_hz,
-        cap_eve=w * cap_e_hz,
-        # one multiply of the per-Hz difference keeps orderings W-invariant
-        secrecy=w * (cap_m_hz - cap_e_hz),
-        fj_power=fj_power,
-    )
-
-
-def _max_secrecy_choice(links: _Links, params: ChannelParams) -> tuple[int, float, float]:
-    c1m, c1e = _capacities_hz(links, params, 1)
-    c2m, c2e = _capacities_hz(links, params, 2)
-    if c1m - c1e >= c2m - c2e:
-        return 1, c1m, c1e
-    return 2, c2m, c2e
+    return [
+        (
+            effective_distance(distance(ap.position, scenario.sta_m), par),
+            effective_distance(distance(ap.position, sta_e), par),
+            distance_corrected_power(ap.tx_power, par),
+        )
+        for ap in (scenario.ap1, scenario.ap2)
+    ]
 
 
 def select_max_sinr(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
@@ -145,20 +97,12 @@ def select_max_sinr(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
     received power; the eavesdropper's position plays no role in the
     choice and only determines the reported capacities.
     """
-    links = _links(scenario, sta_e)
-    alpha = scenario.params.pathloss_alpha
-    rx1 = links.p1 * links.d1m ** -alpha
-    rx2 = links.p2 * links.d2m ** -alpha
-    chosen = 1 if rx1 >= rx2 else 2
-    cap_m, cap_e = _capacities_hz(links, scenario.params, chosen)
-    return _result(scenario.params, chosen, cap_m, cap_e, 0.0)
+    return select(scenario, sta_e, PolicyKind.NORMAL_WIFI)
 
 
 def select_max_secrecy(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
     """Associate to the AP whose secrecy difference is largest (no jamming)."""
-    links = _links(scenario, sta_e)
-    chosen, cap_m, cap_e = _max_secrecy_choice(links, scenario.params)
-    return _result(scenario.params, chosen, cap_m, cap_e, 0.0)
+    return select(scenario, sta_e, PolicyKind.SMART_AP)
 
 
 def select_with_fj(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
@@ -170,46 +114,48 @@ def select_with_fj(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
     in the candidate set, so the result never falls below
     :func:`select_max_secrecy` on the same inputs.
     """
-    links = _links(scenario, sta_e)
-    par = scenario.params
-    chosen, base_m, base_e = _max_secrecy_choice(links, par)
-    d_im, d_ie, p_i = links.for_ap(chosen)
-    d_jm, d_je, _ = links.for_ap(3 - chosen)
-    idle_cfg: ApConfig = scenario.ap2 if chosen == 1 else scenario.ap1
-    geom = FjGeometry(
-        d_im=d_im,
-        d_ie=d_ie,
-        d_jm=d_jm,
-        d_je=d_je,
-        alpha=par.pathloss_alpha,
-        noise_m=par.noise_m,
-        noise_e=par.noise_e,
-        p_i=p_i,
-        p_max=distance_corrected_power(idle_cfg.tx_power_max, par),
-    )
-    p_opt = optimize_fj_power(geom)
-    if p_opt == 0.0:
-        return _result(par, chosen, base_m, base_e, 0.0)
-    alpha = par.pathloss_alpha
-    cap_m, cap_e = _capacities_hz(
-        links,
-        par,
-        chosen,
-        interference_m=p_opt * d_jm ** -alpha,
-        interference_e=p_opt * d_je ** -alpha,
-    )
-    # the optimizer compares the ratio form; guard the reported metric
-    # against a last-ulp disagreement with the two-capacity form so the
-    # jamming result can never fall below the no-jamming one
-    if cap_m - cap_e < base_m - base_e:
-        return _result(par, chosen, base_m, base_e, 0.0)
-    return _result(par, chosen, cap_m, cap_e, p_opt)
+    return select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
 
 
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
-    """Evaluate one policy at one eavesdropper position."""
+    """Evaluate one policy at one eavesdropper position.
+
+    The rules run in the order of the grid engine, ``sweep._evaluate_grid``:
+    associate, then (``smart_fj`` only) let the idle AP jam.
+    """
+    par = scenario.params
+    alpha = par.pathloss_alpha
+    links = _links(scenario, sta_e)
+
+    def capacities(n, interference_m=0.0, interference_e=0.0):
+        # per-Hz capacities of AP n's two links under the given interference
+        d_m, d_e, p = links[n - 1]
+        cap_m = shannon_capacity(p * d_m ** -alpha, interference_m, par.noise_m, 1.0)
+        cap_e = shannon_capacity(p * d_e ** -alpha, interference_e, par.noise_e, 1.0)
+        return cap_m, cap_e
+
     if policy is PolicyKind.NORMAL_WIFI:
-        return select_max_sinr(scenario, sta_e)
-    if policy is PolicyKind.SMART_AP:
-        return select_max_secrecy(scenario, sta_e)
-    return select_with_fj(scenario, sta_e)
+        (d1m, _, p1), (d2m, _, p2) = links
+        chosen = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
+        cap_m, cap_e = capacities(chosen)
+    else:
+        (c1m, c1e), (c2m, c2e) = capacities(1), capacities(2)
+        chosen, cap_m, cap_e = (1, c1m, c1e) if c1m - c1e >= c2m - c2e else (2, c2m, c2e)
+
+    fj_power = 0.0
+    if policy is PolicyKind.SMART_AP_FJ:
+        (d_im, d_ie, p_i), (d_jm, d_je, _) = links if chosen == 1 else links[::-1]
+        idle = scenario.ap2 if chosen == 1 else scenario.ap1
+        p_max = distance_corrected_power(idle.tx_power_max, par)
+        p_opt = optimize_fj_power(FjGeometry(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max))
+        if p_opt != 0.0:
+            fj_m, fj_e = capacities(chosen, p_opt * d_jm ** -alpha, p_opt * d_je ** -alpha)
+            # the optimizer compares the ratio form; guard the reported metric
+            # against a last-ulp disagreement with the two-capacity form so the
+            # jamming result can never fall below the no-jamming one
+            if not fj_m - fj_e < cap_m - cap_e:
+                cap_m, cap_e, fj_power = fj_m, fj_e, p_opt
+
+    w = par.bandwidth_w
+    # one multiply of the per-Hz difference keeps orderings W-invariant
+    return SelectionResult(chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)

@@ -237,18 +237,11 @@ def _metrics(ev: GridArrays) -> PolicyMeans:
 
 
 def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
+    # x, y, then SelectionResult's fields; .tolist() gives ints for ``chosen``, floats for the rest
+    columns = (column.tolist() for column in vars(ev).values())
     return tuple(
-        CellResult(
-            eve_pos=Point2D(float(ev.x[i]), float(ev.y[i])),
-            selection=SelectionResult(
-                chosen_ap=int(ev.chosen[i]),
-                cap_legit=float(ev.cap_legit[i]),
-                cap_eve=float(ev.cap_eve[i]),
-                secrecy=float(ev.secrecy[i]),
-                fj_power=float(ev.fj_power[i]),
-            ),
-        )
-        for i in range(ev.secrecy.size)
+        CellResult(Point2D(x, y), SelectionResult(chosen, cap_m, cap_e, secrecy, fj_power))
+        for x, y, chosen, cap_m, cap_e, secrecy, fj_power in zip(*columns)
     )
 
 

@@ -180,6 +180,29 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--policy", "all", "--out-dir"],
+        ["sweep", "--monte-carlo-n", "2", "--threads", "1", "--out-dir"],
+        ["compare", "--out"],
+    ],
+    ids=["sweep", "sweep-monte-carlo", "compare"],
+)
+def test_grid_too_large_to_allocate_fails_cleanly(command, tmp_path, capsys):
+    # a finite extent (1e6 m) that loads, but 1e18 cells per axis; np.arange
+    # refuses this size before it touches any memory
+    doc = json.loads(json.dumps(SMALL))
+    doc["grid"] = {"k": 1000000000000000000, "step_m": 1e-12}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main([command[0], "--scenario", str(path), *command[1:], str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def per_cell_heatmaps(loaded) -> dict[str, bytes]:
     """Every heatmap CSV of ``sweep --policy all``, built from per-cell
     objects with one f-string per value."""

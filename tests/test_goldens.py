@@ -28,6 +28,7 @@ def test_goldens_inventory_and_byte_identical_reruns(tmp_path):
     expected = {"scenario1/scenario1.json", "scenario1/compare.json", "scenario1/compare_mc.json"}
     expected |= {f"scenario1/{d}/{name}" for d in ("sweep", "sweep_mc_threads1", "sweep_mc_threads2") for name in sweep}
     expected |= {f"scenario1/arrays_{p}.hex" for p in policies}
+    expected |= {f"scenario1/select_{p}.hex" for p in policies}
     expected |= {f"scenario1/mc_means_workers{w}.hex" for w in (1, 2)}
     assert set(first) == expected
     assert first == second

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import secrecysim.policy as policy_module
 from secrecysim import (
     Point2D,
     PolicyKind,
+    bundled_scenario_path,
     distance,
     distance_corrected_power,
     effective_distance,
+    load_scenario,
     select,
     select_max_secrecy,
     select_max_sinr,
@@ -234,3 +237,32 @@ def test_idle_ap_is_the_other_one():
     scenario = build_scenario(sta_m=(20.0, 100.0))
     result = select_with_fj(scenario, Point2D(90.0, 30.0))
     assert {result.chosen_ap, result.idle_ap} == {1, 2}
+
+
+LAYER_NAMES = ("distance", "effective_distance", "distance_corrected_power", "shannon_capacity", "optimize_fj_power")
+
+
+@pytest.mark.parametrize(
+    "policy, point, counts, jamming",
+    [
+        (PolicyKind.NORMAL_WIFI, (60.0, 60.0), [4, 4, 2, 2, 0], False),
+        (PolicyKind.SMART_AP, (60.0, 60.0), [4, 4, 2, 4, 0], False),
+        (PolicyKind.SMART_AP_FJ, (60.0, 60.0), [4, 4, 3, 6, 1], True),
+        (PolicyKind.SMART_AP_FJ, (1.0, 1.0), [4, 4, 3, 4, 1], False),
+    ],
+    ids=["normal", "smart", "smart_fj-jamming", "smart_fj-no-jamming"],
+)
+def test_select_calls_layer_names_through_the_module(policy, point, counts, jamming, monkeypatch):
+    # the benchmark's tracer swaps these attributes of secrecysim.policy, so
+    # select must look each one up there, as often as its rules need it
+    calls = dict.fromkeys(LAYER_NAMES, 0)
+    for name in LAYER_NAMES:
+        def counted(*args, _name=name, _original=getattr(policy_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(policy_module, name, counted)
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    result = select(scenario, Point2D(*point), policy)
+    assert [calls[name] for name in LAYER_NAMES] == counts
+    assert (result.fj_power > 0.0) == jamming

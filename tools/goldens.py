@@ -11,13 +11,16 @@ script writes:
   ``--threads`` 1 and 2;
 - the ``compare`` document, plain and with ``--monte-carlo-n 4``;
 - ``float.hex`` dumps of ``sweep_eavesdropper(..., retain_cells=False).arrays``
-  for each policy, and of ``monte_carlo(...).means`` at one and two workers.
+  for each policy, and of ``monte_carlo(...).means`` at one and two workers;
+- ``float.hex`` dumps of the scalar ``select`` for each policy on a 10 m
+  lattice over 0..120 m, plus both AP positions and the station position,
+  where the reference-distance clamp applies.
 
 To check that two revisions compute the same bytes, run the script once with
 ``PYTHONPATH`` pointing at each revision's ``src`` and compare the two
 directories with ``diff -r``. The script uses only the command line,
-``load_scenario``, ``sweep_eavesdropper``, ``monte_carlo`` and the grid
-arrays, which older revisions have too.
+``load_scenario``, ``sweep_eavesdropper``, ``monte_carlo``, ``select`` and
+the grid arrays, which older revisions have too.
 """
 
 import json
@@ -25,8 +28,9 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from secrecysim import bundled_scenario_path, load_scenario, monte_carlo, sweep_eavesdropper
+from secrecysim import Point2D, bundled_scenario_path, load_scenario, monte_carlo, select, sweep_eavesdropper
 from secrecysim.cli import main
+from secrecysim.policy import SelectionResult
 from secrecysim.sweep import ALL_POLICIES
 
 # name -> (bundled scenario, channel keys to override)
@@ -76,6 +80,17 @@ def _dump_means(path: Path, means) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _dump_selections(path: Path, scenario, policy) -> None:
+    lattice = [(10.0 * i, 10.0 * j) for j in range(13) for i in range(13)]
+    anchors = [(p.x, p.y) for p in (scenario.ap1.position, scenario.ap2.position, scenario.sta_m)]
+    names = [f.name for f in fields(SelectionResult)]
+    lines = ["x y " + " ".join(names)]
+    for x, y in lattice + anchors:
+        result = select(scenario, Point2D(x, y), policy)
+        lines.append(" ".join(map(_hex, [x, y] + [getattr(result, name) for name in names])))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_goldens(out_dir: Path, rows=GOLDEN_ROWS) -> None:
     """Write the golden files of ``rows`` (a subset of :data:`GOLDEN_ROWS`)
     under ``out_dir``, one directory per row."""
@@ -102,6 +117,7 @@ def write_goldens(out_dir: Path, rows=GOLDEN_ROWS) -> None:
             cfg = replace(loaded.sweep, policy=policy)
             arrays = sweep_eavesdropper(loaded.scenario, cfg, retain_cells=False).arrays
             _dump_arrays(row / f"arrays_{policy.value}.hex", arrays)
+            _dump_selections(row / f"select_{policy.value}.hex", loaded.scenario, policy)
         for workers in (1, 2):
             summary = monte_carlo(loaded.scenario, loaded.sweep, n=MC_LIBRARY_N, seed=SEED, workers=workers)
             _dump_means(row / f"mc_means_workers{workers}.hex", summary.means)
