@@ -26,9 +26,6 @@ from .policy import (
     Scenario,
     SelectionResult,
     select,
-    select_max_secrecy,
-    select_max_sinr,
-    select_with_fj,
 )
 from .scenario_io import (
     BUNDLED_SCENARIOS,
@@ -74,9 +71,6 @@ __all__ = [
     "Scenario",
     "SelectionResult",
     "select",
-    "select_max_secrecy",
-    "select_max_sinr",
-    "select_with_fj",
     "BUNDLED_SCENARIOS",
     "LoadedScenario",
     "McSettings",

@@ -1,8 +1,7 @@
 """Positions, radio parameters, and the single-slope path-loss link budget.
 
 Everything here is a pure function of its arguments; capacities follow the
-Shannon formula with base-2 logs, so with the default 1 Hz bandwidth they
-read as spectral efficiencies (bits/s/Hz).
+Shannon formula with base-2 logs, per Hz of bandwidth (bits/s/Hz).
 """
 
 import math
@@ -112,10 +111,10 @@ def transmit_power_from_corrected(p_corrected: float, params: ChannelParams) -> 
     return p_corrected / (gain * gain * params.ref_distance_d0 ** params.pathloss_alpha)
 
 
-def shannon_capacity(signal: float, interference: float, noise: float, bandwidth: float) -> float:
-    """Capacity of an AWGN link in bits/s: ``bandwidth * log2(1 + SINR)``.
+def shannon_capacity(signal: float, interference: float, noise: float) -> float:
+    """Capacity of an AWGN link per Hz of bandwidth: ``log2(1 + SINR)``.
 
     ``noise`` must be strictly positive, which keeps the SINR finite for
     any signal and interference levels.
     """
-    return bandwidth * math.log2(1.0 + signal / (interference + noise))
+    return math.log2(1.0 + signal / (interference + noise))

@@ -15,6 +15,7 @@ from .policy import PolicyKind
 from .scenario_io import (
     BUNDLED_SCENARIOS,
     LoadedScenario,
+    McSettings,
     ScenarioValidationError,
     bundled_scenario_path,
     load_scenario,
@@ -24,8 +25,6 @@ from .scenario_io import (
     write_summary,
 )
 from .sweep import ALL_POLICIES, PolicyMeans, monte_carlo, sweep_eavesdropper
-
-_POLICY_CHOICES = [p.value for p in ALL_POLICIES] + ["all"]
 
 
 def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
@@ -70,12 +69,21 @@ def _dbm_column(p_watt: np.ndarray) -> np.ndarray:
     return dbm
 
 
-def _policy_list(flag: str | None, loaded: LoadedScenario) -> list[PolicyKind]:
-    if flag is None:
-        return [loaded.sweep.policy]
-    if flag == "all":
-        return list(ALL_POLICIES)
-    return [PolicyKind(flag)]
+def _monte_carlo(loaded: LoadedScenario, args, settings: McSettings | None):
+    """The Monte Carlo summary ``--monte-carlo-n`` asks for, else the one an
+    enabled ``settings`` block asks for, else None. The seed is
+    ``--seed``'s, else the block's, else 0."""
+    n, seed = args.monte_carlo_n, args.seed
+    if settings is not None:
+        n = settings.n if n is None and settings.enabled else n
+        seed = settings.seed if seed is None else seed
+    if n is None:
+        return None
+    return monte_carlo(loaded.scenario, loaded.sweep, n=n, seed=seed or 0, workers=args.threads)
+
+
+def _sweep(loaded: LoadedScenario, policy: PolicyKind):
+    return sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False)
 
 
 def _metrics_dict(m: PolicyMeans) -> dict:
@@ -125,28 +133,13 @@ def _run_sweep(args) -> int:
     with _OutputSet() as outputs:
         scenario_path, _ = _resolve_scenario(args.scenario)
         loaded = load_scenario(scenario_path)
-        policies = _policy_list(args.policy, loaded)
+        choice = args.policy or loaded.sweep.policy.value
+        policies = list(ALL_POLICIES) if choice == "all" else [PolicyKind(choice)]
         out_dir = outputs.mkdir(Path(args.out_dir))
-
-        mc_summary = None
-        mc_wanted = args.monte_carlo_n is not None or (
-            loaded.monte_carlo is not None and loaded.monte_carlo.enabled
-        )
-        if mc_wanted:
-            n = args.monte_carlo_n
-            if n is None:
-                n = loaded.monte_carlo.n
-            seed = args.seed
-            if seed is None:
-                seed = loaded.monte_carlo.seed if loaded.monte_carlo is not None else 0
-            mc_summary = monte_carlo(
-                loaded.scenario, loaded.sweep, n=n, seed=seed, workers=args.threads
-            )
+        mc = _monte_carlo(loaded, args, loaded.monte_carlo)
 
         for policy in policies:
-            summary = sweep_eavesdropper(
-                loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False
-            )
+            summary = _sweep(loaded, policy)
             cells = summary.arrays
             name = policy.value
             fj_watt = transmit_power_from_corrected(cells.fj_power, loaded.scenario.params)
@@ -165,12 +158,9 @@ def _run_sweep(args) -> int:
                 **_metrics_dict(summary),
                 "scenario": loaded.echo,
             }
-            if mc_summary is not None:
-                document["monte_carlo"] = {
-                    "n": mc_summary.n_samples,
-                    "seed": mc_summary.seed,
-                    "means": _metrics_dict(mc_summary.means[policy]),
-                }
+            if mc is not None:
+                means = _metrics_dict(mc.means[policy])
+                document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed, "means": means}
             write_summary(outputs.add(out_dir / f"{name}_summary.json"), document)
         return 0
 
@@ -178,37 +168,22 @@ def _run_sweep(args) -> int:
 def _run_compare(args) -> int:
     with _OutputSet() as outputs:
         rows = []
-        mc_mode = args.monte_carlo_n is not None
-        seed = args.seed if args.seed is not None else 0
         for entry in args.scenario:
             scenario_path, label = _resolve_scenario(entry)
             loaded = load_scenario(scenario_path)
-            metrics = {}
-            if mc_mode:
-                mc = monte_carlo(
-                    loaded.scenario,
-                    loaded.sweep,
-                    n=args.monte_carlo_n,
-                    seed=seed,
-                    workers=args.threads,
-                )
-                for policy in ALL_POLICIES:
-                    metrics[policy.value] = _metrics_dict(mc.means[policy])
-            else:
-                for policy in ALL_POLICIES:
-                    summary = sweep_eavesdropper(
-                        loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False
-                    )
-                    metrics[policy.value] = _metrics_dict(summary)
+            # compare ignores the scenario file's monte_carlo block
+            mc = _monte_carlo(loaded, args, None)
+            means = mc.means if mc else {p: _sweep(loaded, p) for p in ALL_POLICIES}
+            metrics = {p.value: _metrics_dict(means[p]) for p in ALL_POLICIES}
             rows.append({"scenario": label, "metrics": metrics})
         document = {
             "tool_version": __version__,
-            "mode": "monte_carlo" if mc_mode else "sweep",
+            "mode": "monte_carlo" if mc else "sweep",
             "policies": [p.value for p in ALL_POLICIES],
             "rows": rows,
         }
-        if mc_mode:
-            document["monte_carlo"] = {"n": args.monte_carlo_n, "seed": seed}
+        if mc:
+            document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed}
         if args.out is not None:
             write_summary(outputs.add(Path(args.out)), document)
         else:
@@ -224,34 +199,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"secrecysim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    mc_options = argparse.ArgumentParser(add_help=False)
+    mc_options.add_argument(
+        "--monte-carlo-n", help="average the metrics over this many random station placements"
+    )
+    mc_options.add_argument(
+        "--seed", help="Monte Carlo seed (default: the scenario file's for sweep, else 0)"
+    )
+    mc_options.add_argument(
+        "--threads",
+        help="Monte Carlo worker processes, at most the CPU count (default: SECRECY_SIM_THREADS or 1)",
+    )
+
     sweep_p = sub.add_parser(
-        "sweep", help="sweep the eavesdropper over the grid and write heatmaps + summaries"
+        "sweep",
+        parents=[mc_options],
+        help="sweep the eavesdropper over the grid and write heatmaps + summaries",
     )
     sweep_p.add_argument(
         "--scenario", required=True, help="scenario file path, or a bundled name (scenario1..3)"
     )
     sweep_p.add_argument(
         "--policy",
-        choices=_POLICY_CHOICES,
-        default=None,
+        choices=[p.value for p in ALL_POLICIES] + ["all"],
         help="association policy; 'all' runs the three policies (default: the scenario file's)",
     )
     sweep_p.add_argument("--out-dir", required=True, help="directory for the output files")
-    sweep_p.add_argument(
-        "--monte-carlo-n",
-        default=None,
-        help="also average metrics over this many random station placements",
-    )
-    sweep_p.add_argument("--seed", default=None, help="Monte Carlo seed")
-    sweep_p.add_argument(
-        "--threads",
-        default=None,
-        help="Monte Carlo worker processes (default: SECRECY_SIM_THREADS or 1)",
-    )
     sweep_p.set_defaults(func=_run_sweep)
 
     compare_p = sub.add_parser(
-        "compare", help="tabulate the three policies across one or more scenarios"
+        "compare",
+        parents=[mc_options],
+        help="tabulate the three policies across one or more scenarios",
     )
     compare_p.add_argument(
         "--scenario",
@@ -259,18 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="scenario file path or bundled name; repeat for more rows",
     )
-    compare_p.add_argument(
-        "--monte-carlo-n",
-        default=None,
-        help="compare Monte Carlo means instead of single sweeps",
-    )
-    compare_p.add_argument("--seed", default=None, help="Monte Carlo seed (default 0)")
-    compare_p.add_argument(
-        "--threads",
-        default=None,
-        help="Monte Carlo worker processes (default: SECRECY_SIM_THREADS or 1)",
-    )
-    compare_p.add_argument("--out", default=None, help="write the table here instead of stdout")
+    compare_p.add_argument("--out", help="write the table here instead of stdout")
     compare_p.set_defaults(func=_run_compare)
     return parser
 

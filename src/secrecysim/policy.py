@@ -1,11 +1,11 @@
 """The three association policies for one eavesdropper position.
 
 :func:`select` runs every policy as one sequence of rules, in the order
-of the grid engine in :mod:`secrecysim.sweep`; the three named selectors
-are shorthands for it. Selection is pure and deterministic; argmax ties
-break to the lower AP index. Capacity comparisons are made per-Hz so the
-chosen AP and the jamming power never depend on the configured
-bandwidth, which only scales the reported numbers.
+of the grid engine in :mod:`secrecysim.sweep`. Selection is pure and
+deterministic; argmax ties break to the lower AP index. Capacity
+comparisons are made per-Hz so the chosen AP and the jamming power never
+depend on the configured bandwidth, which only scales the reported
+numbers.
 """
 
 import enum
@@ -70,11 +70,6 @@ class SelectionResult:
         if self.fj_power < 0:
             raise ValueError("fj_power must be nonnegative")
 
-    @property
-    def idle_ap(self) -> int:
-        """The AP that does not serve the station; the jammer under ``smart_fj``."""
-        return 3 - self.chosen_ap
-
 
 def _links(scenario: Scenario, sta_e: Point2D) -> list[tuple[float, float, float]]:
     """One ``(d_m, d_e, p)`` per AP, in index order: the clamped distances
@@ -90,38 +85,19 @@ def _links(scenario: Scenario, sta_e: Point2D) -> list[tuple[float, float, float
     ]
 
 
-def select_max_sinr(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
-    """Associate to the AP with the highest SINR at the legitimate station.
-
-    With zero ambient interference this is the AP with the highest
-    received power; the eavesdropper's position plays no role in the
-    choice and only determines the reported capacities.
-    """
-    return select(scenario, sta_e, PolicyKind.NORMAL_WIFI)
-
-
-def select_max_secrecy(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
-    """Associate to the AP whose secrecy difference is largest (no jamming)."""
-    return select(scenario, sta_e, PolicyKind.SMART_AP)
-
-
-def select_with_fj(scenario: Scenario, sta_e: Point2D) -> SelectionResult:
-    """Max-secrecy association, then optimal friendly jamming by the idle AP.
-
-    Selection runs first, assuming zero ambient interference; the idle
-    AP's power is then optimized in closed form and the capacities are
-    recomputed with that interference. The no-jamming outcome is always
-    in the candidate set, so the result never falls below
-    :func:`select_max_secrecy` on the same inputs.
-    """
-    return select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
-
-
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
     """Evaluate one policy at one eavesdropper position.
 
     The rules run in the order of the grid engine, ``sweep._evaluate_grid``:
-    associate, then (``smart_fj`` only) let the idle AP jam.
+    associate, then (``smart_fj`` only) let the idle AP jam. ``normal``
+    associates to the AP with the highest received power at the station
+    (its SINR, with zero ambient interference), so the eavesdropper plays
+    no role in its choice and only sets the reported capacities. ``smart``
+    and ``smart_fj`` associate to the AP with the larger secrecy
+    difference without jamming; ``smart_fj`` then optimizes the idle AP's
+    power in closed form and recomputes the capacities under that
+    interference. The no-jamming outcome stays in its candidate set, so
+    ``smart_fj`` never falls below ``smart`` on the same inputs.
     """
     par = scenario.params
     alpha = par.pathloss_alpha
@@ -130,8 +106,8 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
     def capacities(n, interference_m=0.0, interference_e=0.0):
         # per-Hz capacities of AP n's two links under the given interference
         d_m, d_e, p = links[n - 1]
-        cap_m = shannon_capacity(p * d_m ** -alpha, interference_m, par.noise_m, 1.0)
-        cap_e = shannon_capacity(p * d_e ** -alpha, interference_e, par.noise_e, 1.0)
+        cap_m = shannon_capacity(p * d_m ** -alpha, interference_m, par.noise_m)
+        cap_e = shannon_capacity(p * d_e ** -alpha, interference_e, par.noise_e)
         return cap_m, cap_e
 
     if policy is PolicyKind.NORMAL_WIFI:

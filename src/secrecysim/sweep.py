@@ -12,6 +12,7 @@ independent of evaluation order and of the number of Monte Carlo workers.
 """
 
 import math
+import os
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -277,13 +278,14 @@ def monte_carlo(
     Positions are drawn uniformly over the map square; ``cfg.policy`` is
     ignored because every sample evaluates all policies. With
     ``workers > 1`` the samples run in contiguous chunks on a pool of at
-    most ``min(workers, n)`` processes.
+    most ``min(workers, n, os.cpu_count())`` processes; the pool starts
+    them all at once, and the result never depends on their number.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    workers = min(workers, n)
+    workers = min(workers, n, os.cpu_count() or 1)
     # contiguous chunks in sample order, each computing the eavesdropper terms once
     k = min(n, 4 * workers) if workers > 1 else 1
     tasks = [(scenario_template, cfg, seed, range(i * n // k, (i + 1) * n // k)) for i in range(k)]

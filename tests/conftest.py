@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -51,6 +52,30 @@ def build_scenario(
 @pytest.fixture
 def scenario1():
     return build_scenario(STA_SCENARIO_1)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool by one that runs the tasks in this process;
+    returns the list of the pool sizes requested."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # monte_carlo imports the pool inside its pool branch, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 def random_fj_geometry(

@@ -1,0 +1,75 @@
+import re
+from pathlib import Path
+
+import pytest
+
+import secrecysim
+from secrecysim.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = [
+    "SPEED_OF_LIGHT",
+    "ApConfig",
+    "ChannelParams",
+    "Point2D",
+    "distance",
+    "distance_corrected_power",
+    "effective_distance",
+    "shannon_capacity",
+    "transmit_power_from_corrected",
+    "FjCoefficients",
+    "FjGeometry",
+    "compute_coefficients",
+    "optimize_fj_power",
+    "PolicyKind",
+    "Scenario",
+    "SelectionResult",
+    "select",
+    "BUNDLED_SCENARIOS",
+    "LoadedScenario",
+    "McSettings",
+    "ScenarioValidationError",
+    "bundled_scenario_path",
+    "load_scenario",
+    "read_heatmap",
+    "read_summary",
+    "watt_to_dbm",
+    "write_heatmap",
+    "write_summary",
+    "ALL_POLICIES",
+    "CellResult",
+    "GridArrays",
+    "MonteCarloSummary",
+    "PolicyMeans",
+    "SampleRecord",
+    "SweepConfig",
+    "SweepSummary",
+    "monte_carlo",
+    "sweep_eavesdropper",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert secrecysim.__all__ == PUBLIC_NAMES
+    for name in secrecysim.__all__:
+        assert getattr(secrecysim, name) is not None, name
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_both_commands_take_the_monte_carlo_options(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for option in ("--monte-carlo-n", "--seed", "--threads"):
+        assert option in text, option
+
+
+def test_readme_library_example_runs(capsys):
+    # the first python block under "## Library"
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(code, f"{README}:Library", "exec"), {})
+    assert capsys.readouterr().out

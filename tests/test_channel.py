@@ -63,17 +63,16 @@ def test_transmit_power_roundtrip():
 
 
 def test_shannon_zero_signal():
-    assert shannon_capacity(0.0, 0.5, 1e-10, 123.0) == 0.0
+    assert shannon_capacity(0.0, 0.5, 1e-10) == 0.0
 
 
 def test_shannon_signal_equals_noise():
-    w = 7.25
-    assert shannon_capacity(1e-10, 0.0, 1e-10, w) == pytest.approx(w, rel=1e-12)
+    assert shannon_capacity(1e-10, 0.0, 1e-10) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_shannon_composed_with_link_budget():
     signal = distance_corrected_power(0.05, DEFAULTS) * 40.0 ** -2
-    cap = shannon_capacity(signal, 0.0, 1e-10, 1.0)
+    cap = shannon_capacity(signal, 0.0, 1e-10)
     assert cap == pytest.approx(CAPACITY_AT_40M, rel=1e-12)
 
 
@@ -83,15 +82,15 @@ nonnegative = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 @given(signal=nonnegative, interference=nonnegative, noise=positive, bump=positive)
 def test_shannon_monotone_in_interference_and_noise(signal, interference, noise, bump):
-    base = shannon_capacity(signal, interference, noise, 1.0)
-    assert shannon_capacity(signal, interference + bump, noise, 1.0) <= base
-    assert shannon_capacity(signal, interference, noise + bump, 1.0) <= base
+    base = shannon_capacity(signal, interference, noise)
+    assert shannon_capacity(signal, interference + bump, noise) <= base
+    assert shannon_capacity(signal, interference, noise + bump) <= base
 
 
 @given(signal=nonnegative, interference=nonnegative, noise=positive, bump=positive)
 def test_shannon_monotone_in_signal(signal, interference, noise, bump):
-    assert shannon_capacity(signal + bump, interference, noise, 1.0) >= shannon_capacity(
-        signal, interference, noise, 1.0
+    assert shannon_capacity(signal + bump, interference, noise) >= shannon_capacity(
+        signal, interference, noise
     )
 
 
@@ -102,8 +101,8 @@ def test_shannon_monotone_in_signal(signal, interference, noise, bump):
     scale=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
 )
 def test_shannon_scale_invariance(signal, interference, noise, scale):
-    base = shannon_capacity(signal, interference, noise, 1.0)
-    scaled = shannon_capacity(scale * signal, scale * interference, scale * noise, 1.0)
+    base = shannon_capacity(signal, interference, noise)
+    scaled = shannon_capacity(scale * signal, scale * interference, scale * noise)
     assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 

@@ -380,6 +380,19 @@ def test_threads_env_fallback(small_scenario, tmp_path, monkeypatch):
     assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "plain")
 
 
+def test_threads_beyond_the_cpu_count_start_no_more_workers(
+    small_scenario, tmp_path, monkeypatch, recording_pool
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["sweep", "--scenario", str(small_scenario), "--policy", "smart", "--monte-carlo-n", "8"]
+    monkeypatch.setenv("SECRECY_SIM_THREADS", "5000")
+    assert main(args + ["--out-dir", str(tmp_path / "env")]) == 0
+    monkeypatch.delenv("SECRECY_SIM_THREADS")
+    assert main(args + ["--out-dir", str(tmp_path / "flag"), "--threads", "5000"]) == 0
+    assert recording_pool == [2, 2]
+    assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "flag")
+
+
 @pytest.mark.parametrize(
     "env, flag",
     [("abc", None), ("0", None), (None, "0"), (None, "-3"), (None, "abc")],

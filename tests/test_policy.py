@@ -11,9 +11,6 @@ from secrecysim import (
     effective_distance,
     load_scenario,
     select,
-    select_max_secrecy,
-    select_max_sinr,
-    select_with_fj,
     shannon_capacity,
 )
 
@@ -37,25 +34,26 @@ def brute_force_secrecy_choice(scenario, sta_e):
         p = distance_corrected_power(ap.tx_power, par)
         d_m = effective_distance(distance(ap.position, scenario.sta_m), par)
         d_e = effective_distance(distance(ap.position, sta_e), par)
-        cap_m = shannon_capacity(p * d_m ** -par.pathloss_alpha, 0.0, par.noise_m, par.bandwidth_w)
-        cap_e = shannon_capacity(p * d_e ** -par.pathloss_alpha, 0.0, par.noise_e, par.bandwidth_w)
+        w = par.bandwidth_w
+        cap_m = w * shannon_capacity(p * d_m ** -par.pathloss_alpha, 0.0, par.noise_m)
+        cap_e = w * shannon_capacity(p * d_e ** -par.pathloss_alpha, 0.0, par.noise_e)
         diffs.append(cap_m - cap_e)
     return (1 if diffs[0] >= diffs[1] else 2), diffs
 
 
 def test_max_sinr_picks_nearest_ap_scenario1():
     scenario = build_scenario(sta_m=(20.0, 100.0))
-    assert select_max_sinr(scenario, Point2D(90.0, 90.0)).chosen_ap == 1
+    assert select(scenario, Point2D(90.0, 90.0), PolicyKind.NORMAL_WIFI).chosen_ap == 1
 
 
 def test_max_sinr_picks_nearest_ap_scenario2():
     scenario = build_scenario(sta_m=(80.0, 20.0))
-    assert select_max_sinr(scenario, Point2D(10.0, 10.0)).chosen_ap == 2
+    assert select(scenario, Point2D(10.0, 10.0), PolicyKind.NORMAL_WIFI).chosen_ap == 2
 
 
 def test_max_sinr_tie_breaks_to_ap1():
     scenario = build_scenario(sta_m=(60.0, 90.0))  # equidistant from both APs
-    result = select_max_sinr(scenario, Point2D(3.0, 4.0))
+    result = select(scenario, Point2D(3.0, 4.0), PolicyKind.NORMAL_WIFI)
     assert result.chosen_ap == 1
     assert result.fj_power == 0.0
 
@@ -65,20 +63,20 @@ def test_max_sinr_choice_ignores_eavesdropper():
     rng = np.random.default_rng(0)
     for _ in range(20):
         sta_e = Point2D(*rng.uniform(0.0, 120.0, 2))
-        assert select_max_sinr(scenario, sta_e).chosen_ap == 1
+        assert select(scenario, sta_e, PolicyKind.NORMAL_WIFI).chosen_ap == 1
 
 
 def test_max_secrecy_obvious_geometry():
     # station near AP1, eavesdropper near AP2: both terms favor AP1
     scenario = build_scenario(sta_m=(40.0, 50.0))
-    result = select_max_secrecy(scenario, Point2D(80.0, 50.0))
+    result = select(scenario, Point2D(80.0, 50.0), PolicyKind.SMART_AP)
     assert result.chosen_ap == 1
     assert result.secrecy > 0.0
 
 
 def test_max_secrecy_coincident_stations_tie():
     scenario = build_scenario(sta_m=(33.0, 47.0))
-    result = select_max_secrecy(scenario, Point2D(33.0, 47.0))
+    result = select(scenario, Point2D(33.0, 47.0), PolicyKind.SMART_AP)
     assert result.chosen_ap == 1
     assert result.secrecy == 0.0
     assert result.cap_legit == result.cap_eve
@@ -90,7 +88,7 @@ def test_max_secrecy_matches_brute_force_enumeration():
         scenario = random_scenario(rng)
         sta_e = Point2D(*rng.uniform(0.0, 120.0, 2))
         expected_choice, diffs = brute_force_secrecy_choice(scenario, sta_e)
-        result = select_max_secrecy(scenario, sta_e)
+        result = select(scenario, sta_e, PolicyKind.SMART_AP)
         assert result.chosen_ap == expected_choice
         assert result.secrecy == pytest.approx(max(diffs), rel=1e-12, abs=1e-15)
 
@@ -100,8 +98,8 @@ def test_fj_never_below_plain_selection():
     for _ in range(200):
         scenario = random_scenario(rng)
         sta_e = Point2D(*rng.uniform(0.0, 120.0, 2))
-        plain = select_max_secrecy(scenario, sta_e)
-        jammed = select_with_fj(scenario, sta_e)
+        plain = select(scenario, sta_e, PolicyKind.SMART_AP)
+        jammed = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
         assert jammed.chosen_ap == plain.chosen_ap
         assert jammed.secrecy >= plain.secrecy
 
@@ -109,15 +107,15 @@ def test_fj_never_below_plain_selection():
 def test_fj_zero_on_far_map_edge():
     scenario = build_scenario(sta_m=(20.0, 100.0))
     for corner in [(1.0, 1.0), (120.0, 1.0), (120.0, 120.0), (1.0, 120.0)]:
-        result = select_with_fj(scenario, Point2D(*corner))
+        result = select(scenario, Point2D(*corner), PolicyKind.SMART_AP_FJ)
         assert result.fj_power == 0.0
 
 
 def test_fj_active_in_the_interior():
     scenario = build_scenario(sta_m=(20.0, 100.0))
-    result = select_with_fj(scenario, Point2D(60.0, 60.0))
+    result = select(scenario, Point2D(60.0, 60.0), PolicyKind.SMART_AP_FJ)
     assert result.fj_power > 0.0
-    assert result.secrecy > select_max_secrecy(scenario, Point2D(60.0, 60.0)).secrecy
+    assert result.secrecy > select(scenario, Point2D(60.0, 60.0), PolicyKind.SMART_AP).secrecy
 
 
 @pytest.mark.parametrize("noise_ratio", [0.1, 10.0])
@@ -130,7 +128,7 @@ def test_fj_optimal_with_distinct_receiver_noises(noise_ratio):
     for y in range(1, 120, 7):
         for x in range(1, 120, 7):
             sta_e = Point2D(float(x), float(y))
-            result = select_with_fj(scenario, sta_e)
+            result = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
             data, idle = scenario.ap1, scenario.ap2
             if result.chosen_ap == 2:
                 data, idle = idle, data
@@ -150,8 +148,8 @@ def test_fj_power_respects_idle_cap():
     for _ in range(100):
         scenario = random_scenario(rng)
         sta_e = Point2D(*rng.uniform(0.0, 120.0, 2))
-        result = select_with_fj(scenario, sta_e)
-        idle = scenario.ap1 if result.idle_ap == 1 else scenario.ap2
+        result = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
+        idle = scenario.ap2 if result.chosen_ap == 1 else scenario.ap1
         cap = distance_corrected_power(idle.tx_power_max, scenario.params)
         assert 0.0 <= result.fj_power <= cap
 
@@ -173,8 +171,8 @@ def test_eavesdropper_suppression_same_ap():
     for _ in range(200):
         scenario = random_scenario(rng)
         sta_e = Point2D(*rng.uniform(0.0, 120.0, 2))
-        smart = select_max_secrecy(scenario, sta_e)
-        jammed = select_with_fj(scenario, sta_e)
+        smart = select(scenario, sta_e, PolicyKind.SMART_AP)
+        jammed = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
         if smart.chosen_ap == jammed.chosen_ap:
             assert jammed.cap_eve <= smart.cap_eve
 
@@ -213,8 +211,8 @@ def test_capacities_scale_linearly_with_bandwidth():
     scenario = build_scenario(sta_m=(20.0, 100.0), bandwidth=1.0)
     wide = build_scenario(sta_m=(20.0, 100.0), bandwidth=20e6)
     sta_e = Point2D(64.0, 31.0)
-    narrow_result = select_with_fj(scenario, sta_e)
-    wide_result = select_with_fj(wide, sta_e)
+    narrow_result = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
+    wide_result = select(wide, sta_e, PolicyKind.SMART_AP_FJ)
     assert wide_result.cap_legit == pytest.approx(20e6 * narrow_result.cap_legit, rel=1e-12)
     assert wide_result.cap_eve == pytest.approx(20e6 * narrow_result.cap_eve, rel=1e-12)
 
@@ -229,14 +227,8 @@ def test_scenario_validation():
 def test_secrecy_can_be_negative_before_truncation():
     # eavesdropper right next to the serving AP: no policy can rescue this cell
     scenario = build_scenario(sta_m=(20.0, 100.0))
-    result = select_max_sinr(scenario, Point2D(40.0, 60.0))
+    result = select(scenario, Point2D(40.0, 60.0), PolicyKind.NORMAL_WIFI)
     assert result.secrecy < 0.0
-
-
-def test_idle_ap_is_the_other_one():
-    scenario = build_scenario(sta_m=(20.0, 100.0))
-    result = select_with_fj(scenario, Point2D(90.0, 30.0))
-    assert {result.chosen_ap, result.idle_ap} == {1, 2}
 
 
 LAYER_NAMES = ("distance", "effective_distance", "distance_corrected_power", "shannon_capacity", "optimize_fj_power")

@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from secrecysim import (
+    ApConfig,
+    ChannelParams,
     Point2D,
     PolicyKind,
+    Scenario,
     SweepConfig,
+    bundled_scenario_path,
+    distance_corrected_power,
+    load_scenario,
     monte_carlo,
     select,
     sweep_eavesdropper,
 )
+from secrecysim.fjopt import optimize_fj_power_array
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sum, grid_coordinates
 
 from conftest import build_scenario
@@ -105,6 +112,73 @@ def test_policy_ordering_scenario1():
         avg[policy] = summary.avg_secrecy
     assert cov[PolicyKind.SMART_AP_FJ] >= cov[PolicyKind.SMART_AP] >= cov[PolicyKind.NORMAL_WIFI]
     assert avg[PolicyKind.SMART_AP_FJ] >= avg[PolicyKind.SMART_AP] >= avg[PolicyKind.NORMAL_WIFI]
+
+
+def joint_fj_secrecy(scenario, cfg):
+    """Per-Hz secrecy of the joint choice at every grid cell: each AP in turn
+    serves while the other jams at the array optimizer's power, each choice
+    is scored with the two-capacity form, and the better one is kept."""
+    par = scenario.params
+    a = par.pathloss_alpha
+    x, y = grid_coordinates(cfg)
+
+    def clamped(ap, px, py):
+        return np.maximum(np.hypot(px - ap.position.x, py - ap.position.y), par.ref_distance_d0)
+
+    best = np.full(x.shape, -np.inf)
+    for data, idle in ((scenario.ap1, scenario.ap2), (scenario.ap2, scenario.ap1)):
+        d_im = np.full(x.shape, clamped(data, scenario.sta_m.x, scenario.sta_m.y))
+        d_jm = np.full(x.shape, clamped(idle, scenario.sta_m.x, scenario.sta_m.y))
+        d_ie, d_je = clamped(data, x, y), clamped(idle, x, y)
+        p_i = np.full(x.shape, distance_corrected_power(data.tx_power, par))
+        p_max = np.full(x.shape, distance_corrected_power(idle.tx_power_max, par))
+        p = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, a, par.noise_m, par.noise_e, p_i, p_max)
+        cap_m = np.log2(1.0 + p_i * d_im ** -a / (p * d_jm ** -a + par.noise_m))
+        cap_e = np.log2(1.0 + p_i * d_ie ** -a / (p * d_je ** -a + par.noise_e))
+        best = np.maximum(best, cap_m - cap_e)
+    return best
+
+
+def seeded_unequal_scenario(seed):
+    """Random geometry and alpha, with per-AP tx powers (1 mW to 1 W) and
+    caps (up to 31.6x tx), and noise_e from 1e-12 to 1e-8 W."""
+    rng = np.random.default_rng(seed)
+    params = ChannelParams(
+        pathloss_alpha=float(rng.uniform(2.0, 4.0)), noise_e=float(10 ** rng.uniform(-12.0, -8.0))
+    )
+    ap1, ap2, sta_m = (Point2D(*rng.uniform(0.0, 120.0, 2)) for _ in range(3))
+    tx1, tx2 = 10 ** rng.uniform(-3.0, 0.0, 2)
+    cap1, cap2 = 10 ** rng.uniform(0.0, 1.5, 2)
+    return Scenario(
+        ApConfig(ap1, float(tx1), float(tx1 * cap1)),
+        ApConfig(ap2, float(tx2), float(tx2 * cap2)),
+        sta_m,
+        params,
+        120.0,
+    )
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_smart_fj_equals_the_joint_choice_on_bundled_scenarios(name):
+    # smart_fj selects the AP without jamming, then lets the other AP jam;
+    # on the bundled scenarios no cell gains from serving by the other AP
+    loaded = load_scenario(bundled_scenario_path(name))
+    summary = sweep_eavesdropper(loaded.scenario, loaded.sweep, retain_cells=False)
+    sequential = summary.arrays.secrecy / loaded.scenario.params.bandwidth_w
+    assert np.max(np.abs(joint_fj_secrecy(loaded.scenario, loaded.sweep) - sequential)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_smart_fj_never_beats_the_joint_choice(seed):
+    scenario = seeded_unequal_scenario(seed)
+    cfg = SweepConfig(grid_k=60, cell_step=2.0)
+    sequential = sweep_eavesdropper(scenario, cfg, retain_cells=False).arrays.secrecy
+    gap = joint_fj_secrecy(scenario, cfg) - sequential
+    assert np.min(gap) >= -1e-9
+    if seed == 0:
+        # with unequal tx powers, caps and noises, select-then-jam is not the
+        # joint optimum: serving by the other AP, plus its jammer, does better
+        assert np.max(gap) > 0.01
 
 
 def test_sweep_without_retained_cells_keeps_metrics():
@@ -212,34 +286,27 @@ def test_monte_carlo_samples_match_per_policy_sweeps(workers):
             ], (index, policy)
 
 
-def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        """Runs the tasks in this process and records the requested size."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # monte_carlo imports the pool inside its pool branch, from concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
     capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64)
-    assert started == [3]
+    assert recording_pool == [3]
     assert capped == monte_carlo(scenario, cfg, n=3, seed=4, workers=1)
     # one sample needs no pool at all
     monte_carlo(scenario, cfg, n=1, seed=4, workers=64)
-    assert started == [3]
+    assert recording_pool == [3]
+
+
+@pytest.mark.parametrize("cpus, started", [(2, [2]), (None, [])], ids=["two-cpus", "unknown"])
+def test_monte_carlo_starts_no_more_workers_than_cpus(cpus, started, recording_pool, monkeypatch):
+    # a pool starts all its workers up front, so 5,000 asked for would be 5,000 processes
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    scenario = build_scenario((20.0, 100.0))
+    cfg = small_cfg(k=3, step=40.0)
+    capped = monte_carlo(scenario, cfg, n=20, seed=4, workers=5000)
+    assert recording_pool == started
+    assert capped == monte_carlo(scenario, cfg, n=20, seed=4, workers=1)
 
 
 def test_monte_carlo_seed_changes_draws():
