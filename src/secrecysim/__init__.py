@@ -15,12 +15,6 @@ from .channel import (
     shannon_capacity,
     transmit_power_from_corrected,
 )
-from .fjopt import (
-    FjCoefficients,
-    FjGeometry,
-    compute_coefficients,
-    optimize_fj_power,
-)
 from .policy import (
     PolicyKind,
     Scenario,
@@ -63,10 +57,6 @@ __all__ = [
     "effective_distance",
     "shannon_capacity",
     "transmit_power_from_corrected",
-    "FjCoefficients",
-    "FjGeometry",
-    "compute_coefficients",
-    "optimize_fj_power",
     "PolicyKind",
     "Scenario",
     "SelectionResult",

@@ -18,15 +18,13 @@ The derivative of ``f`` has the sign of a plain quadratic
 maximizer over ``[0, p_max]`` is one of at most four candidates: the two
 clamped real roots of that quadratic plus the two interval endpoints.
 
-The closed form is written once, as arithmetic on floats or arrays,
-and shared by :func:`optimize_fj_power` (one geometry, pure Python) and
-:func:`optimize_fj_power_array` (arrays of geometries, for the grid
-sweep). Both return only the chosen power, which does not depend on the
-bandwidth, and break ties between candidates to the smallest power.
+The closed form is written once, as arithmetic on floats or arrays, shared
+by :func:`optimize_fj_power` (nine floats, for ``policy.select``) and
+:func:`optimize_fj_power_array` (array distances and powers, for the grid
+sweep). Both break ties to the smallest power and trust a ``Scenario``'s values.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,57 +35,22 @@ import numpy as np
 DEGENERACY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class FjGeometry:
-    """Inputs of one jamming-power optimization.
+def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
+    """The objective constants ``(A, B, C, D, E, F, K)`` and the derivative
+    quadratic ``(a, b, c)``, from floats or equal-shape arrays, bit for bit alike.
 
-    Distances are meters and must already be clamped to the reference
-    distance; powers are distance-corrected (Watt*m^alpha). ``noise_m``
-    and ``noise_e`` are the station's and the eavesdropper's noise floors.
+    The quadratic coefficients are the algebraically simplified forms
+
+        a = p_i*A*(E - C)
+        b = 2*p_i*A*(F - D)
+        c = p_i*B*(F - D) + p_i**2*(C*F - E*D) + p_i*K*(C - E)
+
+    Each ``d**alpha`` is evaluated once. The largest products are in ``c``:
+    ``p_i*B*(F - D)`` and ``p_i*K*(C - E)`` multiply six ``d**alpha``
+    factors, two noise powers and ``p_i``; ``C*F`` five and one noise. At
+    50 mW, 1e3 m and alpha 4 none passes 1e50; at alpha 30 on a 120 m map
+    the six-factor products overflow.
     """
-
-    d_im: float
-    d_ie: float
-    d_jm: float
-    d_je: float
-    alpha: float
-    noise_m: float
-    noise_e: float
-    p_i: float
-    p_max: float
-
-    def __post_init__(self):
-        if min(self.d_im, self.d_ie, self.d_jm, self.d_je) <= 0:
-            raise ValueError("distances must be positive (and pre-clamped)")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.noise_m <= 0 or self.noise_e <= 0:
-            raise ValueError("noise_m and noise_e must be strictly positive")
-        if self.p_i <= 0:
-            raise ValueError("p_i must be positive")
-        if self.p_max < 0:
-            raise ValueError("p_max must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FjCoefficients:
-    """The seven objective constants and the three derivative-numerator
-    ones, as floats or as equal-shape arrays."""
-
-    cap_a: float
-    cap_b: float
-    cap_c: float
-    cap_d: float
-    cap_e: float
-    cap_f: float
-    cap_k: float
-    quad_a: float
-    quad_b: float
-    quad_c: float
-
-
-def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i) -> FjCoefficients:
-    """A..K and a, b, c from floats or equal-shape arrays, bit for bit alike."""
     dim_a = d_im ** alpha
     die_a = d_ie ** alpha
     djm_a = d_jm ** alpha
@@ -108,43 +71,26 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i) -> FjCoe
         + p_i * p_i * (cap_c * cap_f - cap_e * cap_d)
         + p_i * cap_k * (cap_c - cap_e)
     )
-    return FjCoefficients(cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k, quad_a, quad_b, quad_c)
+    return (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c)
 
 
-def _ratio_terms(co: FjCoefficients, p_i, p_j):
+def _ratio_terms(caps, p_i, p_j):
     """Numerator and denominator of f at ``p_j``, from floats or arrays."""
+    cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k = caps
     p_sq = p_j * p_j
-    num = co.cap_a * p_sq + (co.cap_b + p_i * co.cap_c) * p_j + (p_i * co.cap_d + co.cap_k)
-    den = co.cap_a * p_sq + (co.cap_b + p_i * co.cap_e) * p_j + (p_i * co.cap_f + co.cap_k)
+    num = cap_a * p_sq + (cap_b + p_i * cap_c) * p_j + (p_i * cap_d + cap_k)
+    den = cap_a * p_sq + (cap_b + p_i * cap_e) * p_j + (p_i * cap_f + cap_k)
     return num, den
 
 
-def compute_coefficients(geom: FjGeometry) -> FjCoefficients:
-    """Evaluate the objective constants A..K and the derivative quadratic a, b, c.
-
-    The quadratic coefficients are the algebraically simplified forms
-
-        a = p_i*A*(E - C)
-        b = 2*p_i*A*(F - D)
-        c = p_i*B*(F - D) + p_i**2*(C*F - E*D) + p_i*K*(C - E)
-
-    Each ``d**alpha`` term is evaluated once and combined in products of at
-    most four factors, which stays far from overflow for distances up to
-    1e3 m and alpha up to 4.
-    """
-    return _coefficients(
-        geom.d_im, geom.d_ie, geom.d_jm, geom.d_je, geom.alpha, geom.noise_m, geom.noise_e, geom.p_i
-    )
-
-
-def _log2_ratio(co: FjCoefficients, p_i: float, p_j: float) -> float:
+def _log2_ratio(caps, p_i: float, p_j: float) -> float:
     """log2 of the objective ratio f at jamming power p_j (bandwidth-free)."""
-    num, den = _ratio_terms(co, p_i, p_j)
+    num, den = _ratio_terms(caps, p_i, p_j)
     return math.log2(num) - math.log2(den)
 
 
-def derivative_numerator_roots(co: FjCoefficients, p_scale: float) -> list[float]:
-    """Real roots of ``quad_a*x**2 + quad_b*x + quad_c = 0``, unclamped.
+def derivative_numerator_roots(quad, p_scale: float) -> list[float]:
+    """Real roots of ``a*x**2 + b*x + c = 0`` for ``quad = (a, b, c)``, unclamped.
 
     ``p_scale`` (typically the power cap) renders the three coefficients
     commensurable for the degeneracy tests: the quadratic term is dropped
@@ -152,7 +98,7 @@ def derivative_numerator_roots(co: FjCoefficients, p_scale: float) -> list[float
     quadratic formula uses the cancellation-free form (coefficient
     magnitudes legitimately span ~1e-20 to ~1e10).
     """
-    a, b, c = co.quad_a, co.quad_b, co.quad_c
+    a, b, c = quad
     s = p_scale if p_scale > 0 else 1.0
     a_n = abs(a) * s * s
     b_n = abs(b) * s
@@ -173,8 +119,9 @@ def derivative_numerator_roots(co: FjCoefficients, p_scale: float) -> list[float
     return roots
 
 
-def optimize_fj_power(geom: FjGeometry) -> float:
-    """The jamming power in ``[0, p_max]`` that maximizes secrecy.
+def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> float:
+    """The jamming power in ``[0, p_max]`` that maximizes secrecy, from the
+    clamped distances (m) and corrected powers (Watt*m^alpha) of a ``Scenario``.
 
     Candidates are the clamped roots of the derivative numerator plus the
     interval endpoints; the best objective value among them is the global
@@ -182,18 +129,18 @@ def optimize_fj_power(geom: FjGeometry) -> float:
     is a root. Ties break to the smallest power, so jamming is never
     reported when it buys nothing.
     """
-    co = compute_coefficients(geom)
-    candidates = {0.0, geom.p_max}
-    for root in derivative_numerator_roots(co, geom.p_max):
-        candidates.add(min(max(root, 0.0), geom.p_max))
+    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    candidates = {0.0, p_max}
+    for root in derivative_numerator_roots(quad, p_max):
+        candidates.add(min(max(root, 0.0), p_max))
     # max keeps the first of equal values, and the powers ascend
-    return max(sorted(candidates), key=lambda p: _log2_ratio(co, geom.p_i, p))
+    return max(sorted(candidates), key=lambda p: _log2_ratio(caps, p_i, p))
 
 
-def _candidate_powers(co: FjCoefficients, p_max) -> tuple[np.ndarray, ...]:
+def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:
     """Per lane: 0, ``p_max`` and the two roots of :func:`derivative_numerator_roots`
     clamped to ``[0, p_max]``; a lane without a usable root gets 0."""
-    a, b, c = co.quad_a, co.quad_b, co.quad_c
+    a, b, c = quad
     # np.where drops the branches a lane does not take
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.where(p_max > 0.0, p_max, 1.0)
@@ -215,9 +162,9 @@ def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i
     of distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
     Ties go to the smallest power; near ties may resolve otherwise than in
     the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
-    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
-    powers = _candidate_powers(co, p_max)
-    values = [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(co, p_i, p) for p in powers)]
+    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    powers = _candidate_powers(quad, p_max)
+    values = [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(caps, p_i, p) for p in powers)]
     # running maximum over the candidates; the smallest power wins ties
     best_p, best_v = powers[0], values[0]
     for p, v in zip(powers[1:], values[1:]):

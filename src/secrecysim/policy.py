@@ -9,8 +9,10 @@ numbers.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
+from . import channel
 from .channel import (
     ApConfig,
     ChannelParams,
@@ -20,7 +22,7 @@ from .channel import (
     effective_distance,
     shannon_capacity,
 )
-from .fjopt import FjGeometry, optimize_fj_power
+from .fjopt import optimize_fj_power
 
 
 class PolicyKind(enum.Enum):
@@ -46,6 +48,27 @@ class Scenario:
             raise ValueError("the two APs must not share a position")
         if self.map_extent <= 0:
             raise ValueError("map_extent must be positive")
+        # Python's ** raises OverflowError; channel.* keeps these calls untraced
+        par = self.params
+        tx = (self.ap1.tx_power, self.ap1.tx_power_max, self.ap2.tx_power, self.ap2.tx_power_max)
+        try:
+            powers = [channel.distance_corrected_power(p, par) for p in tx]
+        except OverflowError:
+            powers = [math.inf]
+        if not all(0.0 < p < math.inf for p in powers):
+            raise ValueError(
+                "aps[].tx_power_watt and tx_power_max_watt at channel.center_freq_hz, ref_distance_m "
+                "and alpha must give finite positive corrected powers"
+            )
+        try:
+            sinr = max(powers) * par.ref_distance_d0 ** -par.pathloss_alpha / min(par.noise_m, par.noise_e)
+        except OverflowError:
+            sinr = math.inf
+        if not sinr < math.inf:
+            raise ValueError(
+                "the largest SINR, aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of "
+                "channel.noise_m_watt and noise_e_watt, must be finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,7 +146,7 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
         (d_im, d_ie, p_i), (d_jm, d_je, _) = links if chosen == 1 else links[::-1]
         idle = scenario.ap2 if chosen == 1 else scenario.ap1
         p_max = distance_corrected_power(idle.tx_power_max, par)
-        p_opt = optimize_fj_power(FjGeometry(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max))
+        p_opt = optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
         if p_opt != 0.0:
             fj_m, fj_e = capacities(chosen, p_opt * d_jm ** -alpha, p_opt * d_je ** -alpha)
             # the optimizer compares the ratio form; guard the reported metric

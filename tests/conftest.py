@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from secrecysim import (
     ApConfig,
     ChannelParams,
-    FjGeometry,
     Point2D,
     Scenario,
     distance_corrected_power,
@@ -78,16 +78,32 @@ def recording_pool(monkeypatch):
     return started
 
 
+class FjArgs(NamedTuple):
+    """The arguments of ``fjopt.optimize_fj_power``, in its order: distances
+    clamped to the reference distance (m), noise powers (W) and corrected
+    powers (Watt*m^alpha). ``geom[:8]`` are the arguments of ``_coefficients``."""
+
+    d_im: float
+    d_ie: float
+    d_jm: float
+    d_je: float
+    alpha: float
+    noise_m: float
+    noise_e: float
+    p_i: float
+    p_max: float
+
+
 def random_fj_geometry(
     rng: np.random.Generator, d_low=1.0, d_high=170.0, noise_e=1e-10
-) -> FjGeometry:
+) -> FjArgs:
     """Random geometry matching the randomized-oracle setup: distances
     uniform in [1,170] m, alpha in {2,3}, -70 dBm noise at the station
     (``noise_e`` at the eavesdropper), 50 mW powers."""
     params = ChannelParams(pathloss_alpha=float(rng.choice([2.0, 3.0])))
     p_ref = distance_corrected_power(0.05, params)
     d = rng.uniform(d_low, d_high, size=4)
-    return FjGeometry(
+    return FjArgs(
         d_im=float(d[0]),
         d_ie=float(d[1]),
         d_jm=float(d[2]),
@@ -100,7 +116,7 @@ def random_fj_geometry(
     )
 
 
-def direct_secrecy_curve(geom: FjGeometry, powers: np.ndarray) -> np.ndarray:
+def direct_secrecy_curve(geom: FjArgs, powers: np.ndarray) -> np.ndarray:
     """Secrecy per Hz over an array of jamming powers, composed directly
     from the two SINRs; shares no code with the closed-form optimizer."""
     a = geom.alpha
@@ -109,7 +125,7 @@ def direct_secrecy_curve(geom: FjGeometry, powers: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + sinr_m) - np.log2(1.0 + sinr_e)
 
 
-def grid_search_best(geom: FjGeometry, points: int = 100001) -> tuple[float, float]:
+def grid_search_best(geom: FjArgs, points: int = 100001) -> tuple[float, float]:
     """Dense-grid oracle: best secrecy per Hz over [0, p_max] and its power."""
     powers = np.linspace(0.0, geom.p_max, points)
     secrecy = direct_secrecy_curve(geom, powers)

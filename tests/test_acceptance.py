@@ -18,14 +18,12 @@ from secrecysim import (
     ChannelParams,
     PolicyKind,
     SweepConfig,
-    compute_coefficients,
     monte_carlo,
-    optimize_fj_power,
     sweep_eavesdropper,
     transmit_power_from_corrected,
     watt_to_dbm,
 )
-from secrecysim.fjopt import _log2_ratio
+from secrecysim.fjopt import _coefficients, _log2_ratio, optimize_fj_power
 
 from conftest import build_scenario, grid_search_best, random_fj_geometry
 
@@ -89,8 +87,9 @@ def test_criterion_1_closed_form_matches_dense_grid_search():
         rng = np.random.default_rng(20240809)
         for _ in range(1000):
             geom = random_fj_geometry(rng, noise_e=noise_e)
-            p_opt = optimize_fj_power(geom)
-            secrecy = _log2_ratio(compute_coefficients(geom), geom.p_i, p_opt)
+            p_opt = optimize_fj_power(*geom)
+            caps, _ = _coefficients(*geom[:8])
+            secrecy = _log2_ratio(caps, geom.p_i, p_opt)
             oracle_best, _ = grid_search_best(geom, points=100001)
             worst = max(worst, abs(secrecy - oracle_best))
     elapsed = time.time() - started
@@ -125,11 +124,11 @@ def test_criterion_2_coefficients_match_derivative_and_exact_algebra():
     worst = 0.0
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        co = compute_coefficients(geom)
+        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
         p = float(rng.uniform(0.0, geom.p_max))
         h = max(p, geom.p_max * 1e-3) * 1e-5
         numeric = (_direct_ratio(geom, p + h) - _direct_ratio(geom, p - h)) / (2.0 * h)
-        analytic = (co.quad_a * p * p + co.quad_b * p + co.quad_c) / _denominator(geom, p) ** 2
+        analytic = (quad_a * p * p + quad_b * p + quad_c) / _denominator(geom, p) ** 2
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic))
         worst = max(worst, rel)
         assert rel <= 1e-6

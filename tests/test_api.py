@@ -18,10 +18,6 @@ PUBLIC_NAMES = [
     "effective_distance",
     "shannon_capacity",
     "transmit_power_from_corrected",
-    "FjCoefficients",
-    "FjGeometry",
-    "compute_coefficients",
-    "optimize_fj_power",
     "PolicyKind",
     "Scenario",
     "SelectionResult",

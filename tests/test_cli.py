@@ -180,6 +180,31 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "channel, key",
+    [
+        ({"center_freq_hz": 1e-200}, "channel.center_freq_hz"),
+        ({"noise_e_watt": 1e-320}, "noise_e_watt"),
+        ({"alpha": 400.0, "ref_distance_m": 10.0}, "alpha"),
+    ],
+    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10"],
+)
+def test_sweep_refuses_derived_numbers_that_are_not_finite(channel, key, tmp_path, capsys):
+    # each loads key by key, but once gave NaN summaries, overflow warnings
+    # or an OverflowError traceback; any warning fails this test
+    doc = json.loads(bundled_scenario_path("scenario1").read_text())
+    doc["channel"].update(channel)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--scenario", str(path), "--policy", "all", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -1,72 +1,69 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from secrecysim import (
-    ChannelParams,
-    FjGeometry,
-    compute_coefficients,
-    distance_corrected_power,
-    optimize_fj_power,
-)
+from secrecysim import ChannelParams, distance_corrected_power
 from secrecysim.fjopt import (
-    FjCoefficients,
     _candidate_powers,
     _coefficients,
     _log2_ratio,
     _ratio_terms,
     derivative_numerator_roots,
+    optimize_fj_power,
     optimize_fj_power_array,
 )
 
-from conftest import direct_secrecy_curve, grid_search_best, random_fj_geometry
+from conftest import FjArgs, direct_secrecy_curve, grid_search_best, random_fj_geometry
 
 P_50MW = distance_corrected_power(0.05, ChannelParams())
 
 
 def ratio_secrecy(geom, p_j):
     """Secrecy per Hz at ``p_j`` through the optimizer's own ratio form."""
-    return _log2_ratio(compute_coefficients(geom), geom.p_i, p_j)
+    caps, _ = _coefficients(*geom[:8])
+    return _log2_ratio(caps, geom.p_i, p_j)
 
 
 def candidate_powers(geom):
     """0, ``p_max`` and the derivative roots clamped to ``[0, p_max]``."""
-    roots = derivative_numerator_roots(compute_coefficients(geom), geom.p_max)
+    _, quad = _coefficients(*geom[:8])
+    roots = derivative_numerator_roots(quad, geom.p_max)
     return [0.0, geom.p_max] + [min(max(root, 0.0), geom.p_max) for root in roots]
 
 
 def unit_geometry():
-    return FjGeometry(
+    return FjArgs(
         d_im=1.0, d_ie=1.0, d_jm=1.0, d_je=1.0, alpha=2.0,
         noise_m=1e-10, noise_e=1e-10, p_i=1.0, p_max=1.0
     )
 
 
 def test_coefficients_unit_geometry():
-    co = compute_coefficients(unit_geometry())
-    assert co.cap_a == 1.0
-    assert co.cap_b == 2e-10
-    assert co.cap_c == 1.0
-    assert co.cap_d == 1e-10
-    assert co.cap_e == 1.0
-    assert co.cap_f == 1e-10
-    assert co.cap_k == pytest.approx(1e-20, rel=1e-15)  # product rounds one ulp off the literal
-    assert co.quad_a == 0.0
-    assert co.quad_b == 0.0
-    assert co.quad_c == 0.0
+    (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c) = _coefficients(
+        *unit_geometry()[:8]
+    )
+    assert cap_a == 1.0
+    assert cap_b == 2e-10
+    assert cap_c == 1.0
+    assert cap_d == 1e-10
+    assert cap_e == 1.0
+    assert cap_f == 1e-10
+    assert cap_k == pytest.approx(1e-20, rel=1e-15)  # product rounds one ulp off the literal
+    assert quad_a == 0.0
+    assert quad_b == 0.0
+    assert quad_c == 0.0
 
 
 def test_symmetric_geometry_degenerates_fully():
     # equal AP distances on each side force the two quadratics to coincide
-    geom = FjGeometry(
+    geom = FjArgs(
         d_im=7.0, d_ie=7.0, d_jm=31.0, d_je=31.0, alpha=3.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    co = compute_coefficients(geom)
-    assert co.quad_a == 0.0 and co.quad_b == 0.0 and co.quad_c == 0.0
+    _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+    assert quad_a == 0.0 and quad_b == 0.0 and quad_c == 0.0
     for p_j in (0.0, 0.3 * geom.p_max, geom.p_max):
         assert ratio_secrecy(geom, p_j) == 0.0
 
@@ -93,11 +90,11 @@ def test_quadratic_matches_numeric_derivative_values():
     rng = np.random.default_rng(777)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        co = compute_coefficients(geom)
+        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
         p = float(rng.uniform(0.0, geom.p_max))
         h = max(p, geom.p_max * 1e-3) * 1e-5
         numeric = (_f_direct(geom, p + h) - _f_direct(geom, p - h)) / (2.0 * h)
-        analytic = (co.quad_a * p * p + co.quad_b * p + co.quad_c) / _v_direct(geom, p) ** 2
+        analytic = (quad_a * p * p + quad_b * p + quad_c) / _v_direct(geom, p) ** 2
         assert abs(numeric - analytic) <= 1e-6 * max(abs(numeric), abs(analytic))
 
 
@@ -107,14 +104,14 @@ def test_quadratic_matches_numeric_polynomial_fit():
     rng = np.random.default_rng(4242)
     for _ in range(25):
         geom = random_fj_geometry(rng)
-        co = compute_coefficients(geom)
+        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
         t = np.linspace(0.0, 1.0, 41)
         powers = t * geom.p_max
         h = np.maximum(powers, geom.p_max * 1e-3) * 1e-5
         numeric = (_f_direct(geom, powers + h) - _f_direct(geom, powers - h)) / (2.0 * h)
         fitted = np.polyfit(t, numeric * _v_direct(geom, powers) ** 2, 2)
         exact = np.array(
-            [co.quad_a * geom.p_max ** 2, co.quad_b * geom.p_max, co.quad_c]
+            [quad_a * geom.p_max ** 2, quad_b * geom.p_max, quad_c]
         )
         scale = np.abs(exact).max()
         assert np.abs(fitted - exact).max() <= 1e-3 * scale
@@ -146,9 +143,8 @@ def test_float_coefficients_track_exact_arithmetic():
     rng = np.random.default_rng(31337)
     for _ in range(50):
         geom = random_fj_geometry(rng)
-        co = compute_coefficients(geom)
-        a_, b_, c_ = (Fraction(v) for v in (co.cap_a, co.cap_b, co.cap_c))
-        d_, e_, f_, k_ = (Fraction(v) for v in (co.cap_d, co.cap_e, co.cap_f, co.cap_k))
+        caps, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+        a_, b_, c_, d_, e_, f_, k_ = (Fraction(v) for v in caps)
         p_i = Fraction(geom.p_i)
         exact_a = p_i * a_ * (e_ - c_)
         exact_b = 2 * p_i * a_ * (f_ - d_)
@@ -158,9 +154,9 @@ def test_float_coefficients_track_exact_arithmetic():
         ]
         exact_c = sum(terms_c)
         scale_c = float(max(abs(t) for t in terms_c))
-        assert co.quad_a == pytest.approx(float(exact_a), rel=1e-12, abs=1e-300)
-        assert co.quad_b == pytest.approx(float(exact_b), rel=1e-12, abs=1e-300)
-        assert abs(co.quad_c - float(exact_c)) <= 1e-12 * scale_c
+        assert quad_a == pytest.approx(float(exact_a), rel=1e-12, abs=1e-300)
+        assert quad_b == pytest.approx(float(exact_b), rel=1e-12, abs=1e-300)
+        assert abs(quad_c - float(exact_c)) <= 1e-12 * scale_c
 
 
 def test_objective_at_zero_matches_unjammed_difference():
@@ -186,11 +182,11 @@ def test_objective_cross_check_dual_route():
 
 
 def test_optimize_symmetric_geometry_prefers_zero_power():
-    geom = FjGeometry(
+    geom = FjArgs(
         d_im=12.0, d_ie=12.0, d_jm=50.0, d_je=50.0, alpha=2.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    p_opt = optimize_fj_power(geom)
+    p_opt = optimize_fj_power(*geom)
     assert p_opt == 0.0
     assert ratio_secrecy(geom, p_opt) == 0.0
     assert all(ratio_secrecy(geom, p) == 0.0 for p in candidate_powers(geom))
@@ -200,7 +196,7 @@ def test_optimize_matches_grid_search():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         geom = random_fj_geometry(rng)
-        p_opt = optimize_fj_power(geom)
+        p_opt = optimize_fj_power(*geom)
         best_grid, _ = grid_search_best(geom, points=20001)
         assert ratio_secrecy(geom, p_opt) >= best_grid - 1e-6
         assert 0.0 <= p_opt <= geom.p_max
@@ -210,7 +206,7 @@ def test_optimize_boundary_candidates_never_beat_solution():
     rng = np.random.default_rng(2025)
     for _ in range(200):
         geom = random_fj_geometry(rng)
-        secrecy = ratio_secrecy(geom, optimize_fj_power(geom))
+        secrecy = ratio_secrecy(geom, optimize_fj_power(*geom))
         assert secrecy >= ratio_secrecy(geom, 0.0)
         assert secrecy >= ratio_secrecy(geom, geom.p_max)
 
@@ -218,11 +214,11 @@ def test_optimize_boundary_candidates_never_beat_solution():
 def test_optimize_jammer_next_to_eavesdropper_strictly_improves():
     # jammer 1 m from the eavesdropper and far from the station: jamming
     # must beat silence, and the dense grid confirms the achieved value
-    geom = FjGeometry(
+    geom = FjArgs(
         d_im=30.0, d_ie=40.0, d_jm=150.0, d_je=1.0, alpha=2.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    p_opt = optimize_fj_power(geom)
+    p_opt = optimize_fj_power(*geom)
     at_zero = ratio_secrecy(geom, 0.0)
     assert p_opt > 0.0
     assert ratio_secrecy(geom, p_opt) > at_zero
@@ -234,7 +230,7 @@ def test_optimize_monotone_harm_to_eavesdropper():
     rng = np.random.default_rng(11)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        p_opt = optimize_fj_power(geom)
+        p_opt = optimize_fj_power(*geom)
         a = geom.alpha
         eve_at = lambda p: math.log2(
             1.0 + geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
@@ -249,10 +245,11 @@ def test_root_residuals_are_small():
     checked = 0
     for _ in range(300):
         geom = random_fj_geometry(rng)
-        co = compute_coefficients(geom)
-        for root in derivative_numerator_roots(co, geom.p_max):
-            residual = co.quad_a * root * root + co.quad_b * root + co.quad_c
-            scale = max(abs(co.quad_a * root * root), abs(co.quad_b * root), abs(co.quad_c))
+        _, quad = _coefficients(*geom[:8])
+        quad_a, quad_b, quad_c = quad
+        for root in derivative_numerator_roots(quad, geom.p_max):
+            residual = quad_a * root * root + quad_b * root + quad_c
+            scale = max(abs(quad_a * root * root), abs(quad_b * root), abs(quad_c))
             if scale > 0.0:
                 assert abs(residual) <= 1e-6 * scale
                 checked += 1
@@ -261,30 +258,27 @@ def test_root_residuals_are_small():
 
 def test_roots_degenerate_quadratic_branches():
     # pure synthetic coefficient sets exercise every degeneracy branch
-    def co(a, b, c):
-        return FjCoefficients(1, 1, 1, 1, 1, 1, 1, a, b, c)
-
-    assert derivative_numerator_roots(co(0.0, 0.0, 5.0), 1.0) == []
-    assert derivative_numerator_roots(co(0.0, 2.0, -1.0), 1.0) == [0.5]
-    assert derivative_numerator_roots(co(1.0, 0.0, 1.0), 1.0) == []  # negative discriminant
-    roots = derivative_numerator_roots(co(1.0, 0.0, -4.0), 1.0)
+    assert derivative_numerator_roots((0.0, 0.0, 5.0), 1.0) == []
+    assert derivative_numerator_roots((0.0, 2.0, -1.0), 1.0) == [0.5]
+    assert derivative_numerator_roots((1.0, 0.0, 1.0), 1.0) == []  # negative discriminant
+    roots = derivative_numerator_roots((1.0, 0.0, -4.0), 1.0)
     assert sorted(roots) == [-2.0, 2.0]
     # quadratic term negligible at the interval's scale counts as linear
-    assert derivative_numerator_roots(co(1e-30, 2.0, -1.0), 1.0) == [0.5]
+    assert derivative_numerator_roots((1e-30, 2.0, -1.0), 1.0) == [0.5]
 
 
 def test_linear_degenerate_geometry_matches_grid():
     # alpha=1 with d_im*d_je == d_jm*d_ie makes the quadratic term vanish
     # exactly while the linear one survives
-    geom = FjGeometry(
+    geom = FjArgs(
         d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0, alpha=1.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    co = compute_coefficients(geom)
-    assert co.quad_a == 0.0
-    assert co.quad_b != 0.0
+    _, (quad_a, quad_b, _) = _coefficients(*geom[:8])
+    assert quad_a == 0.0
+    assert quad_b != 0.0
     best_grid, _ = grid_search_best(geom)
-    assert ratio_secrecy(geom, optimize_fj_power(geom)) >= best_grid - 1e-6
+    assert ratio_secrecy(geom, optimize_fj_power(*geom)) >= best_grid - 1e-6
 
 
 
@@ -295,18 +289,15 @@ def test_array_optimizer_matches_scalar():
     # neighbouring candidate, hence a tolerance rather than equality
     rng = np.random.default_rng(15)
     lanes = [random_fj_geometry(rng, noise_e=n_e) for n_e in (1e-10, 1e-11, 1e-9) for _ in range(2000)]
-    lanes += [replace(geom, p_max=0.0) for geom in lanes[::60]]
+    lanes += [geom._replace(p_max=0.0) for geom in lanes[::60]]
     common = dict(noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW)
     symmetric = [
-        FjGeometry(d_im=d, d_ie=d, d_jm=e, d_je=e, alpha=3.0, **common)
+        FjArgs(d_im=d, d_ie=d, d_jm=e, d_je=e, alpha=3.0, **common)
         for d, e in rng.uniform(1.0, 170.0, (50, 2)).tolist()
     ]
-    assert all(
-        (co.quad_a, co.quad_b, co.quad_c) == (0.0, 0.0, 0.0)
-        for co in map(compute_coefficients, symmetric)
-    )
+    assert all(_coefficients(*geom[:8])[1] == (0.0, 0.0, 0.0) for geom in symmetric)
     linear = [
-        FjGeometry(d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0 * (1.0 + eps), alpha=1.0, **common)
+        FjArgs(d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0 * (1.0 + eps), alpha=1.0, **common)
         for eps in (0.0, 1e-16, 1e-14, 1e-12)
     ]
     lanes += symmetric + linear
@@ -324,7 +315,7 @@ def test_array_optimizer_matches_scalar():
             col["p_i"], col["p_max"],
         )
         for geom, power in zip(group, p_opt.tolist()):
-            expected = optimize_fj_power(geom)
+            expected = optimize_fj_power(*geom)
             assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
 
 @pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
@@ -340,9 +331,9 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     p_i = np.full(d_im.size, P_50MW)
     p_max = np.where(np.arange(d_im.size) % 7 == 0, 0.0, P_50MW)
 
-    co = _coefficients(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i)
-    cands = np.sort(np.stack(_candidate_powers(co, p_max)), axis=0)
-    num, den = _ratio_terms(co, p_i, cands)
+    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i)
+    cands = np.sort(np.stack(_candidate_powers(quad, p_max)), axis=0)
+    num, den = _ratio_terms(caps, p_i, cands)
     values = np.log2(num) - np.log2(den)
     expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
 
@@ -360,7 +351,7 @@ def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        p_opt = optimize_fj_power(geom)
+        p_opt = optimize_fj_power(*geom)
         powers = candidate_powers(geom)
         assert 2 <= len(powers) <= 4
         assert all(0.0 <= p <= geom.p_max for p in powers)
@@ -370,28 +361,15 @@ def test_candidate_list_shape_and_bounds():
 
 def test_no_overflow_at_kilometer_scale_and_alpha_4():
     # coefficient magnitudes span ~1e-20..1e39 here; everything must stay finite
-    geom = FjGeometry(
+    geom = FjArgs(
         d_im=1e3, d_ie=900.0, d_jm=950.0, d_je=1e3, alpha=4.0, noise_m=1e-10, noise_e=1e-10,
         p_i=P_50MW, p_max=P_50MW,
     )
-    co = compute_coefficients(geom)
-    for value in (co.cap_a, co.cap_b, co.cap_c, co.cap_d, co.cap_e, co.cap_f, co.cap_k,
-                  co.quad_a, co.quad_b, co.quad_c):
+    caps, quad = _coefficients(*geom[:8])
+    for value in caps + quad:
         assert math.isfinite(value)
-    secrecy = ratio_secrecy(geom, optimize_fj_power(geom))
+    secrecy = ratio_secrecy(geom, optimize_fj_power(*geom))
     assert math.isfinite(secrecy)
     best_grid, _ = grid_search_best(geom)
     assert secrecy >= best_grid - 1e-6
 
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        FjGeometry(d_im=0.0, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=1, p_max=1)
-    with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=0.0, noise_e=1e-10, p_i=1, p_max=1)
-    with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=0.0, p_i=1, p_max=1)
-    with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=0.0, p_max=1)
-    with pytest.raises(ValueError):
-        FjGeometry(d_im=1, d_ie=1, d_jm=1, d_je=1, alpha=2, noise_m=1e-10, noise_e=1e-10, p_i=1, p_max=-1.0)

@@ -1,5 +1,11 @@
 import importlib.util
+from dataclasses import fields, replace
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from secrecysim import ALL_POLICIES, load_scenario, monte_carlo, sweep_eavesdropper
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
 
@@ -36,3 +42,23 @@ def test_goldens_inventory_and_byte_identical_reruns(tmp_path):
     assert first["scenario1/mc_means_workers1.hex"] == first["scenario1/mc_means_workers2.hex"]
     for name in sweep:
         assert first[f"scenario1/sweep_mc_threads1/{name}"] == first[f"scenario1/sweep_mc_threads2/{name}"]
+
+
+GOLDENS = load_tool()
+
+
+@pytest.mark.parametrize("name", list(GOLDENS.GOLDEN_ROWS))
+def test_golden_rows_evaluate_without_floating_point_errors(name, tmp_path):
+    # a RuntimeWarning is a defect: every row must evaluate with numpy
+    # raising on overflow, underflow, invalid operations and division by zero
+    bundled, channel = GOLDENS.GOLDEN_ROWS[name]
+    path = tmp_path / f"{name}.json"
+    GOLDENS._write_scenario(path, bundled, channel)
+    loaded = load_scenario(path)
+    cfg = replace(loaded.sweep, grid_k=12, cell_step=10.0)
+    with np.errstate(all="raise"):
+        for policy in ALL_POLICIES:
+            arrays = sweep_eavesdropper(loaded.scenario, replace(cfg, policy=policy), retain_cells=False).arrays
+            assert all(np.isfinite(getattr(arrays, f.name)).all() for f in fields(arrays))
+        summary = monte_carlo(loaded.scenario, cfg, n=3, seed=7, workers=1)
+    assert summary.n_samples == 3

@@ -1,10 +1,19 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import secrecysim.policy as policy_module
 from secrecysim import (
+    ApConfig,
+    ChannelParams,
     Point2D,
     PolicyKind,
+    Scenario,
     bundled_scenario_path,
     distance,
     distance_corrected_power,
@@ -13,6 +22,7 @@ from secrecysim import (
     select,
     shannon_capacity,
 )
+from secrecysim.fjopt import optimize_fj_power
 
 from conftest import build_scenario
 
@@ -224,6 +234,30 @@ def test_scenario_validation():
         build_scenario(extent=0.0)
 
 
+@pytest.mark.parametrize(
+    "channel, key",
+    [
+        (dict(center_freq_f0=1e-200), "channel.center_freq_hz"),  # gain**2 overflows
+        (dict(center_freq_f0=1e300), "channel.center_freq_hz"),  # gain**2 underflows to 0
+        (dict(pathloss_alpha=400.0, ref_distance_d0=10.0), "alpha"),  # d0**alpha raises OverflowError
+        (dict(noise_e=1e-320), "noise_e_watt"),  # the SINR at d0 overflows
+        # d0**alpha is subnormal, so the power is finite, but d0**-alpha raises
+        (dict(pathloss_alpha=1030.0, ref_distance_d0=0.5, center_freq_f0=5e-144), "largest SINR"),
+    ],
+    ids=["f0-tiny", "f0-huge", "alpha-400-d0-10", "subnormal-noise-e", "d0-to-minus-alpha"],
+)
+def test_scenario_refuses_powers_and_sinr_that_are_not_finite(channel, key):
+    ap = dict(tx_power=0.05, tx_power_max=0.05)
+    with pytest.raises(ValueError, match=key):
+        Scenario(
+            ap1=ApConfig(Point2D(40.0, 60.0), **ap),
+            ap2=ApConfig(Point2D(80.0, 60.0), **ap),
+            sta_m=Point2D(20.0, 100.0),
+            params=ChannelParams(**channel),
+            map_extent=120.0,
+        )
+
+
 def test_secrecy_can_be_negative_before_truncation():
     # eavesdropper right next to the serving AP: no policy can rescue this cell
     scenario = build_scenario(sta_m=(20.0, 100.0))
@@ -258,3 +292,69 @@ def test_select_calls_layer_names_through_the_module(policy, point, counts, jamm
     result = select(scenario, Point2D(*point), policy)
     assert [calls[name] for name in LAYER_NAMES] == counts
     assert (result.fj_power > 0.0) == jamming
+
+
+def log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
+
+
+coordinate = st.floats(0.0, 120.0)
+point = st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def loadable_documents(draw):
+    """A scenario document the loader accepts and an eavesdropper position;
+    the station and the eavesdropper may sit on an AP (the distance clamp),
+    and caps may equal tx."""
+    ap1 = draw(point)
+    ap2 = draw(point.filter(lambda p: p != ap1))
+    sta_m = draw(st.sampled_from([ap1, ap2]) | point)
+    sta_e = draw(st.sampled_from([ap1, ap2, sta_m]) | point)
+    aps = []
+    for x, y in (ap1, ap2):
+        tx = draw(log_uniform(-6.0, 2.0))
+        cap = tx * draw(st.sampled_from([1.0]) | st.floats(1.0, 100.0))
+        aps.append({"x": x, "y": y, "tx_power_watt": tx, "tx_power_max_watt": cap})
+    channel = {
+        "center_freq_hz": draw(log_uniform(6.0, 11.0)),
+        "ref_distance_m": draw(log_uniform(-3.0, 1.0)),
+        "alpha": draw(st.floats(1.0, 6.0)),
+        "noise_m_watt": draw(log_uniform(-16.0, -6.0)),
+        "noise_e_watt": draw(log_uniform(-16.0, -6.0)),
+    }
+    doc = {"channel": channel, "aps": aps, "sta_m": dict(zip("xy", sta_m)), "policy": "smart_fj"}
+    return doc, Point2D(*sta_e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loadable_documents())
+def test_select_passes_the_optimizer_only_valid_values(drawn):
+    # what the optimizer no longer checks per call must hold at its one
+    # scalar call site for every scenario the loader accepts
+    doc, sta_e = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path).scenario
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return optimize_fj_power(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policy_module, "optimize_fj_power", recorder)
+        result = select(scenario, sta_e, PolicyKind.SMART_AP_FJ)
+    (args,) = calls
+    d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max = args
+    par = scenario.params
+    idle = scenario.ap2 if result.chosen_ap == 1 else scenario.ap1
+    assert all(math.isfinite(value) for value in args), args
+    assert min(d_im, d_ie, d_jm, d_je) >= par.ref_distance_d0 > 0.0
+    assert alpha == par.pathloss_alpha >= 1.0
+    assert noise_m > 0.0 and noise_e > 0.0
+    assert p_i > 0.0
+    # each AP's cap is at least its own tx power; the data AP's p_i may be larger
+    assert p_max >= distance_corrected_power(idle.tx_power, par) > 0.0
+    assert math.isfinite(result.secrecy) and 0.0 <= result.fj_power <= p_max
