@@ -107,8 +107,7 @@ def distance_corrected_power(tx_power: float, params: ChannelParams) -> float:
 
 def transmit_power_from_corrected(p_corrected: float, params: ChannelParams) -> float:
     """Invert :func:`distance_corrected_power`, recovering Watt at the antenna."""
-    gain = SPEED_OF_LIGHT / (4.0 * math.pi * params.center_freq_f0 * params.ref_distance_d0)
-    return p_corrected / (gain * gain * params.ref_distance_d0 ** params.pathloss_alpha)
+    return p_corrected / distance_corrected_power(1.0, params)
 
 
 def shannon_capacity(signal: float, interference: float, noise: float) -> float:

@@ -134,11 +134,11 @@ def _run_sweep(args) -> int:
         scenario_path, _ = _resolve_scenario(args.scenario)
         loaded = load_scenario(scenario_path)
         choice = args.policy or loaded.sweep.policy.value
-        policies = list(ALL_POLICIES) if choice == "all" else [PolicyKind(choice)]
+        selected = list(ALL_POLICIES) if choice == "all" else [PolicyKind(choice)]
         out_dir = outputs.mkdir(Path(args.out_dir))
         mc = _monte_carlo(loaded, args, loaded.monte_carlo)
 
-        for policy in policies:
+        for policy in selected:
             summary = _sweep(loaded, policy)
             cells = summary.arrays
             name = policy.value

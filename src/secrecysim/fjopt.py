@@ -34,6 +34,11 @@ import numpy as np
 # values dominated by rounding noise.
 DEGENERACY_EPS = 1e-12
 
+# Exponents (i, j, k) of P**i * N**j * Q**k at the corners of the convex
+# hull of the monomials that bound every intermediate; see _coefficients.
+BOUND_CORNERS = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
+                 (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
+
 
 def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
     """The objective constants ``(A, B, C, D, E, F, K)`` and the derivative
@@ -45,11 +50,15 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
         b = 2*p_i*A*(F - D)
         c = p_i*B*(F - D) + p_i**2*(C*F - E*D) + p_i*K*(C - E)
 
-    Each ``d**alpha`` is evaluated once. The largest products are in ``c``:
-    ``p_i*B*(F - D)`` and ``p_i*K*(C - E)`` multiply six ``d**alpha``
-    factors, two noise powers and ``p_i``; ``C*F`` five and one noise. At
-    50 mW, 1e3 m and alpha 4 none passes 1e50; at alpha 30 on a 120 m map
-    the six-factor products overflow.
+    Each ``d**alpha`` is evaluated once. With ``P``, ``N`` and ``Q`` bounds on
+    the corrected powers and caps, the noises and every ``d**alpha``: ``|a| <=
+    P*Q**4``, ``|b| <= 2*P*N*Q**5``, ``|c| <= 3*P*N**2*Q**6 + P**2*N*Q**5``, and
+    the roots' ``b*b`` and ``4*a*c``, the largest values at physical sizes, stay
+    below ``16*P**2*N**2*Q**10 + 4*P**3*N*Q**9``. Every value here, in
+    :func:`_ratio_terms` and in the roots up to their clamped quotients is a sum
+    of at most 20 monomials ``P**i * N**j * Q**k``, their exponents in the hull of
+    ``BOUND_CORNERS``; the loader refuses a scenario where 20 times the largest is
+    not below ``2**1023``.
     """
     dim_a = d_im ** alpha
     die_a = d_ie ** alpha

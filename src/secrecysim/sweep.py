@@ -1,12 +1,12 @@
 """Grid sweeps over eavesdropper positions and Monte Carlo over station placements.
 
 The sweep evaluates policies at every cell of a square grid with a
-vectorized engine that mirrors :mod:`secrecysim.policy` cell for cell
-(the scalar selectors remain the reference semantics and the test oracle).
-Terms that do not depend on the station are computed once per sweep or
-Monte Carlo chunk, and one pass evaluates all requested policies.
+vectorized engine that states :func:`secrecysim.policy.select`'s rules in
+its order (``select`` stays the reference and the test oracle): ``normal``,
+then ``smart``, then ``smart_fj``, which lets the idle AP jam. Terms that
+do not depend on the station are computed once per sweep or Monte Carlo chunk.
 The jamming power comes from :func:`secrecysim.fjopt.optimize_fj_power_array`,
-which shares the closed form with the scalar optimizer the selectors use.
+which shares the closed form with the scalar optimizer ``select`` uses.
 Aggregates use exact, correctly rounded summation, so results are
 independent of evaluation order and of the number of Monte Carlo workers.
 """
@@ -142,14 +142,13 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
     return x, y, d1e, d2e, c1e, c2e
 
 
-def _evaluate_grid(scenario: Scenario, eve, policies) -> dict[PolicyKind, GridArrays]:
-    """Evaluate ``policies`` at every grid cell in one pass over the
-    station-dependent terms; the array twin of policy.select. ``eve`` is
-    :func:`_eve_terms` of the same scenario and grid. ``smart_fj`` starts
-    from ``smart``'s association."""
+def _evaluate_grid(scenario: Scenario, eve):
+    """The array twin of policy.select: yield ``(policy, GridArrays)`` for
+    ``normal``, ``smart`` and ``smart_fj`` in turn, over the grid whose
+    :func:`_eve_terms` are ``eve``. A step runs only when its item is asked
+    for; ``smart_fj`` starts from ``smart``'s association."""
     par = scenario.params
-    alpha = par.pathloss_alpha
-    w = par.bandwidth_w
+    alpha, w = par.pathloss_alpha, par.bandwidth_w
     ap1, ap2 = scenario.ap1, scenario.ap2
     x, y, d1e, d2e, c1e, c2e = eve
 
@@ -167,40 +166,29 @@ def _evaluate_grid(scenario: Scenario, eve, policies) -> dict[PolicyKind, GridAr
         fj_power = np.zeros_like(cap_e) if fj_power is None else fj_power
         return GridArrays(x, y, chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)
 
-    out = {}
-    if PolicyKind.NORMAL_WIFI in policies:
-        choice = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
-        chosen = np.full(x.shape, choice, dtype=np.int64)
-        out[PolicyKind.NORMAL_WIFI] = arrays(chosen, *capacities(chosen == 1))
-    if PolicyKind.SMART_AP in policies or PolicyKind.SMART_AP_FJ in policies:
-        chosen = np.where(c1m - c1e >= c2m - c2e, 1, 2).astype(np.int64)
-        pick1 = chosen == 1
-        cap_m, cap_e = capacities(pick1)
-        if PolicyKind.SMART_AP in policies:
-            out[PolicyKind.SMART_AP] = arrays(chosen, cap_m, cap_e)
-    if PolicyKind.SMART_AP_FJ in policies:
-        d_im = np.where(pick1, d1m, d2m)
-        d_ie = np.where(pick1, d1e, d2e)
-        d_jm = np.where(pick1, d2m, d1m)
-        d_je = np.where(pick1, d2e, d1e)
-        p_i = np.where(pick1, p1, p2)
-        p1_max, p2_max = (distance_corrected_power(ap.tx_power_max, par) for ap in (ap1, ap2))
-        p_max = np.where(pick1, p2_max, p1_max)
-        p_opt = optimize_fj_power_array(
-            d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max
-        )
+    choice = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
+    chosen = np.full(x.shape, choice, dtype=np.int64)
+    yield PolicyKind.NORMAL_WIFI, arrays(chosen, *capacities(chosen == 1))
 
-        cap_m_fj = np.log2(1.0 + p_i * d_im ** -alpha / (p_opt * d_jm ** -alpha + par.noise_m))
-        cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
-        # same guard as the scalar path: never fall below the no-jamming result
-        worse = (cap_m_fj - cap_e_fj) < (cap_m - cap_e)
-        out[PolicyKind.SMART_AP_FJ] = arrays(
-            chosen,
-            np.where(worse, cap_m, cap_m_fj),
-            np.where(worse, cap_e, cap_e_fj),
-            np.where(worse, 0.0, p_opt),
-        )
-    return out
+    chosen = np.where(c1m - c1e >= c2m - c2e, 1, 2).astype(np.int64)
+    pick1 = chosen == 1
+    cap_m, cap_e = capacities(pick1)
+    yield PolicyKind.SMART_AP, arrays(chosen, cap_m, cap_e)
+
+    d_im = np.where(pick1, d1m, d2m)
+    d_ie = np.where(pick1, d1e, d2e)
+    d_jm = np.where(pick1, d2m, d1m)
+    d_je = np.where(pick1, d2e, d1e)
+    p_i = np.where(pick1, p1, p2)
+    p_max = np.where(pick1, *(distance_corrected_power(ap.tx_power_max, par) for ap in (ap2, ap1)))
+    p_opt = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
+    cap_m_fj = np.log2(1.0 + p_i * d_im ** -alpha / (p_opt * d_jm ** -alpha + par.noise_m))
+    cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
+    # same guard as the scalar path: never fall below the no-jamming result
+    worse = (cap_m_fj - cap_e_fj) < (cap_m - cap_e)
+    yield PolicyKind.SMART_AP_FJ, arrays(
+        chosen, np.where(worse, cap_m, cap_m_fj), np.where(worse, cap_e, cap_e_fj), np.where(worse, 0.0, p_opt)
+    )
 
 
 def _exact_sum(a: np.ndarray) -> float:
@@ -248,7 +236,9 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
     """Evaluate ``cfg.policy`` at every grid cell and aggregate the metrics."""
-    ev = _evaluate_grid(scenario, _eve_terms(scenario, cfg), (cfg.policy,))[cfg.policy]
+    grids = _evaluate_grid(scenario, _eve_terms(scenario, cfg))
+    # the generator stops at cfg.policy, so only smart_fj runs the jamming optimizer
+    ev = next(ev for policy, ev in grids if policy is cfg.policy)
     return SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
 
 
@@ -260,8 +250,9 @@ def _run_chunk(args) -> list[SampleRecord]:
         # per-sample generator keyed by (seed, index): order- and worker-independent
         x, y = np.random.default_rng([seed, index]).uniform(0.0, scenario.map_extent, size=2)
         placed = replace(scenario, sta_m=Point2D(float(x), float(y)))
-        grids = _evaluate_grid(placed, eve, ALL_POLICIES)
-        records.append(SampleRecord(placed.sta_m, {p: _metrics(ev) for p, ev in grids.items()}))
+        # all three grids before any reduction: interleaving them doubled the page faults per sample
+        grids = dict(_evaluate_grid(placed, eve))
+        records.append(SampleRecord(placed.sta_m, {policy: _metrics(ev) for policy, ev in grids.items()}))
     return records
 
 
@@ -276,19 +267,19 @@ def monte_carlo(
     legitimate-station placements.
 
     Positions are drawn uniformly over the map square; ``cfg.policy`` is
-    ignored because every sample evaluates all policies. With
-    ``workers > 1`` the samples run in contiguous chunks on a pool of at
-    most ``min(workers, n, os.cpu_count())`` processes; the pool starts
-    them all at once, and the result never depends on their number.
+    ignored because every sample evaluates all policies. The samples run
+    on ``min(workers, n, os.cpu_count())`` processes, one contiguous chunk
+    each, in this process when that is one; the result never depends on
+    their number.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     workers = min(workers, n, os.cpu_count() or 1)
-    # contiguous chunks in sample order, each computing the eavesdropper terms once
-    k = min(n, 4 * workers) if workers > 1 else 1
-    tasks = [(scenario_template, cfg, seed, range(i * n // k, (i + 1) * n // k)) for i in range(k)]
+    # one contiguous chunk per worker, in sample order, each computing the eavesdropper terms once
+    chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
+    tasks = [(scenario_template, cfg, seed, chunk) for chunk in chunks]
     if workers > 1:
         # imported here: the pool's modules cost every other run ~13 ms of start-up
         from concurrent.futures import ProcessPoolExecutor

@@ -54,11 +54,20 @@ def scenario1():
     return build_scenario(STA_SCENARIO_1)
 
 
+class PoolLog(list):
+    """The pool sizes requested, in order; ``ranges`` holds the sample index
+    ranges of the tasks the pools were given, in task order."""
+
+    def __init__(self):
+        super().__init__()
+        self.ranges = []
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the process pool by one that runs the tasks in this process;
-    returns the list of the pool sizes requested."""
-    started = []
+    returns a :class:`PoolLog` of what the pools were asked for."""
+    started = PoolLog()
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -71,6 +80,9 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            # a Monte Carlo task ends with the range of sample indices it runs
+            started.ranges.extend(task[-1] for task in tasks)
             return map(fn, tasks)
 
     # monte_carlo imports the pool inside its pool branch, from concurrent.futures

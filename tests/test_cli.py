@@ -187,8 +187,10 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
         ({"center_freq_hz": 1e-200}, "channel.center_freq_hz"),
         ({"noise_e_watt": 1e-320}, "noise_e_watt"),
         ({"alpha": 400.0, "ref_distance_m": 10.0}, "alpha"),
+        ({"alpha": 20.0}, "channel.alpha"),
+        ({"alpha": 30.0}, "channel.alpha"),
     ],
-    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10"],
+    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30"],
 )
 def test_sweep_refuses_derived_numbers_that_are_not_finite(channel, key, tmp_path, capsys):
     # each loads key by key, but once gave NaN summaries, overflow warnings

@@ -1,10 +1,26 @@
+import json
 import math
+import tempfile
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from secrecysim import ChannelParams, distance_corrected_power
+from secrecysim import (
+    ChannelParams,
+    Point2D,
+    PolicyKind,
+    ScenarioValidationError,
+    bundled_scenario_path,
+    distance,
+    distance_corrected_power,
+    effective_distance,
+    load_scenario,
+    sweep_eavesdropper,
+)
 from secrecysim.fjopt import (
     _candidate_powers,
     _coefficients,
@@ -14,6 +30,7 @@ from secrecysim.fjopt import (
     optimize_fj_power,
     optimize_fj_power_array,
 )
+from secrecysim.sweep import _eve_terms
 
 from conftest import FjArgs, direct_secrecy_curve, grid_search_best, random_fj_geometry
 
@@ -373,3 +390,118 @@ def test_no_overflow_at_kilometer_scale_and_alpha_4():
     best_grid, _ = grid_search_best(geom)
     assert secrecy >= best_grid - 1e-6
 
+
+def load_with_channel(tmp_path, doc, **channel):
+    """``doc`` with its channel keys updated, through the loader; None when refused."""
+    doc = json.loads(json.dumps(doc))
+    doc["channel"].update(channel)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    try:
+        return load_scenario(path)
+    except ScenarioValidationError:
+        return None
+
+
+def closed_form_values(loaded):
+    """Every AP order at every grid cell, with the station at its own place and
+    at the corners of the Monte Carlo square: ``_coefficients``, the roots'
+    ``b*b`` and ``4*a*c``, ``|a|*p_max**2`` and the ratio terms at ``p_max``."""
+    scenario, par = loaded.scenario, loaded.scenario.params
+    _, _, d1e, d2e, _, _ = _eve_terms(scenario, loaded.sweep)
+    extent = scenario.map_extent
+    stations = [scenario.sta_m] + [Point2D(x, y) for x in (0.0, extent) for y in (0.0, extent)]
+    values = []
+    for sta in stations:
+        links = [
+            (effective_distance(distance(ap.position, sta), par), d_e, ap)
+            for ap, d_e in ((scenario.ap1, d1e), (scenario.ap2, d2e))
+        ]
+        for (d_im, d_ie, ap_i), (d_jm, d_je, ap_j) in (links, links[::-1]):
+            p_i = np.full(d_ie.shape, distance_corrected_power(ap_i.tx_power, par))
+            p_max = np.full(d_ie.shape, distance_corrected_power(ap_j.tx_power_max, par))
+            d_im, d_jm = np.full(d_ie.shape, d_im), np.full(d_ie.shape, d_jm)
+            caps, (a, b, c) = _coefficients(
+                d_im, d_ie, d_jm, d_je, par.pathloss_alpha, par.noise_m, par.noise_e, p_i
+            )
+            values += [*caps, a, b, c, b * b, 4.0 * a * c, np.abs(a) * p_max * p_max]
+            values += _ratio_terms(caps, p_i, p_max)
+    return values
+
+
+def test_largest_accepted_alpha_keeps_the_closed_form_finite(tmp_path):
+    # scenario1's full 120 x 120 geometry at the largest alpha the loader
+    # accepts, outside _candidate_powers and its errstate
+    doc = json.loads(bundled_scenario_path("scenario1").read_text())
+    low, high = 4.0, 20.0
+    assert load_with_channel(tmp_path, doc, alpha=low) and not load_with_channel(tmp_path, doc, alpha=high)
+    while (middle := (low + high) / 2) not in (low, high):
+        low, high = (middle, high) if load_with_channel(tmp_path, doc, alpha=middle) else (low, middle)
+    assert 16.0 < low < 17.0
+    loaded = load_with_channel(tmp_path, doc, alpha=low)
+    with np.errstate(all="raise"):
+        values = closed_form_values(loaded)
+    assert all(np.isfinite(v).all() for v in values)
+    # and the bound is not loose: the largest value is within 2**64 of overflow
+    assert max(np.abs(v).max() for v in values) > 2.0 ** 960
+
+
+def log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def extreme_documents(draw):
+    """Scenario documents over the whole float range: powers, noises and
+    frequencies over hundreds of decades, maps from micrometres to 1e6 m."""
+    scale = draw(log_uniform(-7.0, 6.0))
+    where = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(lambda p: (p[0] * scale, p[1] * scale))
+    ap1 = draw(where)
+    ap2 = draw(where.filter(lambda p: p != ap1))
+    aps = []
+    for x, y in (ap1, ap2):
+        tx = draw(log_uniform(-300.0, 300.0))
+        aps.append({"x": x, "y": y, "tx_power_watt": tx, "tx_power_max_watt": tx * draw(st.floats(1.0, 100.0))})
+    channel = {
+        "center_freq_hz": draw(log_uniform(-200.0, 12.0)),
+        "ref_distance_m": draw(log_uniform(-6.0, 3.0)),
+        "alpha": draw(st.floats(1.0, 400.0)),
+        "noise_m_watt": draw(log_uniform(-300.0, 300.0)),
+        "noise_e_watt": draw(log_uniform(-300.0, 300.0)),
+    }
+    sta = draw(where)
+    grid = {"k": draw(st.integers(1, 4)), "step_m": scale * draw(st.floats(0.01, 1.0))}
+    return {"channel": channel, "aps": aps, "sta_m": dict(zip("xy", sta)), "grid": grid, "policy": "smart_fj"}
+
+
+@example(  # a 2-term bound would accept this one, yet p_max**2 overflows
+    {
+        "channel": {"center_freq_hz": 1.0, "ref_distance_m": 1e-6, "alpha": 2.0,
+                    "noise_m_watt": 1e-136, "noise_e_watt": 1e-136},
+        "aps": [{"x": 0.0, "y": 0.0, "tx_power_watt": 1e160, "tx_power_max_watt": 1e160},
+                {"x": 2e-6, "y": 0.0, "tx_power_watt": 1e160, "tx_power_max_watt": 1e160}],
+        "sta_m": {"x": 1e-6, "y": 1e-6}, "grid": {"k": 2, "step_m": 1e-6}, "policy": "smart_fj",
+    }
+)
+@example(  # and this one, yet K = N**2 * Q**4 overflows
+    {
+        "channel": {"center_freq_hz": 2.4e9, "ref_distance_m": 1.0, "alpha": 2.0,
+                    "noise_m_watt": 1e100, "noise_e_watt": 1e100},
+        "aps": [{"x": 0.0, "y": 0.0, "tx_power_watt": 1e-290, "tx_power_max_watt": 1e-290},
+                {"x": 1e30, "y": 0.0, "tx_power_watt": 1e-290, "tx_power_max_watt": 1e-290}],
+        "sta_m": {"x": 0.0, "y": 1e30}, "grid": {"k": 1, "step_m": 1e30}, "policy": "smart_fj",
+    }
+)
+@settings(max_examples=300, deadline=None)
+@given(extreme_documents())
+def test_accepted_scenarios_never_overflow_the_closed_form(doc):
+    # the loader's bound covers every intermediate, not only the largest at
+    # physical sizes; overflow only, as underflow is not what it bounds
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_with_channel(Path(tmp), doc)
+    if loaded is None:
+        return
+    with np.errstate(all="ignore", over="raise"):
+        closed_form_values(loaded)
+        for policy in PolicyKind:
+            sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False)

@@ -62,3 +62,20 @@ def test_golden_rows_evaluate_without_floating_point_errors(name, tmp_path):
             assert all(np.isfinite(getattr(arrays, f.name)).all() for f in fields(arrays))
         summary = monte_carlo(loaded.scenario, cfg, n=3, seed=7, workers=1)
     assert summary.n_samples == 3
+
+
+def test_compare_trees_names_every_differing_or_missing_file(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "row").mkdir(parents=True)
+        (root / "same.txt").write_bytes(b"1\n")
+        (root / "row" / "arrays.hex").write_bytes(b"0x1.0p+0\n")
+    assert GOLDENS.compare_trees(parent, change) == []
+    (change / "row" / "arrays.hex").write_bytes(b"0x1.0000000000001p+0\n")
+    (parent / "row" / "gone.json").write_bytes(b"{}\n")
+    (change / "new.csv").write_bytes(b"x,y,value\n")
+    assert GOLDENS.compare_trees(parent, change) == [
+        "only in change: new.csv",
+        "differs: row/arrays.hex",
+        "only in parent: row/gone.json",
+    ]

@@ -20,6 +20,7 @@ from secrecysim import (
     select,
     sweep_eavesdropper,
 )
+from secrecysim import sweep as sweep_module
 from secrecysim.fjopt import optimize_fj_power_array
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sum, grid_coordinates
 
@@ -262,7 +263,7 @@ def test_monte_carlo_worker_count_does_not_change_bits():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_monte_carlo_samples_match_per_policy_sweeps(workers):
-    # distinct noises and a non-integer exponent; 9 samples over 1, 8 or 9 chunks
+    # distinct noises and a non-integer exponent; 9 samples in one chunk per worker
     scenario = build_scenario((20.0, 100.0), noise_e=1e-9, alpha=2.418)
     cfg = small_cfg(k=25, step=4.0)
     mc = monte_carlo(scenario, cfg, n=9, seed=11, workers=workers)
@@ -296,6 +297,52 @@ def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, monkeyp
     # one sample needs no pool at all
     monte_carlo(scenario, cfg, n=1, seed=4, workers=64)
     assert recording_pool == [3]
+
+
+@pytest.mark.parametrize("n, workers", [(9, 2), (7, 3), (3, 64)])
+def test_monte_carlo_gives_each_worker_one_contiguous_chunk(n, workers, recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    scenario = build_scenario((20.0, 100.0))
+    cfg = small_cfg(k=3, step=40.0)
+    pooled = monte_carlo(scenario, cfg, n=n, seed=4, workers=workers)
+    assert recording_pool == [min(workers, n)]
+    ranges = recording_pool.ranges
+    assert len(ranges) == min(workers, n)
+    # contiguous, nonempty and in order, so together exactly range(n)
+    assert all(r.step == 1 and len(r) > 0 for r in ranges)
+    assert [i for r in ranges for i in r] == list(range(n))
+    assert pooled == monte_carlo(scenario, cfg, n=n, seed=4, workers=1)
+
+
+@pytest.fixture
+def optimizer_calls(monkeypatch):
+    """Count the grid engine's calls of the array jamming optimizer."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimize_fj_power_array(*args)
+
+    monkeypatch.setattr(sweep_module, "optimize_fj_power_array", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [(PolicyKind.NORMAL_WIFI, 0), (PolicyKind.SMART_AP, 0), (PolicyKind.SMART_AP_FJ, 1)],
+    ids=lambda value: getattr(value, "value", None),
+)
+def test_sweep_runs_the_jamming_optimizer_only_for_smart_fj(policy, expected, optimizer_calls):
+    # the grid engine yields normal, smart, smart_fj in turn and a sweep stops at its policy
+    summary = sweep_eavesdropper(build_scenario(), small_cfg(policy), retain_cells=False)
+    assert len(optimizer_calls) == expected
+    assert summary.arrays.chosen.size == 25 * 25
+
+
+def test_monte_carlo_runs_the_jamming_optimizer_once_per_sample(optimizer_calls):
+    mc = monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=3, seed=5, workers=1)
+    assert len(optimizer_calls) == 3
+    assert set(mc.samples[0].metrics) == set(ALL_POLICIES)
 
 
 @pytest.mark.parametrize("cpus, started", [(2, [2]), (None, [])], ids=["two-cpus", "unknown"])

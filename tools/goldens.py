@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tools/goldens.py OUT_DIR
+    PYTHONPATH=src python tools/goldens.py --against REV OUT_DIR
 
 OUT_DIR must not exist yet. For every scenario of the golden matrix the
 script writes:
@@ -16,15 +17,23 @@ script writes:
   lattice over 0..120 m, plus both AP positions and the station position,
   where the reference-distance clamp applies.
 
-To check that two revisions compute the same bytes, run the script once with
-``PYTHONPATH`` pointing at each revision's ``src`` and compare the two
-directories with ``diff -r``. The script uses only the command line,
+``--against REV`` checks that this checkout computes the same bytes as the
+git revision ``REV``: it extracts ``REV``'s ``src`` with ``git archive``,
+runs this script once on each ``src`` into ``OUT_DIR/parent`` and
+``OUT_DIR/change``, prints every file that differs or exists on one side
+only, and exits 1 if there is any. The script uses only the command line,
 ``load_scenario``, ``sweep_eavesdropper``, ``monte_carlo``, ``select`` and
 the grid arrays, which older revisions have too.
 """
 
+import argparse
+import io
 import json
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,6 +52,7 @@ GOLDEN_ROWS = {
     "scenario1_alpha_3.1_d0_1.7": ("scenario1", {"alpha": 3.1, "ref_distance_m": 1.7}),
     "scenario1_alpha_2.418_noise_e_10x": ("scenario1", {"alpha": 2.418, "noise_e_watt": 1e-9}),
 }
+ROOT = Path(__file__).resolve().parents[1]
 MC_CLI_N = 6
 MC_COMPARE_N = 4
 MC_LIBRARY_N = 40
@@ -123,7 +133,49 @@ def write_goldens(out_dir: Path, rows=GOLDEN_ROWS) -> None:
             _dump_means(row / f"mc_means_workers{workers}.hex", summary.means)
 
 
+def compare_trees(parent: Path, change: Path) -> list[str]:
+    """One line per file that differs between the two trees or exists in
+    only one of them, sorted by relative path; empty when they are equal."""
+    def files(root):
+        return {path.relative_to(root).as_posix(): path for path in root.rglob("*") if path.is_file()}
+
+    left, right = files(parent), files(change)
+    lines = []
+    for name in sorted(left.keys() | right.keys()):
+        if name not in right:
+            lines.append(f"only in parent: {name}")
+        elif name not in left:
+            lines.append(f"only in change: {name}")
+        elif left[name].read_bytes() != right[name].read_bytes():
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def against(rev: str, out_dir: Path) -> int:
+    """Write ``rev``'s goldens to ``out_dir/parent`` and this checkout's to
+    ``out_dir/change``, print what differs, and return 1 if anything does."""
+    out_dir.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        for side, src in (("parent", Path(tmp) / "src"), ("change", ROOT / "src")):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            subprocess.run([sys.executable, __file__, str(out_dir / side)], env=env, check=True)
+    lines = compare_trees(out_dir / "parent", out_dir / "change")
+    count = sum(1 for path in (out_dir / "change").rglob("*") if path.is_file())
+    print("\n".join(lines) if lines else f"all {count} files identical")
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tools/goldens.py OUT_DIR")
-    write_goldens(Path(sys.argv[1]))
+    parser = argparse.ArgumentParser(description="Capture the golden outputs, or compare them with a git revision's.")
+    parser.add_argument("out_dir", type=Path, metavar="OUT_DIR", help="directory to create for the outputs")
+    parser.add_argument("--against", metavar="REV", help="also build REV's goldens and compare the two trees")
+    args = parser.parse_args()
+    if args.against is None:
+        write_goldens(args.out_dir)
+    else:
+        sys.exit(against(args.against, args.out_dir))
