@@ -34,11 +34,6 @@ import numpy as np
 # values dominated by rounding noise.
 DEGENERACY_EPS = 1e-12
 
-# Exponents (i, j, k) of P**i * N**j * Q**k at the corners of the convex
-# hull of the monomials that bound every intermediate; see _coefficients.
-BOUND_CORNERS = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
-                 (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
-
 
 def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
     """The objective constants ``(A, B, C, D, E, F, K)`` and the derivative
@@ -57,8 +52,12 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
     below ``16*P**2*N**2*Q**10 + 4*P**3*N*Q**9``. Every value here, in
     :func:`_ratio_terms` and in the roots up to their clamped quotients is a sum
     of at most 20 monomials ``P**i * N**j * Q**k``, their exponents in the hull of
-    ``BOUND_CORNERS``; the loader refuses a scenario where 20 times the largest is
-    not below ``2**1023``.
+    the ten corners :func:`_check_float_range` lists; ``Scenario`` refuses a
+    scenario where 20 times the largest is not below ``2**1023``. From below, at
+    ``p_j >= 0`` :func:`_ratio_terms` sums nonnegative terms, so both results are
+    at least ``K``, whose partial products are at least the least of ``N_m``, ``N_e``,
+    ``Q0``, ``N_m*N_e`` and ``N_m*N_e*Q0**4`` for ``Q0 = d0**alpha``, the least ``d**alpha``;
+    ``Scenario`` refuses a scenario where that is below ``2**-1021``, so none is subnormal.
     """
     dim_a = d_im ** alpha
     die_a = d_ie ** alpha
@@ -81,6 +80,19 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
         + p_i * cap_k * (cap_c - cap_e)
     )
     return (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c)
+
+
+def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
+    """Raise ``ValueError`` outside :func:`_coefficients`' bounds, in logs: ``p`` is the largest
+    corrected cap, ``d`` the largest distance from an AP to a map corner or the station."""
+    corners = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
+               (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
+    logs = math.log2(p), math.log2(max(noise_m, noise_e)), alpha * min(math.log2(max(d, d0)), 1024.0)
+    if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in corners) >= 1023.0:
+        raise ValueError("channel.alpha overflows the jamming power's closed form on this map")
+    n_m, n_e, q0 = math.log2(noise_m), math.log2(noise_e), alpha * math.log2(d0)
+    if min(n_m, n_e, q0, n_m + n_e, n_m + n_e + 4.0 * q0) < -1021.0:
+        raise ValueError("channel.noise_m_watt, noise_e_watt, ref_distance_m and alpha underflow the closed form")
 
 
 def _ratio_terms(caps, p_i, p_j):

@@ -22,7 +22,7 @@ from .channel import (
     effective_distance,
     shannon_capacity,
 )
-from .fjopt import optimize_fj_power
+from .fjopt import _check_float_range, optimize_fj_power
 
 
 class PolicyKind(enum.Enum):
@@ -35,7 +35,8 @@ class PolicyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Two APs, one legitimate station, and the square map they live on."""
+    """Two APs, one legitimate station, and the square map ``[0, map_extent]**2`` of the
+    eavesdropper cells and Monte Carlo draws. Derived numbers outside the float range are refused."""
 
     ap1: ApConfig
     ap2: ApConfig
@@ -46,8 +47,8 @@ class Scenario:
     def __post_init__(self):
         if self.ap1.position == self.ap2.position:
             raise ValueError("the two APs must not share a position")
-        if self.map_extent <= 0:
-            raise ValueError("map_extent must be positive")
+        if not 0 < self.map_extent < math.inf:
+            raise ValueError(f"map_extent must be {'positive' if self.map_extent <= 0 else 'finite'}")
         # Python's ** raises OverflowError; channel.* keeps these calls untraced
         par = self.params
         tx = (self.ap1.tx_power, self.ap1.tx_power_max, self.ap2.tx_power, self.ap2.tx_power_max)
@@ -69,6 +70,10 @@ class Scenario:
                 "the largest SINR, aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of "
                 "channel.noise_m_watt and noise_e_watt, must be finite"
             )
+        e, sta = self.map_extent, self.sta_m
+        ends = ((0.0, 0.0), (0.0, e), (e, 0.0), (e, e), (sta.x, sta.y))
+        d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (self.ap1, self.ap2) for x, y in ends)
+        _check_float_range(max(powers), par.noise_m, par.noise_e, par.pathloss_alpha, par.ref_distance_d0, d)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ApConfig, ChannelParams, Point2D, distance_corrected_power
-from .fjopt import BOUND_CORNERS
+from .channel import ApConfig, ChannelParams, Point2D
 from .policy import PolicyKind, Scenario
 from .sweep import SweepConfig
 
@@ -120,8 +119,9 @@ def load_scenario(path) -> LoadedScenario:
 
     Only the channel bandwidth (1 Hz) and the grid (K=120, 1 m step)
     have defaults; everything else must be present, and every number
-    finite. Raises :class:`ScenarioValidationError` naming the offending
-    key or constraint, or the underlying ``OSError`` for unreadable paths.
+    finite. Cells sit at ``step_m * {1..k}`` on the map ``[0, k*step_m]**2``.
+    Raises :class:`ScenarioValidationError` naming the offending key or a
+    constraint of the objects built, or the ``OSError`` of an unreadable path.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -164,19 +164,9 @@ def load_scenario(path) -> LoadedScenario:
         )
         params = ChannelParams(*echo["channel"].values())
         scenario = Scenario(ap1, ap2, Point2D(*echo["sta_m"].values()), params, grid_k * step_m)
-        sweep = SweepConfig(grid_k=grid_k, cell_step=step_m, policy=policy)
+        sweep = SweepConfig(grid_k=grid_k, cell_origin=Point2D(step_m, step_m), cell_step=step_m, policy=policy)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-    # fjopt._coefficients' bound, in logs: P the largest cap, N the larger noise, Q = D**alpha for the
-    # largest distance D from an AP to a corner of the box of cells, Monte Carlo square and station
-    o, last, sta = sweep.cell_origin, step_m * (grid_k - 1), scenario.sta_m
-    xs, ys = (0.0, grid_k * step_m, o.x, o.x + last, sta.x), (0.0, grid_k * step_m, o.y, o.y + last, sta.y)
-    d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (ap1, ap2) for x in xs for y in ys)
-    d = min(max(d, params.ref_distance_d0), sys.float_info.max)
-    p = distance_corrected_power(max(ap1.tx_power_max, ap2.tx_power_max), params)
-    logs = math.log2(p), math.log2(max(params.noise_m, params.noise_e)), params.pathloss_alpha * math.log2(d)
-    if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in BOUND_CORNERS) >= 1023.0:
-        raise ScenarioValidationError("channel.alpha overflows the jamming power's closed form on this map")
     return LoadedScenario(scenario=scenario, sweep=sweep, monte_carlo=mc, echo=echo)
 
 

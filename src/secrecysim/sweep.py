@@ -13,7 +13,7 @@ independent of evaluation order and of the number of Monte Carlo workers.
 
 import math
 import os
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class SweepConfig:
 
     Cells sit at ``cell_origin + cell_step * {0 .. grid_k-1}`` on each
     axis; the defaults put them on integer coordinates 1..K with a 1 m
-    step.
+    step, and ``load_scenario`` at ``step_m * {1..k}``, on the map.
     """
 
     grid_k: int = 120
@@ -142,18 +142,18 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
     return x, y, d1e, d2e, c1e, c2e
 
 
-def _evaluate_grid(scenario: Scenario, eve):
+def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     """The array twin of policy.select: yield ``(policy, GridArrays)`` for
-    ``normal``, ``smart`` and ``smart_fj`` in turn, over the grid whose
-    :func:`_eve_terms` are ``eve``. A step runs only when its item is asked
-    for; ``smart_fj`` starts from ``smart``'s association."""
+    ``normal``, ``smart`` and ``smart_fj`` in turn, with the station at ``sta_m``,
+    over the grid whose :func:`_eve_terms` are ``eve``. A step runs only when its
+    item is asked for; ``smart_fj`` starts from ``smart``'s association."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
     ap1, ap2 = scenario.ap1, scenario.ap2
     x, y, d1e, d2e, c1e, c2e = eve
 
-    d1m = effective_distance(distance(ap1.position, scenario.sta_m), par)
-    d2m = effective_distance(distance(ap2.position, scenario.sta_m), par)
+    d1m = effective_distance(distance(ap1.position, sta_m), par)
+    d2m = effective_distance(distance(ap2.position, sta_m), par)
     p1 = distance_corrected_power(ap1.tx_power, par)
     p2 = distance_corrected_power(ap2.tx_power, par)
     c1m = math.log2(1.0 + p1 * d1m ** -alpha / par.noise_m)
@@ -236,7 +236,7 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
     """Evaluate ``cfg.policy`` at every grid cell and aggregate the metrics."""
-    grids = _evaluate_grid(scenario, _eve_terms(scenario, cfg))
+    grids = _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg))
     # the generator stops at cfg.policy, so only smart_fj runs the jamming optimizer
     ev = next(ev for policy, ev in grids if policy is cfg.policy)
     return SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
@@ -249,10 +249,10 @@ def _run_chunk(args) -> list[SampleRecord]:
     for index in indices:
         # per-sample generator keyed by (seed, index): order- and worker-independent
         x, y = np.random.default_rng([seed, index]).uniform(0.0, scenario.map_extent, size=2)
-        placed = replace(scenario, sta_m=Point2D(float(x), float(y)))
+        sta_m = Point2D(float(x), float(y))
         # all three grids before any reduction: interleaving them doubled the page faults per sample
-        grids = dict(_evaluate_grid(placed, eve))
-        records.append(SampleRecord(placed.sta_m, {policy: _metrics(ev) for policy, ev in grids.items()}))
+        grids = dict(_evaluate_grid(scenario, sta_m, eve))
+        records.append(SampleRecord(sta_m, {policy: _metrics(ev) for policy, ev in grids.items()}))
     return records
 
 
@@ -276,6 +276,8 @@ def monte_carlo(
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     workers = min(workers, n, os.cpu_count() or 1)
     # one contiguous chunk per worker, in sample order, each computing the eavesdropper terms once
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]

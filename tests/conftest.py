@@ -49,6 +49,17 @@ def build_scenario(
     )
 
 
+# A micrometre map at alpha 173.4 whose noises multiply to 1e-33: once
+# accepted, its ratio terms K and p_i*D underflowed to 0 and log2 met 0.
+UNDERFLOW_DOCUMENT = {
+    "channel": {"center_freq_hz": 2.4e9, "ref_distance_m": 0.0515, "alpha": 173.4,
+                "noise_m_watt": 7.5e-135, "noise_e_watt": 1.3e101},
+    "aps": [{"x": 0.0, "y": 0.0, "tx_power_watt": 1.0, "tx_power_max_watt": 1.0},
+            {"x": 1e-5, "y": 0.0, "tx_power_watt": 1.0, "tx_power_max_watt": 1.0}],
+    "sta_m": {"x": 5e-6, "y": 1e-5}, "grid": {"k": 1, "step_m": 1.4e-6}, "policy": "smart_fj",
+}
+
+
 @pytest.fixture
 def scenario1():
     return build_scenario(STA_SCENARIO_1)

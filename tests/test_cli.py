@@ -25,6 +25,8 @@ from secrecysim import cli
 from secrecysim.cli import main
 from secrecysim.scenario_io import temp_path
 
+from conftest import UNDERFLOW_DOCUMENT
+
 SMALL = {
     "channel": {
         "bandwidth_hz": 1.0,
@@ -180,23 +182,28 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "channel, key",
-    [
-        ({"center_freq_hz": 1e-200}, "channel.center_freq_hz"),
-        ({"noise_e_watt": 1e-320}, "noise_e_watt"),
-        ({"alpha": 400.0, "ref_distance_m": 10.0}, "alpha"),
-        ({"alpha": 20.0}, "channel.alpha"),
-        ({"alpha": 30.0}, "channel.alpha"),
-    ],
-    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30"],
-)
-def test_sweep_refuses_derived_numbers_that_are_not_finite(channel, key, tmp_path, capsys):
-    # each loads key by key, but once gave NaN summaries, overflow warnings
-    # or an OverflowError traceback; any warning fails this test
+def scenario1_with(**channel):
     doc = json.loads(bundled_scenario_path("scenario1").read_text())
     doc["channel"].update(channel)
+    return doc
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (scenario1_with(center_freq_hz=1e-200), "channel.center_freq_hz"),
+        (scenario1_with(noise_e_watt=1e-320), "noise_e_watt"),
+        (scenario1_with(alpha=400.0, ref_distance_m=10.0), "alpha"),
+        (scenario1_with(alpha=20.0), "channel.alpha"),
+        (scenario1_with(alpha=30.0), "channel.alpha"),
+        (UNDERFLOW_DOCUMENT, "channel.noise_m_watt"),
+    ],
+    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30", "underflow"],
+)
+def test_sweep_refuses_derived_numbers_that_are_not_finite(doc, key, tmp_path, capsys):
+    # each loads key by key, but once gave NaN summaries, overflow or
+    # divide-by-zero warnings or a traceback; any warning fails this test
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"

@@ -19,6 +19,7 @@ from secrecysim import (
     distance_corrected_power,
     effective_distance,
     load_scenario,
+    select,
     sweep_eavesdropper,
 )
 from secrecysim.fjopt import (
@@ -32,7 +33,7 @@ from secrecysim.fjopt import (
 )
 from secrecysim.sweep import _eve_terms
 
-from conftest import FjArgs, direct_secrecy_curve, grid_search_best, random_fj_geometry
+from conftest import UNDERFLOW_DOCUMENT, FjArgs, direct_secrecy_curve, grid_search_best, random_fj_geometry
 
 P_50MW = distance_corrected_power(0.05, ChannelParams())
 
@@ -474,6 +475,7 @@ def extreme_documents(draw):
     return {"channel": channel, "aps": aps, "sta_m": dict(zip("xy", sta)), "grid": grid, "policy": "smart_fj"}
 
 
+@example(UNDERFLOW_DOCUMENT)  # accepted before the lower bound, yet K and p_i*D underflow to 0
 @example(  # a 2-term bound would accept this one, yet p_max**2 overflows
     {
         "channel": {"center_freq_hz": 1.0, "ref_distance_m": 1e-6, "alpha": 2.0,
@@ -495,13 +497,20 @@ def extreme_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(extreme_documents())
 def test_accepted_scenarios_never_overflow_the_closed_form(doc):
-    # the loader's bound covers every intermediate, not only the largest at
-    # physical sizes; overflow only, as underflow is not what it bounds
+    # Scenario's bounds cover every intermediate, not only the largest at
+    # physical sizes, and keep the ratio terms off 0, so log2 never meets 0;
+    # terms that underflow next to a larger addend are harmless
     with tempfile.TemporaryDirectory() as tmp:
         loaded = load_with_channel(Path(tmp), doc)
     if loaded is None:
         return
-    with np.errstate(all="ignore", over="raise"):
+    scenario = loaded.scenario
+    with np.errstate(all="raise", under="ignore"):
         closed_form_values(loaded)
         for policy in PolicyKind:
-            sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False)
+            sweep_eavesdropper(scenario, replace(loaded.sweep, policy=policy), retain_cells=False)
+    e = scenario.map_extent
+    corners = [Point2D(x, y) for x in (0.0, e) for y in (0.0, e)]
+    for sta_e in [scenario.sta_m, scenario.ap1.position, scenario.ap2.position] + corners:
+        for policy in PolicyKind:
+            assert all(math.isfinite(v) for v in vars(select(scenario, sta_e, policy)).values())

@@ -51,9 +51,8 @@ GOLDENS = load_tool()
 def test_golden_rows_evaluate_without_floating_point_errors(name, tmp_path):
     # a RuntimeWarning is a defect: every row must evaluate with numpy
     # raising on overflow, underflow, invalid operations and division by zero
-    bundled, channel = GOLDENS.GOLDEN_ROWS[name]
     path = tmp_path / f"{name}.json"
-    GOLDENS._write_scenario(path, bundled, channel)
+    GOLDENS._write_scenario(path, *GOLDENS.GOLDEN_ROWS[name])
     loaded = load_scenario(path)
     cfg = replace(loaded.sweep, grid_k=12, cell_step=10.0)
     with np.errstate(all="raise"):

@@ -16,6 +16,7 @@ from secrecysim import (
     write_heatmap,
     write_summary,
 )
+from secrecysim.sweep import grid_coordinates
 
 from conftest import assert_close
 
@@ -166,6 +167,19 @@ def test_grid_partial_defaults(tmp_path):
     assert loaded.sweep.grid_k == 40
     assert loaded.sweep.cell_step == 1.0
     assert loaded.scenario.map_extent == 40.0
+
+
+@pytest.mark.parametrize(
+    "k, step, first, last", [(120, 0.5, 0.5, 60.0), (12, 10.0, 10.0, 120.0), (40, 1.0, 1.0, 40.0)]
+)
+def test_grid_cells_sit_at_step_multiples_on_the_map(tmp_path, k, step, first, last):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["grid"] = {"k": k, "step_m": step}
+    loaded = load_scenario(write_config(tmp_path, doc))
+    assert loaded.scenario.map_extent == last
+    for axis in grid_coordinates(loaded.sweep):
+        assert (axis.min(), axis.max()) == (first, last)
+        assert np.array_equal(np.unique(axis), step * np.arange(1, k + 1))
 
 
 # integer literals where floats go, every section's keys shuffled, and

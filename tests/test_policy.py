@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,22 @@ def test_scenario_validation():
         build_scenario(ap1=(10.0, 10.0), ap2=(10.0, 10.0))
     with pytest.raises(ValueError, match="map_extent"):
         build_scenario(extent=0.0)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="map_extent must be finite"):
+            build_scenario(extent=extent)
+
+
+def test_scenario_built_in_code_is_refused_like_a_file():
+    # scenario1 at alpha 30 overflows the jamming closed form on its 120 m map;
+    # the refusal belongs to Scenario, so no file is needed to meet it
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    with pytest.raises(ValueError, match="channel.alpha"):
+        replace(scenario, params=replace(scenario.params, pathloss_alpha=30.0))
+    # and a map that is larger by half moves the largest accepted alpha down
+    for alpha, extent in ((16.86, 120.0), (14.0, 180.0)):
+        replace(scenario, params=replace(scenario.params, pathloss_alpha=alpha), map_extent=extent)
+    with pytest.raises(ValueError, match="channel.alpha"):
+        replace(scenario, params=replace(scenario.params, pathloss_alpha=16.86), map_extent=180.0)
 
 
 @pytest.mark.parametrize(

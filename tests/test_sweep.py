@@ -372,6 +372,12 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(scenario, small_cfg(), n=1, seed=-1)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_monte_carlo_refuses_a_worker_count_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        monte_carlo(build_scenario((20.0, 100.0)), small_cfg(), n=2, seed=1, workers=workers)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(grid_k=0)

@@ -42,15 +42,16 @@ from secrecysim.cli import main
 from secrecysim.policy import SelectionResult
 from secrecysim.sweep import ALL_POLICIES
 
-# name -> (bundled scenario, channel keys to override)
+# name -> (bundled scenario, {section: keys to override})
 GOLDEN_ROWS = {
     "scenario1": ("scenario1", {}),
     "scenario2": ("scenario2", {}),
     "scenario3": ("scenario3", {}),
-    "scenario1_noise_e_0.1x": ("scenario1", {"noise_e_watt": 1e-11}),
-    "scenario1_noise_e_10x": ("scenario1", {"noise_e_watt": 1e-9}),
-    "scenario1_alpha_3.1_d0_1.7": ("scenario1", {"alpha": 3.1, "ref_distance_m": 1.7}),
-    "scenario1_alpha_2.418_noise_e_10x": ("scenario1", {"alpha": 2.418, "noise_e_watt": 1e-9}),
+    "scenario1_noise_e_0.1x": ("scenario1", {"channel": {"noise_e_watt": 1e-11}}),
+    "scenario1_noise_e_10x": ("scenario1", {"channel": {"noise_e_watt": 1e-9}}),
+    "scenario1_alpha_3.1_d0_1.7": ("scenario1", {"channel": {"alpha": 3.1, "ref_distance_m": 1.7}}),
+    "scenario1_alpha_2.418_noise_e_10x": ("scenario1", {"channel": {"alpha": 2.418, "noise_e_watt": 1e-9}}),
+    "scenario1_k60_step2": ("scenario1", {"grid": {"k": 60, "step_m": 2.0}}),
 }
 ROOT = Path(__file__).resolve().parents[1]
 MC_CLI_N = 6
@@ -68,9 +69,10 @@ def _hex(value) -> str:
     return float(value).hex()
 
 
-def _write_scenario(path: Path, bundled: str, channel: dict) -> None:
+def _write_scenario(path: Path, bundled: str, overrides: dict) -> None:
     doc = json.loads(bundled_scenario_path(bundled).read_text())
-    doc["channel"].update(channel)
+    for section, keys in overrides.items():
+        doc[section].update(keys)
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -105,11 +107,11 @@ def write_goldens(out_dir: Path, rows=GOLDEN_ROWS) -> None:
     """Write the golden files of ``rows`` (a subset of :data:`GOLDEN_ROWS`)
     under ``out_dir``, one directory per row."""
     out_dir.mkdir(parents=True)
-    for name, (bundled, channel) in rows.items():
+    for name, (bundled, overrides) in rows.items():
         row = out_dir / name
         row.mkdir()
         scenario = row / f"{name}.json"
-        _write_scenario(scenario, bundled, channel)
+        _write_scenario(scenario, bundled, overrides)
 
         sweep = ["sweep", "--scenario", str(scenario), "--policy", "all"]
         _cli(*sweep, "--out-dir", str(row / "sweep"))
