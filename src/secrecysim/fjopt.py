@@ -89,7 +89,7 @@ def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
                (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
     logs = math.log2(p), math.log2(max(noise_m, noise_e)), alpha * min(math.log2(max(d, d0)), 1024.0)
     if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in corners) >= 1023.0:
-        raise ValueError("channel.alpha overflows the jamming power's closed form on this map")
+        raise ValueError("channel.alpha overflows the jamming power's closed form on this map or its cells")
     n_m, n_e, q0 = math.log2(noise_m), math.log2(noise_e), alpha * math.log2(d0)
     if min(n_m, n_e, q0, n_m + n_e, n_m + n_e + 4.0 * q0) < -1021.0:
         raise ValueError("channel.noise_m_watt, noise_e_watt, ref_distance_m and alpha underflow the closed form")
@@ -154,8 +154,13 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     candidates = {0.0, p_max}
     for root in derivative_numerator_roots(quad, p_max):
         candidates.add(min(max(root, 0.0), p_max))
-    # max keeps the first of equal values, and the powers ascend
-    return max(sorted(candidates), key=lambda p: _log2_ratio(caps, p_i, p))
+    # as max() does, keep the first of equal values; the powers ascend
+    best_p = best_v = None
+    for p in sorted(candidates):
+        v = _log2_ratio(caps, p_i, p)
+        if best_p is None or v > best_v:
+            best_p, best_v = p, v
+    return best_p
 
 
 def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import channel
-from .channel import (
+from .channel import (  # noqa: F401, the benchmark's tracer swaps distance_corrected_power too
     ApConfig,
     ChannelParams,
     Point2D,
@@ -36,7 +36,8 @@ class PolicyKind(enum.Enum):
 @dataclass(frozen=True)
 class Scenario:
     """Two APs, one legitimate station, and the square map ``[0, map_extent]**2`` of the
-    eavesdropper cells and Monte Carlo draws. Derived numbers outside the float range are refused."""
+    eavesdropper cells and Monte Carlo draws. Derived numbers outside the float range are refused.
+    The station's terms are computed once, here: move the station with ``dataclasses.replace``."""
 
     ap1: ApConfig
     ap2: ApConfig
@@ -70,10 +71,9 @@ class Scenario:
                 "the largest SINR, aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of "
                 "channel.noise_m_watt and noise_e_watt, must be finite"
             )
-        e, sta = self.map_extent, self.sta_m
-        ends = ((0.0, 0.0), (0.0, e), (e, 0.0), (e, e), (sta.x, sta.y))
-        d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (self.ap1, self.ap2) for x, y in ends)
-        _check_float_range(max(powers), par.noise_m, par.noise_e, par.pathloss_alpha, par.ref_distance_d0, d)
+        # not a field: replace() recomputes it for a new station, pickle carries it
+        object.__setattr__(self, "_station", _station_terms(self, self.sta_m))
+        _check_reach(self)
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,31 @@ class SelectionResult:
             raise ValueError("fj_power must be nonnegative")
 
 
-def _links(scenario: Scenario, sta_e: Point2D) -> list[tuple[float, float, float]]:
-    """One ``(d_m, d_e, p)`` per AP, in index order: the clamped distances
-    to the station and to the eavesdropper, and the corrected power."""
+def _station_terms(scenario: Scenario, sta_m: Point2D):
+    """The terms of the station at ``sta_m``: per AP, in index order, ``(d_m, p, p_max,
+    s_m, c_m)``, the clamped distance, corrected power and cap, the signal ``p*d_m**-alpha``
+    and the per-Hz capacity; then ``normal``'s choice, the AP with the larger signal."""
+    # channel.* keeps these calls untraced, as in Scenario.__post_init__
     par = scenario.params
-    return [
-        (
-            effective_distance(distance(ap.position, scenario.sta_m), par),
-            effective_distance(distance(ap.position, sta_e), par),
-            distance_corrected_power(ap.tx_power, par),
-        )
-        for ap in (scenario.ap1, scenario.ap2)
-    ]
+    terms = []
+    for ap in (scenario.ap1, scenario.ap2):
+        d_m = channel.effective_distance(channel.distance(ap.position, sta_m), par)
+        p = channel.distance_corrected_power(ap.tx_power, par)
+        s_m = p * d_m ** -par.pathloss_alpha
+        p_max = channel.distance_corrected_power(ap.tx_power_max, par)
+        terms.append((d_m, p, p_max, s_m, channel.shannon_capacity(s_m, 0.0, par.noise_m)))
+    return terms, 1 if terms[0][3] >= terms[1][3] else 2
+
+
+def _check_reach(scenario: Scenario, points=()) -> None:
+    """Refuse ``scenario`` where the jamming closed form leaves the float range at the
+    largest distance from an AP to a map corner, the station or one of ``points``."""
+    par, e, sta = scenario.params, scenario.map_extent, scenario.sta_m
+    ends = ((0.0, 0.0), (0.0, e), (e, 0.0), (e, e), (sta.x, sta.y), *points)
+    d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (scenario.ap1, scenario.ap2) for x, y in ends)
+    # each AP's corrected cap is at least its corrected power
+    p = max(p_max for _, _, p_max, _, _ in scenario._station[0])
+    _check_float_range(p, par.noise_m, par.noise_e, par.pathloss_alpha, par.ref_distance_d0, d)
 
 
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
@@ -129,31 +142,26 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
     """
     par = scenario.params
     alpha = par.pathloss_alpha
-    links = _links(scenario, sta_e)
-
-    def capacities(n, interference_m=0.0, interference_e=0.0):
-        # per-Hz capacities of AP n's two links under the given interference
-        d_m, d_e, p = links[n - 1]
-        cap_m = shannon_capacity(p * d_m ** -alpha, interference_m, par.noise_m)
-        cap_e = shannon_capacity(p * d_e ** -alpha, interference_e, par.noise_e)
-        return cap_m, cap_e
-
-    if policy is PolicyKind.NORMAL_WIFI:
-        (d1m, _, p1), (d2m, _, p2) = links
-        chosen = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
-        cap_m, cap_e = capacities(chosen)
-    else:
-        (c1m, c1e), (c2m, c2e) = capacities(1), capacities(2)
-        chosen, cap_m, cap_e = (1, c1m, c1e) if c1m - c1e >= c2m - c2e else (2, c2m, c2e)
+    station, chosen = scenario._station
+    # the eavesdropper side, per call, of both APs (normal: the chosen one only):
+    # the clamped distance, the signal and the per-Hz capacity
+    normal, eves = policy is PolicyKind.NORMAL_WIFI, [None, None]
+    for k in (chosen - 1,) if normal else (0, 1):
+        d_e = effective_distance(distance((scenario.ap1, scenario.ap2)[k].position, sta_e), par)
+        s_e = station[k][1] * d_e ** -alpha
+        eves[k] = d_e, s_e, shannon_capacity(s_e, 0.0, par.noise_e)
+    if not normal:
+        chosen = 1 if station[0][4] - eves[0][2] >= station[1][4] - eves[1][2] else 2
+    cap_m, cap_e = station[chosen - 1][4], eves[chosen - 1][2]
 
     fj_power = 0.0
     if policy is PolicyKind.SMART_AP_FJ:
-        (d_im, d_ie, p_i), (d_jm, d_je, _) = links if chosen == 1 else links[::-1]
-        idle = scenario.ap2 if chosen == 1 else scenario.ap1
-        p_max = distance_corrected_power(idle.tx_power_max, par)
+        (d_im, p_i, _, s_im, _), (d_jm, _, p_max, _, _) = station if chosen == 1 else station[::-1]
+        (d_ie, s_ie, _), (d_je, _, _) = eves if chosen == 1 else eves[::-1]
         p_opt = optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
         if p_opt != 0.0:
-            fj_m, fj_e = capacities(chosen, p_opt * d_jm ** -alpha, p_opt * d_je ** -alpha)
+            fj_m = shannon_capacity(s_im, p_opt * d_jm ** -alpha, par.noise_m)
+            fj_e = shannon_capacity(s_ie, p_opt * d_je ** -alpha, par.noise_e)
             # the optimizer compares the ratio form; guard the reported metric
             # against a last-ulp disagreement with the two-capacity form so the
             # jamming result can never fall below the no-jamming one

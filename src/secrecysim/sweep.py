@@ -4,7 +4,8 @@ The sweep evaluates policies at every cell of a square grid with a
 vectorized engine that states :func:`secrecysim.policy.select`'s rules in
 its order (``select`` stays the reference and the test oracle): ``normal``,
 then ``smart``, then ``smart_fj``, which lets the idle AP jam. Terms that
-do not depend on the station are computed once per sweep or Monte Carlo chunk.
+do not depend on the station are computed once per sweep or Monte Carlo chunk;
+the station's come from the helper that ``select``'s ``Scenario`` uses.
 The jamming power comes from :func:`secrecysim.fjopt.optimize_fj_power_array`,
 which shares the closed form with the scalar optimizer ``select`` uses.
 Aggregates use exact, correctly rounded summation, so results are
@@ -17,9 +18,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .channel import Point2D, distance, distance_corrected_power, effective_distance
+from .channel import Point2D
 from .fjopt import optimize_fj_power_array
-from .policy import PolicyKind, Scenario, SelectionResult
+from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _station_terms
 
 ALL_POLICIES = (PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ)
 
@@ -126,6 +127,12 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
+def _check_cells(scenario: Scenario, cfg: SweepConfig) -> None:
+    """Refuse cells, on the map or off it, where the jamming closed form leaves the float range."""
+    lo, span = cfg.cell_origin, cfg.cell_step * (cfg.grid_k - 1)
+    _check_reach(scenario, [(x, y) for x in (lo.x, lo.x + span) for y in (lo.y, lo.y + span)])
+
+
 def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
     """The per-cell terms that do not depend on the station: the cell
     coordinates, the clamped AP distances and the eavesdropper capacities."""
@@ -135,8 +142,7 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
     d0 = par.ref_distance_d0
     d1e = np.maximum(np.sqrt((x - ap1.position.x) ** 2 + (y - ap1.position.y) ** 2), d0)
     d2e = np.maximum(np.sqrt((x - ap2.position.x) ** 2 + (y - ap2.position.y) ** 2), d0)
-    p1 = distance_corrected_power(ap1.tx_power, par)
-    p2 = distance_corrected_power(ap2.tx_power, par)
+    (_, p1, _, _, _), (_, p2, _, _, _) = scenario._station[0]
     c1e = np.log2(1.0 + p1 * d1e ** -par.pathloss_alpha / par.noise_e)
     c2e = np.log2(1.0 + p2 * d2e ** -par.pathloss_alpha / par.noise_e)
     return x, y, d1e, d2e, c1e, c2e
@@ -149,15 +155,8 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     item is asked for; ``smart_fj`` starts from ``smart``'s association."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
-    ap1, ap2 = scenario.ap1, scenario.ap2
     x, y, d1e, d2e, c1e, c2e = eve
-
-    d1m = effective_distance(distance(ap1.position, sta_m), par)
-    d2m = effective_distance(distance(ap2.position, sta_m), par)
-    p1 = distance_corrected_power(ap1.tx_power, par)
-    p2 = distance_corrected_power(ap2.tx_power, par)
-    c1m = math.log2(1.0 + p1 * d1m ** -alpha / par.noise_m)
-    c2m = math.log2(1.0 + p2 * d2m ** -alpha / par.noise_m)
+    ((d1m, p1, cap1, _, c1m), (d2m, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
     def capacities(pick1):
         return np.where(pick1, c1m, c2m), np.where(pick1, c1e, c2e)
@@ -166,7 +165,6 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
         fj_power = np.zeros_like(cap_e) if fj_power is None else fj_power
         return GridArrays(x, y, chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)
 
-    choice = 1 if p1 * d1m ** -alpha >= p2 * d2m ** -alpha else 2
     chosen = np.full(x.shape, choice, dtype=np.int64)
     yield PolicyKind.NORMAL_WIFI, arrays(chosen, *capacities(chosen == 1))
 
@@ -180,7 +178,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     d_jm = np.where(pick1, d2m, d1m)
     d_je = np.where(pick1, d2e, d1e)
     p_i = np.where(pick1, p1, p2)
-    p_max = np.where(pick1, *(distance_corrected_power(ap.tx_power_max, par) for ap in (ap2, ap1)))
+    p_max = np.where(pick1, cap2, cap1)
     p_opt = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
     cap_m_fj = np.log2(1.0 + p_i * d_im ** -alpha / (p_opt * d_jm ** -alpha + par.noise_m))
     cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
@@ -236,6 +234,7 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
     """Evaluate ``cfg.policy`` at every grid cell and aggregate the metrics."""
+    _check_cells(scenario, cfg)
     grids = _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg))
     # the generator stops at cfg.policy, so only smart_fj runs the jamming optimizer
     ev = next(ev for policy, ev in grids if policy is cfg.policy)
@@ -278,6 +277,7 @@ def monte_carlo(
         raise ValueError("seed must be a nonnegative integer")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _check_cells(scenario_template, cfg)
     workers = min(workers, n, os.cpu_count() or 1)
     # one contiguous chunk per worker, in sample order, each computing the eavesdropper terms once
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]

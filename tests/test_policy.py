@@ -1,7 +1,8 @@
 import json
 import math
+import pickle
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from secrecysim import (
     distance_corrected_power,
     effective_distance,
     load_scenario,
+    SweepConfig,
+    monte_carlo,
     select,
     shannon_capacity,
 )
@@ -282,22 +285,66 @@ def test_secrecy_can_be_negative_before_truncation():
     assert result.secrecy < 0.0
 
 
+def select_hex(scenario, sta_e):
+    """Every policy's selection at ``sta_e``, each float as ``float.hex``."""
+    results = (select(scenario, sta_e, policy) for policy in PolicyKind)
+    return [(r.chosen_ap, *(v.hex() for v in (r.cap_legit, r.cap_eve, r.secrecy, r.fj_power))) for r in results]
+
+
+EAVESDROPPERS = [Point2D(60.0, 60.0), Point2D(1.0, 1.0), Point2D(40.0, 60.0), Point2D(110.0, 20.0), Point2D(30.0, 90.0)]
+
+
+def test_stored_station_terms_follow_the_station():
+    # the Scenario holds its station's terms; replace() must recompute them,
+    # so a moved Scenario selects as one built at the new station
+    base = load_scenario(bundled_scenario_path("scenario1")).scenario
+    for q in (Point2D(5.0, 7.0), base.ap2.position, Point2D(60.0, 60.0), Point2D(119.0, 3.0), Point2D(60.5, 20.0)):
+        moved = replace(base, sta_m=q)
+        fresh = Scenario(base.ap1, base.ap2, q, base.params, base.map_extent)
+        assert [select_hex(moved, e) for e in EAVESDROPPERS] == [select_hex(fresh, e) for e in EAVESDROPPERS]
+        assert [select_hex(moved, e) for e in EAVESDROPPERS] != [select_hex(base, e) for e in EAVESDROPPERS]
+
+
+def test_pickled_scenario_selects_and_samples_alike():
+    # the process pool pickles the Scenario with its stored terms
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert [select_hex(copy, e) for e in EAVESDROPPERS] == [select_hex(scenario, e) for e in EAVESDROPPERS]
+    cfg = SweepConfig(grid_k=12, cell_origin=Point2D(10.0, 10.0), cell_step=10.0)
+    pooled = monte_carlo(copy, cfg, n=4, seed=3, workers=2).means
+    alone = monte_carlo(scenario, cfg, n=4, seed=3, workers=1).means
+    for policy in PolicyKind:
+        assert [v.hex() for v in vars(pooled[policy]).values()] == [v.hex() for v in vars(alone[policy]).values()]
+
+
+def test_stored_station_terms_are_not_fields():
+    base = load_scenario(bundled_scenario_path("scenario1")).scenario
+    assert [f.name for f in fields(Scenario)] == ["ap1", "ap2", "sta_m", "params", "map_extent"]
+    twin = Scenario(base.ap1, base.ap2, base.sta_m, base.params, base.map_extent)
+    assert twin == base and hash(twin) == hash(base)
+    assert hash(base) == hash((base.ap1, base.ap2, base.sta_m, base.params, base.map_extent))
+    moved = replace(base, sta_m=Point2D(5.0, 7.0))
+    assert moved != base and replace(moved, sta_m=base.sta_m) == base
+    assert repr(twin) == repr(base) and "_station" not in repr(base)
+
+
 LAYER_NAMES = ("distance", "effective_distance", "distance_corrected_power", "shannon_capacity", "optimize_fj_power")
 
 
 @pytest.mark.parametrize(
     "policy, point, counts, jamming",
     [
-        (PolicyKind.NORMAL_WIFI, (60.0, 60.0), [4, 4, 2, 2, 0], False),
-        (PolicyKind.SMART_AP, (60.0, 60.0), [4, 4, 2, 4, 0], False),
-        (PolicyKind.SMART_AP_FJ, (60.0, 60.0), [4, 4, 3, 6, 1], True),
-        (PolicyKind.SMART_AP_FJ, (1.0, 1.0), [4, 4, 3, 4, 1], False),
+        (PolicyKind.NORMAL_WIFI, (60.0, 60.0), [1, 1, 0, 1, 0], False),
+        (PolicyKind.SMART_AP, (60.0, 60.0), [2, 2, 0, 2, 0], False),
+        (PolicyKind.SMART_AP_FJ, (60.0, 60.0), [2, 2, 0, 4, 1], True),
+        (PolicyKind.SMART_AP_FJ, (1.0, 1.0), [2, 2, 0, 2, 1], False),
     ],
     ids=["normal", "smart", "smart_fj-jamming", "smart_fj-no-jamming"],
 )
 def test_select_calls_layer_names_through_the_module(policy, point, counts, jamming, monkeypatch):
     # the benchmark's tracer swaps these attributes of secrecysim.policy, so
-    # select must look each one up there, as often as its rules need it
+    # select must look each one up there, as often as its rules need it: only
+    # the eavesdropper side, as the Scenario holds the station's terms
     calls = dict.fromkeys(LAYER_NAMES, 0)
     for name in LAYER_NAMES:
         def counted(*args, _name=name, _original=getattr(policy_module, name), **kwargs):

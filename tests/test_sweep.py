@@ -378,6 +378,25 @@ def test_monte_carlo_refuses_a_worker_count_below_one(workers):
         monte_carlo(build_scenario((20.0, 100.0)), small_cfg(), n=2, seed=1, workers=workers)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cells_off_the_map_are_refused_before_they_overflow():
+    # scenario1 at alpha 16.86 is accepted on its 120 m map, but cells near
+    # (1e4, 1e4) overflow the jamming closed form: both entry points refuse
+    # them before any array work, so no numpy warning is raised first
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    cfg = SweepConfig(grid_k=2, cell_origin=Point2D(1e4, 1e4), cell_step=100.0)
+    steep = replace(scenario, params=replace(scenario.params, pathloss_alpha=16.86))
+    with pytest.raises(ValueError, match="channel.alpha"):
+        sweep_eavesdropper(steep, cfg)
+    with pytest.raises(ValueError, match="channel.alpha"):
+        monte_carlo(steep, cfg, n=2, seed=1)
+    # the same cells at alpha 2 are fine
+    assert scenario.params.pathloss_alpha == 2.0
+    summary = sweep_eavesdropper(scenario, cfg)
+    assert len(summary.grid) == 4 and math.isfinite(summary.avg_secrecy)
+    assert math.isfinite(monte_carlo(scenario, cfg, n=2, seed=1).means[PolicyKind.SMART_AP_FJ].avg_secrecy)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(grid_k=0)
