@@ -35,9 +35,10 @@ import numpy as np
 DEGENERACY_EPS = 1e-12
 
 
-def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
-    """The objective constants ``(A, B, C, D, E, F, K)`` and the derivative
-    quadratic ``(a, b, c)``, from floats or equal-shape arrays, bit for bit alike.
+def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, eve_pre=None):
+    """The objective constants ``(A, B, C, D, E, F, K)``, the derivative quadratic ``(a, b, c)`` and
+    the ratio's terms ``(A, B + p_i*C, p_i*D + K, B + p_i*E, p_i*F + K)`` from the distances raised to
+    alpha and ``eve_pre = noise_e*die_a*dje_a`` (computed unless given), floats or arrays, bit for bit alike.
 
     The quadratic coefficients are the algebraically simplified forms
 
@@ -45,7 +46,7 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
         b = 2*p_i*A*(F - D)
         c = p_i*B*(F - D) + p_i**2*(C*F - E*D) + p_i*K*(C - E)
 
-    Each ``d**alpha`` is evaluated once. With ``P``, ``N`` and ``Q`` bounds on
+    Each ``d**alpha`` is evaluated once, by the caller. With ``P``, ``N`` and ``Q`` bounds on
     the corrected powers and caps, the noises and every ``d**alpha``: ``|a| <=
     P*Q**4``, ``|b| <= 2*P*N*Q**5``, ``|c| <= 3*P*N**2*Q**6 + P**2*N*Q**5``, and
     the roots' ``b*b`` and ``4*a*c``, the largest values at physical sizes, stay
@@ -59,15 +60,11 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
     ``Q0``, ``N_m*N_e`` and ``N_m*N_e*Q0**4`` for ``Q0 = d0**alpha``, the least ``d**alpha``;
     ``Scenario`` refuses a scenario where that is below ``2**-1021``, so none is subnormal.
     """
-    dim_a = d_im ** alpha
-    die_a = d_ie ** alpha
-    djm_a = d_jm ** alpha
-    dje_a = d_je ** alpha
-
+    eve_pre = noise_e * die_a * dje_a if eve_pre is None else eve_pre
     cap_a = dim_a * die_a
-    cap_b = noise_e * die_a * dje_a * dim_a + noise_m * dim_a * djm_a * die_a
+    cap_b = eve_pre * dim_a + noise_m * dim_a * djm_a * die_a
     cap_c = djm_a * die_a
-    cap_d = noise_e * die_a * dje_a * djm_a
+    cap_d = eve_pre * djm_a
     cap_e = dim_a * dje_a
     cap_f = noise_m * dim_a * djm_a * dje_a
     cap_k = noise_m * noise_e * dim_a * djm_a * die_a * dje_a
@@ -79,7 +76,8 @@ def _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i):
         + p_i * p_i * (cap_c * cap_f - cap_e * cap_d)
         + p_i * cap_k * (cap_c - cap_e)
     )
-    return (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c)
+    ratio = cap_a, cap_b + p_i * cap_c, p_i * cap_d + cap_k, cap_b + p_i * cap_e, p_i * cap_f + cap_k
+    return (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c), ratio
 
 
 def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
@@ -95,19 +93,11 @@ def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
         raise ValueError("channel.noise_m_watt, noise_e_watt, ref_distance_m and alpha underflow the closed form")
 
 
-def _ratio_terms(caps, p_i, p_j):
-    """Numerator and denominator of f at ``p_j``, from floats or arrays."""
-    cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k = caps
+def _ratio_terms(ratio, p_j):
+    """Numerator and denominator of f at ``p_j`` from :func:`_coefficients`' ratio terms, floats or arrays."""
+    cap_a, lin_m, con_m, lin_e, con_e = ratio
     p_sq = p_j * p_j
-    num = cap_a * p_sq + (cap_b + p_i * cap_c) * p_j + (p_i * cap_d + cap_k)
-    den = cap_a * p_sq + (cap_b + p_i * cap_e) * p_j + (p_i * cap_f + cap_k)
-    return num, den
-
-
-def _log2_ratio(caps, p_i: float, p_j: float) -> float:
-    """log2 of the objective ratio f at jamming power p_j (bandwidth-free)."""
-    num, den = _ratio_terms(caps, p_i, p_j)
-    return math.log2(num) - math.log2(den)
+    return cap_a * p_sq + lin_m * p_j + con_m, cap_a * p_sq + lin_e * p_j + con_e
 
 
 def derivative_numerator_roots(quad, p_scale: float) -> list[float]:
@@ -150,14 +140,15 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     is a root. Ties break to the smallest power, so jamming is never
     reported when it buys nothing.
     """
-    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
     candidates = {0.0, p_max}
     for root in derivative_numerator_roots(quad, p_max):
         candidates.add(min(max(root, 0.0), p_max))
     # as max() does, keep the first of equal values; the powers ascend
     best_p = best_v = None
     for p in sorted(candidates):
-        v = _log2_ratio(caps, p_i, p)
+        num, den = _ratio_terms(ratio, p)
+        v = math.log2(num) - math.log2(den)
         if best_p is None or v > best_v:
             best_p, best_v = p, v
     return best_p
@@ -188,9 +179,16 @@ def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i
     of distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
     Ties go to the smallest power; near ties may resolve otherwise than in
     the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
-    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i)
+    _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
+    return _best_power(quad, ratio, p_max)
+
+
+def _best_power(quad, ratio, p_max) -> np.ndarray:
+    """:func:`optimize_fj_power_array` from :func:`_coefficients`' arrays."""
     powers = _candidate_powers(quad, p_max)
-    values = [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(caps, p_i, p) for p in powers)]
+    # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
+    values = [np.log2(ratio[2]) - np.log2(ratio[4])]
+    values += [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(ratio, p) for p in powers[1:])]
     # running maximum over the candidates; the smallest power wins ties
     best_p, best_v = powers[0], values[0]
     for p, v in zip(powers[1:], values[1:]):

@@ -14,12 +14,14 @@ independent of evaluation order and of the number of Monte Carlo workers.
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .channel import Point2D
-from .fjopt import optimize_fj_power_array
+from .fjopt import _best_power, _coefficients
 from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _station_terms
 
 ALL_POLICIES = (PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ)
@@ -133,19 +135,20 @@ def _check_cells(scenario: Scenario, cfg: SweepConfig) -> None:
     _check_reach(scenario, [(x, y) for x in (lo.x, lo.x + span) for y in (lo.y, lo.y + span)])
 
 
-def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, ...]:
-    """The per-cell terms that do not depend on the station: the cell
-    coordinates, the clamped AP distances and the eavesdropper capacities."""
+def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
+    """The per-cell terms that do not depend on the station: the cell coordinates;
+    per AP, the clamped distance to the powers alpha and -alpha, the signal and the
+    eavesdropper capacity; per AP order, the closed form's ``noise_e*die_a*dje_a``."""
     par = scenario.params
-    ap1, ap2 = scenario.ap1, scenario.ap2
     x, y = grid_coordinates(cfg)
-    d0 = par.ref_distance_d0
-    d1e = np.maximum(np.sqrt((x - ap1.position.x) ** 2 + (y - ap1.position.y) ** 2), d0)
-    d2e = np.maximum(np.sqrt((x - ap2.position.x) ** 2 + (y - ap2.position.y) ** 2), d0)
-    (_, p1, _, _, _), (_, p2, _, _, _) = scenario._station[0]
-    c1e = np.log2(1.0 + p1 * d1e ** -par.pathloss_alpha / par.noise_e)
-    c2e = np.log2(1.0 + p2 * d2e ** -par.pathloss_alpha / par.noise_e)
-    return x, y, d1e, d2e, c1e, c2e
+    aps = []
+    for ap, (_, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
+        d_e = np.maximum(np.sqrt((x - ap.position.x) ** 2 + (y - ap.position.y) ** 2), par.ref_distance_d0)
+        d_a, d_n = d_e ** par.pathloss_alpha, d_e ** -par.pathloss_alpha
+        s_e = p * d_n
+        aps.append((d_a, d_n, s_e, np.log2(1.0 + s_e / par.noise_e)))
+    (d1_a, *_), (d2_a, *_) = aps
+    return x, y, aps, (par.noise_e * d1_a * d2_a, par.noise_e * d2_a * d1_a)
 
 
 def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
@@ -155,7 +158,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     item is asked for; ``smart_fj`` starts from ``smart``'s association."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
-    x, y, d1e, d2e, c1e, c2e = eve
+    x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)), eve_pre = eve
     ((d1m, p1, cap1, _, c1m), (d2m, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
     def capacities(pick1):
@@ -173,15 +176,16 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     cap_m, cap_e = capacities(pick1)
     yield PolicyKind.SMART_AP, arrays(chosen, cap_m, cap_e)
 
-    d_im = np.where(pick1, d1m, d2m)
-    d_ie = np.where(pick1, d1e, d2e)
-    d_jm = np.where(pick1, d2m, d1m)
-    d_je = np.where(pick1, d2e, d1e)
-    p_i = np.where(pick1, p1, p2)
-    p_max = np.where(pick1, cap2, cap1)
-    p_opt = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
-    cap_m_fj = np.log2(1.0 + p_i * d_im ** -alpha / (p_opt * d_jm ** -alpha + par.noise_m))
-    cap_e_fj = np.log2(1.0 + p_i * d_ie ** -alpha / (p_opt * d_je ** -alpha + par.noise_e))
+    # the station's distances to the powers alpha and -alpha from numpy's kernel, as the cells'
+    (d1m_a, d2m_a), (d1m_n, d2m_n) = np.array((d1m, d2m)) ** alpha, np.array((d1m, d2m)) ** -alpha
+    p_i, p_max = np.where(pick1, p1, p2), np.where(pick1, cap2, cap1)
+    dim_a, djm_a = np.where(pick1, d1m_a, d2m_a), np.where(pick1, d2m_a, d1m_a)
+    die_a, dje_a = np.where(pick1, d1e_a, d2e_a), np.where(pick1, d2e_a, d1e_a)
+    _, quad, ratio = _coefficients(dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i, np.where(pick1, *eve_pre))
+    p_opt = _best_power(quad, ratio, p_max)
+    s_im, djm_n = np.where(pick1, p1 * d1m_n, p2 * d2m_n), np.where(pick1, d2m_n, d1m_n)
+    cap_m_fj = np.log2(1.0 + s_im / (p_opt * djm_n + par.noise_m))
+    cap_e_fj = np.log2(1.0 + np.where(pick1, s1e, s2e) / (p_opt * np.where(pick1, d2e_n, d1e_n) + par.noise_e))
     # same guard as the scalar path: never fall below the no-jamming result
     worse = (cap_m_fj - cap_e_fj) < (cap_m - cap_e)
     yield PolicyKind.SMART_AP_FJ, arrays(
@@ -189,38 +193,38 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     )
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """``math.fsum(a.tolist())`` of a float64 array: the same float, at numpy speed.
+def _exact_sums(a: np.ndarray) -> tuple[float, float]:
+    """``math.fsum`` of a float64 array and of ``np.maximum(a, 0.0)``, as lists, at numpy speed.
 
-    ``np.bincount`` sums the 26-bit halves of the mantissas per sign and
-    exponent, exactly below ``2**26`` values; the bins make one integer
-    count of ``2**-1075``, and its quotient is correctly rounded, as ``fsum``
-    is. Inf, nan and zero sums (the sign of zero) go to ``fsum``.
+    ``np.bincount`` sums the 26-bit halves of the mantissas per sign and exponent,
+    exactly below ``2**26`` values; all bins, and the positive-sign bins, make two integer
+    counts of ``2**-1075`` whose quotients are correctly rounded, as ``fsum`` is. Inf,
+    nan and zero sums (the sign of zero) go to ``fsum``.
     """
     bits = a.view(np.int64)
     key = (bits >> 52) & 0xFFF
     count = np.bincount(key, minlength=0x1000)
     if a.size >= 1 << 26 or count[0x7FF] or count[0xFFF]:
-        return math.fsum(a.tolist())
+        return math.fsum(a.tolist()), math.fsum(np.maximum(a, 0.0).tolist())
     hi = np.bincount(key, weights=(bits >> 26) & 0x3FFFFFF, minlength=0x1000)
     lo = np.bincount(key, weights=bits & 0x3FFFFFF, minlength=0x1000)
     used = np.flatnonzero(count)
-    total = 0
+    sums = [0, 0]  # the positive-sign bins, the negative-sign bins
     for k, n, h, l in zip(used.tolist(), count[used].tolist(), hi[used].tolist(), lo[used].tolist()):
         e = k & 0x7FF
-        part = (((n << 52) if e else 0) + (int(h) << 26) + int(l)) << max(e, 1)
-        total += -part if k & 0x800 else part
-    return total / (1 << 1075) if total else math.fsum(a.tolist())
-
-
-def _metrics(ev: GridArrays) -> PolicyMeans:
-    size = ev.secrecy.size
-    return PolicyMeans(
-        avg_secrecy=_exact_sum(ev.secrecy) / size,
-        avg_secrecy_truncated=_exact_sum(np.maximum(ev.secrecy, 0.0)) / size,
-        avg_eve_capacity=_exact_sum(ev.cap_eve) / size,
-        coverage_ratio=int(np.count_nonzero(ev.secrecy > 0.0)) / size,
+        sums[k >> 11] += (((n << 52) if e else 0) + (int(h) << 26) + int(l)) << max(e, 1)
+    return (
+        (sums[0] - sums[1]) / (1 << 1075) if sums[0] != sums[1] else math.fsum(a.tolist()),
+        sums[0] / (1 << 1075) if sums[0] else math.fsum(np.maximum(a, 0.0).tolist()),
     )
+
+
+def _metrics(ev: GridArrays, eve_sum: float | None = None) -> PolicyMeans:
+    """The means of ``ev``; ``eve_sum``, when given, is the exact sum of ``ev.cap_eve``."""
+    size = ev.secrecy.size
+    secrecy, truncated = _exact_sums(ev.secrecy)
+    eve_sum = _exact_sums(ev.cap_eve)[0] if eve_sum is None else eve_sum
+    return PolicyMeans(secrecy / size, truncated / size, eve_sum / size, int(np.count_nonzero(ev.secrecy > 0.0)) / size)
 
 
 def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
@@ -244,6 +248,8 @@ def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool 
 def _run_chunk(args) -> list[SampleRecord]:
     scenario, cfg, seed, indices = args
     eve = _eve_terms(scenario, cfg)
+    # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
+    normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
     records = []
     for index in indices:
         # per-sample generator keyed by (seed, index): order- and worker-independent
@@ -251,16 +257,49 @@ def _run_chunk(args) -> list[SampleRecord]:
         sta_m = Point2D(float(x), float(y))
         # all three grids before any reduction: interleaving them doubled the page faults per sample
         grids = dict(_evaluate_grid(scenario, sta_m, eve))
-        records.append(SampleRecord(sta_m, {policy: _metrics(ev) for policy, ev in grids.items()}))
+        eve_sums = {PolicyKind.NORMAL_WIFI: normal_eve[grids[PolicyKind.NORMAL_WIFI].chosen[0] - 1]}
+        records.append(SampleRecord(sta_m, {p: _metrics(ev, eve_sums.get(p)) for p, ev in grids.items()}))
     return records
 
 
+def _run_chunks(tasks) -> list[SampleRecord]:
+    """The records of ``tasks``, in order: the first task runs here, each other one in a forked worker
+    that sends its records or exception through a pipe and leaves by ``os._exit``, never running its
+    parent's cleanup; all are reaped before this returns or raises. Without ``os.fork`` all run here."""
+    forked = tasks[1:] if hasattr(os, "fork") else []
+    children = []
+    try:
+        for task in forked:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        result = _run_chunk(task)
+                    except Exception as exc:
+                        result = exc
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(result))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        records = [record for task in tasks[: len(tasks) - len(forked)] for record in _run_chunk(task)]
+        for _, pipe in children:
+            value = pickle.loads(data) if (data := pipe.read()) else ChildProcessError("a Monte Carlo worker died")
+            if isinstance(value, Exception):
+                raise value
+            records += value
+        return records
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def monte_carlo(
-    scenario_template: Scenario,
-    cfg: SweepConfig,
-    n: int,
-    seed: int,
-    workers: int = 1,
+    scenario_template: Scenario, cfg: SweepConfig, n: int, seed: int, workers: int = 1
 ) -> MonteCarloSummary:
     """Average the sweep metrics of all three policies over ``n`` random
     legitimate-station placements.
@@ -268,8 +307,8 @@ def monte_carlo(
     Positions are drawn uniformly over the map square; ``cfg.policy`` is
     ignored because every sample evaluates all policies. The samples run
     on ``min(workers, n, os.cpu_count())`` processes, one contiguous chunk
-    each, in this process when that is one; the result never depends on
-    their number.
+    each: this one and forked workers (see :func:`_run_chunks`). The result
+    never depends on their number.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -281,14 +320,7 @@ def monte_carlo(
     workers = min(workers, n, os.cpu_count() or 1)
     # one contiguous chunk per worker, in sample order, each computing the eavesdropper terms once
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
-    tasks = [(scenario_template, cfg, seed, chunk) for chunk in chunks]
-    if workers > 1:
-        # imported here: the pool's modules cost every other run ~13 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [record for part in pool.map(_run_chunk, tasks) for record in part]
-    else:
-        records = _run_chunk(tasks[0])
+    records = _run_chunks([(scenario_template, cfg, seed, chunk) for chunk in chunks])
 
     means = {}
     for policy in ALL_POLICIES:

@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -12,6 +12,8 @@ from secrecysim import (
     Scenario,
     distance_corrected_power,
 )
+from secrecysim import sweep
+from secrecysim.fjopt import _coefficients, _ratio_terms
 
 # Standard layout used throughout: two 50 mW APs at (40,60) and (80,60) on a
 # 120 m map, 2.4 GHz, alpha=2, -70 dBm noise, 1 Hz bandwidth.
@@ -65,46 +67,77 @@ def scenario1():
     return build_scenario(STA_SCENARIO_1)
 
 
-class PoolLog(list):
-    """The pool sizes requested, in order; ``ranges`` holds the sample index
-    ranges of the tasks the pools were given, in task order."""
+class ChunkLog:
+    """Where Monte Carlo ran its chunks. Each chunk appends ``pid start stop`` to
+    ``path``, from whichever process runs it; ``forked`` holds the pids
+    ``os.fork`` returned, in the order the workers were started."""
 
-    def __init__(self):
-        super().__init__()
-        self.ranges = []
+    def __init__(self, path):
+        self.path = path
+        self.forked = []
+
+    def take(self) -> list[range]:
+        """The sample index ranges of the chunks run since the last call, in chunk
+        order: this process's first, then each forked worker's. Checks that each
+        process ran one chunk and that this process forked exactly those workers."""
+        ran = {}
+        for line in self.path.read_text().splitlines() if self.path.exists() else ():
+            pid, start, stop = map(int, line.split())
+            assert pid not in ran, "a process ran two chunks"
+            ran[pid] = range(start, stop)
+        order = [os.getpid()] + self.forked if ran else []
+        assert sorted(ran) == sorted(order)
+        self.path.unlink(missing_ok=True)
+        self.forked = []
+        return [ran[pid] for pid in order]
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Replace the process pool by one that runs the tasks in this process;
-    returns a :class:`PoolLog` of what the pools were asked for."""
-    started = PoolLog()
+def recording_pool(monkeypatch, tmp_path):
+    """Record the real forked workers and the chunk each process runs; returns
+    a :class:`ChunkLog`."""
+    log = ChunkLog(tmp_path / "chunks.log")
+    run_chunk, fork = sweep._run_chunk, os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def recorded_chunk(task):
+        # a Monte Carlo task ends with the range of sample indices it runs
+        chunk = task[-1]
+        with open(log.path, "a") as out:  # one short append: whole lines from every process
+            out.write(f"{os.getpid()} {chunk.start} {chunk.stop}\n")
+        return run_chunk(task)
 
-        def __enter__(self):
-            return self
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            log.forked.append(pid)
+        return pid
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(sweep, "_run_chunk", recorded_chunk)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return log
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            # a Monte Carlo task ends with the range of sample indices it runs
-            started.ranges.extend(task[-1] for task in tasks)
-            return map(fn, tasks)
 
-    # monte_carlo imports the pool inside its pool branch, from concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
+@pytest.fixture
+def failing_chunks(monkeypatch):
+    """``fail(first)`` makes Monte Carlo's ``_run_chunk`` raise ``ValueError("chunk
+    failed")`` for the chunk that starts at sample 0 (``first``) or for every other one."""
+    run_chunk = sweep._run_chunk
+
+    def fail(first: bool):
+        def failing(task):
+            if (task[-1].start == 0) == first:
+                raise ValueError("chunk failed")
+            return run_chunk(task)
+
+        monkeypatch.setattr(sweep, "_run_chunk", failing)
+
+    return fail
 
 
 class FjArgs(NamedTuple):
     """The arguments of ``fjopt.optimize_fj_power``, in its order: distances
     clamped to the reference distance (m), noise powers (W) and corrected
-    powers (Watt*m^alpha). ``geom[:8]`` are the arguments of ``_coefficients``."""
+    powers (Watt*m^alpha). :func:`coefficients` gives ``_coefficients`` of them."""
 
     d_im: float
     d_ie: float
@@ -115,6 +148,20 @@ class FjArgs(NamedTuple):
     noise_e: float
     p_i: float
     p_max: float
+
+
+def coefficients(geom: FjArgs):
+    """``fjopt._coefficients`` of ``geom``, floats or arrays, its distances raised
+    to alpha as the optimizers raise them."""
+    a = geom.alpha
+    return _coefficients(geom.d_im ** a, geom.d_ie ** a, geom.d_jm ** a, geom.d_je ** a, geom.noise_m, geom.noise_e, geom.p_i)
+
+
+def log2_ratio(ratio, p_j: float) -> float:
+    """log2 of the objective ratio at ``p_j`` from ``_coefficients``' ratio terms, as
+    the scalar optimizer computes it."""
+    num, den = _ratio_terms(ratio, p_j)
+    return math.log2(num) - math.log2(den)
 
 
 def random_fj_geometry(

@@ -23,9 +23,9 @@ from secrecysim import (
     transmit_power_from_corrected,
     watt_to_dbm,
 )
-from secrecysim.fjopt import _coefficients, _log2_ratio, optimize_fj_power
+from secrecysim.fjopt import optimize_fj_power
 
-from conftest import build_scenario, grid_search_best, random_fj_geometry
+from conftest import build_scenario, coefficients, grid_search_best, log2_ratio, random_fj_geometry
 
 SCENARIOS = {
     "scenario1": (20.0, 100.0),
@@ -88,8 +88,7 @@ def test_criterion_1_closed_form_matches_dense_grid_search():
         for _ in range(1000):
             geom = random_fj_geometry(rng, noise_e=noise_e)
             p_opt = optimize_fj_power(*geom)
-            caps, _ = _coefficients(*geom[:8])
-            secrecy = _log2_ratio(caps, geom.p_i, p_opt)
+            secrecy = log2_ratio(coefficients(geom)[2], p_opt)
             oracle_best, _ = grid_search_best(geom, points=100001)
             worst = max(worst, abs(secrecy - oracle_best))
     elapsed = time.time() - started
@@ -124,7 +123,7 @@ def test_criterion_2_coefficients_match_derivative_and_exact_algebra():
     worst = 0.0
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+        _, (quad_a, quad_b, quad_c), _ = coefficients(geom)
         p = float(rng.uniform(0.0, geom.p_max))
         h = max(p, geom.p_max * 1e-3) * 1e-5
         numeric = (_direct_ratio(geom, p + h) - _direct_ratio(geom, p - h)) / (2.0 * h)

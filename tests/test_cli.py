@@ -421,10 +421,28 @@ def test_threads_beyond_the_cpu_count_start_no_more_workers(
     args = ["sweep", "--scenario", str(small_scenario), "--policy", "smart", "--monte-carlo-n", "8"]
     monkeypatch.setenv("SECRECY_SIM_THREADS", "5000")
     assert main(args + ["--out-dir", str(tmp_path / "env")]) == 0
+    assert len(recording_pool.take()) == 2
     monkeypatch.delenv("SECRECY_SIM_THREADS")
     assert main(args + ["--out-dir", str(tmp_path / "flag"), "--threads", "5000"]) == 0
-    assert recording_pool == [2, 2]
+    assert len(recording_pool.take()) == 2
     assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "flag")
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["worker-fails", "caller-fails"])
+def test_sweep_monte_carlo_chunk_failure_fails_cleanly(
+    first, small_scenario, tmp_path, monkeypatch, capsys, failing_chunks
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    failing_chunks(first)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)]
+    assert main(args + ["--monte-carlo-n", "4", "--threads", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: chunk failed")
+    assert list(out.iterdir()) == []
+    # no worker is left, and none ran the CLI's cleanup or wrote a file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -493,23 +511,26 @@ def test_dbm_column_matches_scalar_watt_to_dbm():
 
 
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):
+    # nor with it: Monte Carlo forks its workers itself
     script = (
         "import sys\n"
         "import secrecysim.cli\n"
-        "argv = ['sweep', '--scenario', sys.argv[1], '--policy', 'all', '--out-dir', sys.argv[2]]\n"
-        "assert secrecysim.cli.main(argv) == 0\n"
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+        "for out, extra in ((sys.argv[2], []), (sys.argv[3], ['--monte-carlo-n', '4', '--threads', '2'])):\n"
+        "    argv = ['sweep', '--scenario', sys.argv[1], '--policy', 'all', '--out-dir', out] + extra\n"
+        "    assert secrecysim.cli.main(argv) == 0\n"
+        "    print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
     )
     src = Path(cli.__file__).resolve().parent.parent
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(small_scenario), str(tmp_path / "out")],
+        [sys.executable, "-c", script, str(small_scenario), str(tmp_path / "out"), str(tmp_path / "mc")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
     assert len(list((tmp_path / "out").iterdir())) == 15
+    assert len(list((tmp_path / "mc").iterdir())) == 15
 
 
 def test_console_script_version():

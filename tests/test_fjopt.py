@@ -27,7 +27,6 @@ from secrecysim import (
 from secrecysim.fjopt import (
     _candidate_powers,
     _coefficients,
-    _log2_ratio,
     _ratio_terms,
     derivative_numerator_roots,
     optimize_fj_power,
@@ -35,20 +34,27 @@ from secrecysim.fjopt import (
 )
 from secrecysim.sweep import _eve_terms
 
-from conftest import UNDERFLOW_DOCUMENT, FjArgs, direct_secrecy_curve, grid_search_best, random_fj_geometry
+from conftest import (
+    UNDERFLOW_DOCUMENT,
+    FjArgs,
+    coefficients,
+    direct_secrecy_curve,
+    grid_search_best,
+    log2_ratio,
+    random_fj_geometry,
+)
 
 P_50MW = distance_corrected_power(0.05, ChannelParams())
 
 
 def ratio_secrecy(geom, p_j):
     """Secrecy per Hz at ``p_j`` through the optimizer's own ratio form."""
-    caps, _ = _coefficients(*geom[:8])
-    return _log2_ratio(caps, geom.p_i, p_j)
+    return log2_ratio(coefficients(geom)[2], p_j)
 
 
 def candidate_powers(geom):
     """0, ``p_max`` and the derivative roots clamped to ``[0, p_max]``."""
-    _, quad = _coefficients(*geom[:8])
+    _, quad, _ = coefficients(geom)
     roots = derivative_numerator_roots(quad, geom.p_max)
     return [0.0, geom.p_max] + [min(max(root, 0.0), geom.p_max) for root in roots]
 
@@ -61,8 +67,8 @@ def unit_geometry():
 
 
 def test_coefficients_unit_geometry():
-    (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c) = _coefficients(
-        *unit_geometry()[:8]
+    (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c), ratio = coefficients(
+        unit_geometry()
     )
     assert cap_a == 1.0
     assert cap_b == 2e-10
@@ -74,6 +80,8 @@ def test_coefficients_unit_geometry():
     assert quad_a == 0.0
     assert quad_b == 0.0
     assert quad_c == 0.0
+    # p_i = 1: the ratio's terms are plain sums of the constants
+    assert ratio == (cap_a, cap_b + cap_c, cap_d + cap_k, cap_b + cap_e, cap_f + cap_k)
 
 
 def test_symmetric_geometry_degenerates_fully():
@@ -82,7 +90,7 @@ def test_symmetric_geometry_degenerates_fully():
         d_im=7.0, d_ie=7.0, d_jm=31.0, d_je=31.0, alpha=3.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+    _, (quad_a, quad_b, quad_c), _ = coefficients(geom)
     assert quad_a == 0.0 and quad_b == 0.0 and quad_c == 0.0
     for p_j in (0.0, 0.3 * geom.p_max, geom.p_max):
         assert ratio_secrecy(geom, p_j) == 0.0
@@ -110,7 +118,7 @@ def test_quadratic_matches_numeric_derivative_values():
     rng = np.random.default_rng(777)
     for _ in range(100):
         geom = random_fj_geometry(rng)
-        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+        _, (quad_a, quad_b, quad_c), _ = coefficients(geom)
         p = float(rng.uniform(0.0, geom.p_max))
         h = max(p, geom.p_max * 1e-3) * 1e-5
         numeric = (_f_direct(geom, p + h) - _f_direct(geom, p - h)) / (2.0 * h)
@@ -124,7 +132,7 @@ def test_quadratic_matches_numeric_polynomial_fit():
     rng = np.random.default_rng(4242)
     for _ in range(25):
         geom = random_fj_geometry(rng)
-        _, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+        _, (quad_a, quad_b, quad_c), _ = coefficients(geom)
         t = np.linspace(0.0, 1.0, 41)
         powers = t * geom.p_max
         h = np.maximum(powers, geom.p_max * 1e-3) * 1e-5
@@ -163,7 +171,7 @@ def test_float_coefficients_track_exact_arithmetic():
     rng = np.random.default_rng(31337)
     for _ in range(50):
         geom = random_fj_geometry(rng)
-        caps, (quad_a, quad_b, quad_c) = _coefficients(*geom[:8])
+        caps, (quad_a, quad_b, quad_c), _ = coefficients(geom)
         a_, b_, c_, d_, e_, f_, k_ = (Fraction(v) for v in caps)
         p_i = Fraction(geom.p_i)
         exact_a = p_i * a_ * (e_ - c_)
@@ -265,7 +273,7 @@ def test_root_residuals_are_small():
     checked = 0
     for _ in range(300):
         geom = random_fj_geometry(rng)
-        _, quad = _coefficients(*geom[:8])
+        _, quad, _ = coefficients(geom)
         quad_a, quad_b, quad_c = quad
         for root in derivative_numerator_roots(quad, geom.p_max):
             residual = quad_a * root * root + quad_b * root + quad_c
@@ -294,7 +302,7 @@ def test_linear_degenerate_geometry_matches_grid():
         d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0, alpha=1.0,
         noise_m=1e-10, noise_e=1e-10, p_i=P_50MW, p_max=P_50MW
     )
-    _, (quad_a, quad_b, _) = _coefficients(*geom[:8])
+    _, (quad_a, quad_b, _), _ = coefficients(geom)
     assert quad_a == 0.0
     assert quad_b != 0.0
     best_grid, _ = grid_search_best(geom)
@@ -315,7 +323,7 @@ def test_array_optimizer_matches_scalar():
         FjArgs(d_im=d, d_ie=d, d_jm=e, d_je=e, alpha=3.0, **common)
         for d, e in rng.uniform(1.0, 170.0, (50, 2)).tolist()
     ]
-    assert all(_coefficients(*geom[:8])[1] == (0.0, 0.0, 0.0) for geom in symmetric)
+    assert all(coefficients(geom)[1] == (0.0, 0.0, 0.0) for geom in symmetric)
     linear = [
         FjArgs(d_im=4.0, d_ie=6.0, d_jm=6.0, d_je=9.0 * (1.0 + eps), alpha=1.0, **common)
         for eps in (0.0, 1e-16, 1e-14, 1e-12)
@@ -351,9 +359,9 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     p_i = np.full(d_im.size, P_50MW)
     p_max = np.where(np.arange(d_im.size) % 7 == 0, 0.0, P_50MW)
 
-    caps, quad = _coefficients(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i)
+    _, quad, ratio = coefficients(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))
     cands = np.sort(np.stack(_candidate_powers(quad, p_max)), axis=0)
-    num, den = _ratio_terms(caps, p_i, cands)
+    num, den = _ratio_terms(ratio, cands)
     values = np.log2(num) - np.log2(den)
     expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
 
@@ -379,8 +387,8 @@ def test_scalar_pick_matches_sort_and_first_max(alpha, noise_e):
     ties = 0
     for k, dists in enumerate(lanes):
         geom = FjArgs(*dists, alpha, 1e-10, noise_e, P_50MW, 0.0 if k % 7 == 0 else P_50MW)
-        caps, _ = _coefficients(*geom[:8])
-        values = {p: _log2_ratio(caps, geom.p_i, p) for p in set(candidate_powers(geom))}
+        ratio = coefficients(geom)[2]
+        values = {p: log2_ratio(ratio, p) for p in set(candidate_powers(geom))}
         expected = max(sorted(values), key=values.get)
         got = optimize_fj_power(*geom)
         assert got.hex() == expected.hex(), geom
@@ -410,8 +418,8 @@ def test_no_overflow_at_kilometer_scale_and_alpha_4():
         d_im=1e3, d_ie=900.0, d_jm=950.0, d_je=1e3, alpha=4.0, noise_m=1e-10, noise_e=1e-10,
         p_i=P_50MW, p_max=P_50MW,
     )
-    caps, quad = _coefficients(*geom[:8])
-    for value in caps + quad:
+    caps, quad, ratio = coefficients(geom)
+    for value in caps + quad + ratio:
         assert math.isfinite(value)
     secrecy = ratio_secrecy(geom, optimize_fj_power(*geom))
     assert math.isfinite(secrecy)
@@ -433,27 +441,28 @@ def load_with_channel(tmp_path, doc, **channel):
 
 def closed_form_values(loaded):
     """Every AP order at every grid cell, with the station at its own place and
-    at the corners of the Monte Carlo square: ``_coefficients``, the roots'
+    at the corners of the Monte Carlo square: ``_coefficients`` from the grid engine's
+    eavesdropper terms, the roots'
     ``b*b`` and ``4*a*c``, ``|a|*p_max**2`` and the ratio terms at ``p_max``."""
     scenario, par = loaded.scenario, loaded.scenario.params
-    _, _, d1e, d2e, _, _ = _eve_terms(scenario, loaded.sweep)
+    _, _, aps, eve_pre = _eve_terms(scenario, loaded.sweep)
     extent = scenario.map_extent
     stations = [scenario.sta_m] + [Point2D(x, y) for x in (0.0, extent) for y in (0.0, extent)]
     values = []
     for sta in stations:
         links = [
-            (effective_distance(distance(ap.position, sta), par), d_e, ap)
-            for ap, d_e in ((scenario.ap1, d1e), (scenario.ap2, d2e))
+            (effective_distance(distance(ap.position, sta), par) ** par.pathloss_alpha, d_a, ap)
+            for ap, (d_a, *_) in zip((scenario.ap1, scenario.ap2), aps)
         ]
-        for (d_im, d_ie, ap_i), (d_jm, d_je, ap_j) in (links, links[::-1]):
-            p_i = np.full(d_ie.shape, distance_corrected_power(ap_i.tx_power, par))
-            p_max = np.full(d_ie.shape, distance_corrected_power(ap_j.tx_power_max, par))
-            d_im, d_jm = np.full(d_ie.shape, d_im), np.full(d_ie.shape, d_jm)
-            caps, (a, b, c) = _coefficients(
-                d_im, d_ie, d_jm, d_je, par.pathloss_alpha, par.noise_m, par.noise_e, p_i
+        for order, ((dim_a, die_a, ap_i), (djm_a, dje_a, ap_j)) in enumerate((links, links[::-1])):
+            p_i = np.full(die_a.shape, distance_corrected_power(ap_i.tx_power, par))
+            p_max = np.full(die_a.shape, distance_corrected_power(ap_j.tx_power_max, par))
+            dim_a, djm_a = np.full(die_a.shape, dim_a), np.full(die_a.shape, djm_a)
+            caps, (a, b, c), ratio = _coefficients(
+                dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i, eve_pre[order]
             )
-            values += [*caps, a, b, c, b * b, 4.0 * a * c, np.abs(a) * p_max * p_max]
-            values += _ratio_terms(caps, p_i, p_max)
+            values += [*caps, *ratio, a, b, c, b * b, 4.0 * a * c, np.abs(a) * p_max * p_max]
+            values += _ratio_terms(ratio, p_max)
     return values
 
 

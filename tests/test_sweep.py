@@ -22,7 +22,7 @@ from secrecysim import (
 )
 from secrecysim import sweep as sweep_module
 from secrecysim.fjopt import optimize_fj_power_array
-from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sum, grid_coordinates
+from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sums, grid_coordinates
 
 from conftest import build_scenario
 
@@ -292,11 +292,12 @@ def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, monkeyp
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
     capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64)
-    assert recording_pool == [3]
+    assert len(recording_pool.take()) == 3
     assert capped == monte_carlo(scenario, cfg, n=3, seed=4, workers=1)
-    # one sample needs no pool at all
+    assert recording_pool.take() == [range(3)]
+    # one sample forks nothing
     monte_carlo(scenario, cfg, n=1, seed=4, workers=64)
-    assert recording_pool == [3]
+    assert recording_pool.take() == [range(1)]
 
 
 @pytest.mark.parametrize("n, workers", [(9, 2), (7, 3), (3, 64)])
@@ -305,8 +306,8 @@ def test_monte_carlo_gives_each_worker_one_contiguous_chunk(n, workers, recordin
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=3, step=40.0)
     pooled = monte_carlo(scenario, cfg, n=n, seed=4, workers=workers)
-    assert recording_pool == [min(workers, n)]
-    ranges = recording_pool.ranges
+    # this process runs the first chunk, the forked workers the others, in the order they started
+    ranges = recording_pool.take()
     assert len(ranges) == min(workers, n)
     # contiguous, nonempty and in order, so together exactly range(n)
     assert all(r.step == 1 and len(r) > 0 for r in ranges)
@@ -318,12 +319,13 @@ def test_monte_carlo_gives_each_worker_one_contiguous_chunk(n, workers, recordin
 def optimizer_calls(monkeypatch):
     """Count the grid engine's calls of the array jamming optimizer."""
     calls = []
+    best_power = sweep_module._best_power
 
     def counted(*args):
         calls.append(args)
-        return optimize_fj_power_array(*args)
+        return best_power(*args)
 
-    monkeypatch.setattr(sweep_module, "optimize_fj_power_array", counted)
+    monkeypatch.setattr(sweep_module, "_best_power", counted)
     return calls
 
 
@@ -345,15 +347,50 @@ def test_monte_carlo_runs_the_jamming_optimizer_once_per_sample(optimizer_calls)
     assert set(mc.samples[0].metrics) == set(ALL_POLICIES)
 
 
-@pytest.mark.parametrize("cpus, started", [(2, [2]), (None, [])], ids=["two-cpus", "unknown"])
+@pytest.mark.parametrize("cpus, started", [(2, 2), (None, 1)], ids=["two-cpus", "unknown"])
 def test_monte_carlo_starts_no_more_workers_than_cpus(cpus, started, recording_pool, monkeypatch):
-    # a pool starts all its workers up front, so 5,000 asked for would be 5,000 processes
+    # every worker is a process, so 5,000 asked for would be 5,000 processes
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=3, step=40.0)
     capped = monte_carlo(scenario, cfg, n=20, seed=4, workers=5000)
-    assert recording_pool == started
+    assert len(recording_pool.take()) == started
     assert capped == monte_carlo(scenario, cfg, n=20, seed=4, workers=1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["worker-fails", "caller-fails"])
+def test_monte_carlo_raises_a_failed_chunks_error_and_leaves_no_child(first, failing_chunks, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    failing_chunks(first)
+    with pytest.raises(ValueError, match="chunk failed"):
+        monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=4, seed=4, workers=2)
+    assert_no_child_left()
+
+
+def test_monte_carlo_worker_that_dies_without_records_is_an_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_chunk = sweep_module._run_chunk
+    monkeypatch.setattr(sweep_module, "_run_chunk", lambda task: os._exit(3) if task[-1].start else run_chunk(task))
+    with pytest.raises(ChildProcessError, match="worker died"):
+        monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=4, seed=4, workers=2)
+    assert_no_child_left()
+
+
+def test_monte_carlo_without_fork_runs_every_chunk_here(recording_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scenario, cfg = build_scenario(), small_cfg(k=5, step=24.0)
+    serial = monte_carlo(scenario, cfg, n=5, seed=4, workers=1)
+    recording_pool.take()
+    monkeypatch.delattr(os, "fork")
+    assert monte_carlo(scenario, cfg, n=5, seed=4, workers=2) == serial
+    # both chunks ran in this process, in order
+    log = [line.split() for line in recording_pool.path.read_text().splitlines()]
+    assert log == [[str(os.getpid()), "0", "2"], [str(os.getpid()), "2", "5"]]
 
 
 def test_monte_carlo_seed_changes_draws():
@@ -414,9 +451,24 @@ def fsum_outcome(values):
 
 def exact_sum_outcome(array):
     try:
-        return _exact_sum(array).hex()
+        return _exact_sums(array)[0].hex()
     except (OverflowError, ValueError) as exc:
         return type(exc)
+
+
+def split_sums_outcome(array):
+    """Both of ``_exact_sums``' floats as hex, or the error type."""
+    try:
+        return tuple(total.hex() for total in _exact_sums(array))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def fsums_outcome(values):
+    """``math.fsum`` of ``values`` and of ``np.maximum(values, 0.0)`` as lists, as
+    hex, or the type of the first error."""
+    outcomes = fsum_outcome(values), fsum_outcome(np.maximum(np.array(values, dtype=float), 0.0).tolist())
+    return next((o for o in outcomes if isinstance(o, type)), outcomes)
 
 
 TINY = 2.2250738585072014e-308  # smallest normal double
@@ -452,4 +504,38 @@ def test_exact_sum_on_grid_sized_arrays():
     full_mantissa = np.full(100_000, np.nextafter(2.0, 0.0))
     mixed = rng.normal(size=14_400) * 10.0 ** rng.integers(-300, 300, size=14_400)
     for array in (full_mantissa, -full_mantissa, mixed, rng.normal(size=14_400)):
-        assert _exact_sum(array).hex() == math.fsum(array.tolist()).hex()
+        assert _exact_sums(array)[0].hex() == math.fsum(array.tolist()).hex()
+        assert _exact_sums(array)[1].hex() == math.fsum(np.maximum(array, 0.0).tolist()).hex()
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+negative = st.one_of(finite, scaled, subnormal).filter(lambda v: v != 0.0).map(lambda v: -abs(v))
+
+
+@given(
+    st.lists(st.one_of(finite, scaled, subnormal, signed_zero), max_size=300),
+    st.lists(st.one_of(scaled, subnormal), max_size=50),
+)
+def test_split_sums_match_fsum_of_values_and_of_positive_part(values, cancelling):
+    # one set of bins gives both sums; each cancelling value also appears negated
+    values = values + cancelling + [-v for v in cancelling]
+    assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
+
+
+@given(
+    st.one_of(
+        st.lists(negative, min_size=1, max_size=50),
+        st.lists(signed_zero, min_size=1, max_size=20),
+        st.lists(st.one_of(negative, signed_zero), min_size=1, max_size=50),
+        st.lists(st.one_of(subnormal, signed_zero), min_size=1, max_size=50),
+        st.lists(st.one_of(finite, scaled, subnormal, special), min_size=1, max_size=1),
+    )
+)
+def test_split_sums_of_negative_zero_subnormal_and_single_lanes(values):
+    # all negative or all zero: the positive sum falls back to fsum and keeps its sign of zero
+    assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
+
+
+@given(st.lists(st.one_of(scaled, special), min_size=1, max_size=30))
+def test_split_sums_fall_back_on_inf_and_nan(values):
+    assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
