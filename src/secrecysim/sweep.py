@@ -178,11 +178,11 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
 
     # the station's distances to the powers alpha and -alpha from numpy's kernel, as the cells'
     (d1m_a, d2m_a), (d1m_n, d2m_n) = np.array((d1m, d2m)) ** alpha, np.array((d1m, d2m)) ** -alpha
-    p_i, p_max = np.where(pick1, p1, p2), np.where(pick1, cap2, cap1)
-    dim_a, djm_a = np.where(pick1, d1m_a, d2m_a), np.where(pick1, d2m_a, d1m_a)
-    die_a, dje_a = np.where(pick1, d1e_a, d2e_a), np.where(pick1, d2e_a, d1e_a)
-    _, quad, ratio = _coefficients(dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i, np.where(pick1, *eve_pre))
-    p_opt = _best_power(quad, ratio, p_max)
+    quad, ratio = _coefficients(  # operands built in the call, constants dropped: less peak memory
+        np.where(pick1, d1m_a, d2m_a), np.where(pick1, d1e_a, d2e_a), np.where(pick1, d2m_a, d1m_a),
+        np.where(pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, np.where(pick1, p1, p2), np.where(pick1, *eve_pre),
+    )[1:]
+    p_opt = _best_power(quad, ratio, np.where(pick1, cap2, cap1))
     s_im, djm_n = np.where(pick1, p1 * d1m_n, p2 * d2m_n), np.where(pick1, d2m_n, d1m_n)
     cap_m_fj = np.log2(1.0 + s_im / (p_opt * djm_n + par.noise_m))
     cap_e_fj = np.log2(1.0 + np.where(pick1, s1e, s2e) / (p_opt * np.where(pick1, d2e_n, d1e_n) + par.noise_e))

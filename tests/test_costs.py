@@ -4,8 +4,8 @@ Time on a shared machine drifts too much to see one extra array pass, so
 these tests count numpy calls instead. The eavesdropper terms of one chunk
 are handed to the sample kernel as :class:`Counted` arrays; every ufunc and
 array function that receives one is counted under its name, with the lanes
-of its array inputs, and its array results are counted again. The counts
-are exact and independent of the machine. Counts are not time: a speed
+of its array inputs, and its array results are wrapped again, so the calls
+made on them count too. The counts are exact and independent of the machine. Counts are not time: a speed
 claim still needs benchmark pairs.
 
 A change that adds or removes array work per sample updates ``PER_SAMPLE``.
