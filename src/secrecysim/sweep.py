@@ -4,10 +4,10 @@ The sweep evaluates policies at every cell of a square grid with a
 vectorized engine that states :func:`secrecysim.policy.select`'s rules in
 its order (``select`` stays the reference and the test oracle): ``normal``,
 then ``smart``, then ``smart_fj``, which lets the idle AP jam. Terms that
-do not depend on the station are computed once per sweep or Monte Carlo chunk;
+do not depend on the station are computed once per sweep or Monte Carlo run;
 the station's come from the helper that ``select``'s ``Scenario`` uses.
-The jamming power comes from :func:`secrecysim.fjopt.optimize_fj_power_array`,
-which shares the closed form with the scalar optimizer ``select`` uses.
+The jamming power comes from the body of :func:`secrecysim.fjopt.optimize_fj_power_array`,
+on powers of the distances computed once, and shares the closed form with ``select``'s optimizer.
 Aggregates use exact, correctly rounded summation, so results are
 independent of evaluation order and of the number of Monte Carlo workers.
 """
@@ -246,8 +246,7 @@ def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool 
 
 
 def _run_chunk(args) -> list[SampleRecord]:
-    scenario, cfg, seed, indices = args
-    eve = _eve_terms(scenario, cfg)
+    scenario, eve, seed, indices = args
     # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
     normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
     records = []
@@ -318,9 +317,10 @@ def monte_carlo(
         raise ValueError("workers must be >= 1")
     _check_cells(scenario_template, cfg)
     workers = min(workers, n, os.cpu_count() or 1)
-    # one contiguous chunk per worker, in sample order, each computing the eavesdropper terms once
+    eve = _eve_terms(scenario_template, cfg)
+    # one contiguous chunk per worker, in sample order; forked workers inherit the eavesdropper terms
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
-    records = _run_chunks([(scenario_template, cfg, seed, chunk) for chunk in chunks])
+    records = _run_chunks([(scenario_template, eve, seed, chunk) for chunk in chunks])
 
     means = {}
     for policy in ALL_POLICIES:

@@ -115,14 +115,11 @@ def count_sample():
     """Run one sample through ``_run_chunk`` on counted eavesdropper terms; returns the
     counts per step, the per-chunk counts, the records and the records of a plain run."""
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    task = (loaded.scenario, loaded.sweep, 5, range(3, 4))
-    plain = sweep._run_chunk(task)
+    eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    plain = sweep._run_chunk((loaded.scenario, eve, 5, range(3, 4)))
 
     steps, lanes = {}, {}
-    eve_terms, evaluate_grid, metrics = sweep._eve_terms, sweep._evaluate_grid, sweep._metrics
-
-    def counted_eve_terms(scenario, cfg):
-        return counted_terms(eve_terms(scenario, cfg))
+    evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
 
     def counted_grid(scenario, sta_m, eve):
         before = snapshot()
@@ -142,10 +139,9 @@ def count_sample():
     Counted.calls.clear()
     Counted.lanes.clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_eve_terms", counted_eve_terms)
         mp.setattr(sweep, "_evaluate_grid", counted_grid)
         mp.setattr(sweep, "_metrics", counted_metrics)
-        records = sweep._run_chunk(task)
+        records = sweep._run_chunk((loaded.scenario, counted_terms(eve), 5, range(3, 4)))
     chunk = dict(Counter(Counted.calls) - sum((Counter(c) for c in steps.values()), Counter()))
     return steps, lanes, chunk, records, plain
 
