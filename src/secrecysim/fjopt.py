@@ -20,8 +20,8 @@ clamped real roots of that quadratic plus the two interval endpoints.
 
 The closed form is written once, as arithmetic on floats or arrays, shared
 by :func:`optimize_fj_power` (nine floats, for ``policy.select``) and
-:func:`optimize_fj_power_array` (array distances and powers, for the grid
-sweep). Both break ties to the smallest power and trust a ``Scenario``'s values.
+:func:`_best_power` (arrays of :func:`_coefficients`, for the grid sweep).
+Both break ties to the smallest power and trust a ``Scenario``'s values.
 """
 
 import math
@@ -174,17 +174,10 @@ def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:
     return np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
 
 
-def optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_max) -> np.ndarray:
-    """The power :func:`optimize_fj_power` returns, per lane of 1-d arrays
-    of distances, ``p_i`` and ``p_max`` (the other arguments are scalars).
-    Ties go to the smallest power; near ties may resolve otherwise than in
-    the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
-    _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
-    return _best_power(quad, ratio, p_max)
-
-
 def _best_power(quad, ratio, p_max) -> np.ndarray:
-    """:func:`optimize_fj_power_array` from :func:`_coefficients`' arrays."""
+    """The power :func:`optimize_fj_power` returns, per lane of :func:`_coefficients`' 1-d
+    ``quad`` and ``ratio`` arrays and of ``p_max``. Ties go to the smallest power; near ties
+    may resolve otherwise than in the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
     powers = _candidate_powers(quad, p_max)
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
     values = [np.log2(ratio[2]) - np.log2(ratio[4])]

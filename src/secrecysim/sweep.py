@@ -6,8 +6,8 @@ its order (``select`` stays the reference and the test oracle): ``normal``,
 then ``smart``, then ``smart_fj``, which lets the idle AP jam. Terms that
 do not depend on the station are computed once per sweep or Monte Carlo run;
 the station's come from the helper that ``select``'s ``Scenario`` uses.
-The jamming power comes from the body of :func:`secrecysim.fjopt.optimize_fj_power_array`,
-on powers of the distances computed once, and shares the closed form with ``select``'s optimizer.
+The jamming power comes from :func:`secrecysim.fjopt._best_power` on powers of the distances
+computed once; ``sweep --policy all`` and ``compare`` take the three policies from one pass per scenario.
 Aggregates use exact, correctly rounded summation, so results are
 independent of evaluation order and of the number of Monte Carlo workers.
 """
@@ -236,13 +236,21 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
     )
 
 
+def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False) -> dict[PolicyKind, SweepSummary]:
+    """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order, from
+    one pass that stops after the last of them: only a pass that includes smart_fj runs the jamming optimizer."""
+    _check_cells(scenario, cfg)
+    summaries = {}
+    for policy, ev in _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg)):
+        if policy in policies:
+            summaries[policy] = SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
+        if summaries.keys() >= set(policies):
+            return summaries
+
+
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
     """Evaluate ``cfg.policy`` at every grid cell and aggregate the metrics."""
-    _check_cells(scenario, cfg)
-    grids = _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg))
-    # the generator stops at cfg.policy, so only smart_fj runs the jamming optimizer
-    ev = next(ev for policy, ev in grids if policy is cfg.policy)
-    return SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
+    return _sweeps(scenario, cfg, (cfg.policy,), retain_cells)[cfg.policy]
 
 
 def _run_chunk(args) -> list[SampleRecord]:

@@ -1,12 +1,16 @@
+import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
 import secrecysim
+import secrecysim.cli
+import secrecysim.policy
 from secrecysim.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "SPEED_OF_LIGHT",
@@ -69,3 +73,20 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(code, f"{README}:Library", "exec"), {})
     assert capsys.readouterr().out
+
+
+def load_by_path(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_swaps_exists():
+    # the tracer fetches each (module, attribute) with getattr, so a name no caller
+    # uses any more, such as cli.sweep_eavesdropper, must still be importable there
+    tracing = load_by_path(ROOT / "bench" / "tracing.py")
+    driver = load_by_path(ROOT / "bench" / "library_driver.py")
+    targets = tracing.layer_targets(secrecysim.cli, secrecysim.policy, driver)
+    missing = [(module.__name__, attr) for module, attr, _ in targets if not hasattr(module, attr)]
+    assert missing == []

@@ -9,15 +9,20 @@ made on them count too. The counts are exact and independent of the machine. Cou
 claim still needs benchmark pairs.
 
 A change that adds or removes array work per sample updates ``PER_SAMPLE``.
+
+The grid-engine passes of whole runs are counted too: the calls of the
+eavesdropper terms and of the array jamming optimizer per command-line run.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from secrecysim import PolicyKind, bundled_scenario_path, load_scenario
+from secrecysim import PolicyKind, bundled_scenario_path, load_scenario, sweep_eavesdropper
 from secrecysim import sweep
+from secrecysim.cli import main
 
 # numpy calls per step of one sample on a bundled scenario: the three policy
 # steps of ``_evaluate_grid``, then the three ``_metrics`` together
@@ -45,6 +50,17 @@ PER_SAMPLE_LANES = {
 }
 # once per chunk: the exact sums of normal's eavesdropper capacity, one per AP
 PER_CHUNK = {"bincount": 6, "bitwise_and": 6, "flatnonzero": 2, "multiply": 2, "right_shift": 4}
+# calls of sweep._eve_terms and sweep._best_power per command-line run on bundled scenarios:
+# one grid-engine pass per scenario, stopped before the optimizer when smart_fj is not asked for
+SCENARIOS = ["--scenario", "scenario1", "--scenario", "scenario2", "--scenario", "scenario3"]
+PASSES_PER_RUN = [
+    (["sweep", "--scenario", "scenario1", "--policy", "all"], 1, 1),
+    (["compare", *SCENARIOS], 3, 3),
+    (["sweep", "--scenario", "scenario1", "--policy", "normal"], 1, 0),
+    (["sweep", "--scenario", "scenario1", "--policy", "smart"], 1, 0),
+    # one set of terms for Monte Carlo and one for the sweep; one optimizer call per sample and one for the sweep
+    (["sweep", "--scenario", "scenario1", "--policy", "all", "--monte-carlo-n", "2", "--threads", "1"], 2, 3),
+]
 
 
 class Counted(np.ndarray):
@@ -175,3 +191,35 @@ def test_a_sample_makes_no_full_grid_power_and_at_most_15_bincounts(counted_samp
     total = sum((Counter(calls) for calls in steps.values()), Counter())
     assert total["power"] == 0
     assert total["bincount"] <= 15
+
+
+def counting(monkeypatch, *names):
+    """Replace each of ``sweep``'s ``names`` by a wrapper that counts its calls in the returned Counter."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(sweep, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, eve_terms, best_power", PASSES_PER_RUN, ids=["all", "compare", "normal", "smart", "all_monte_carlo"]
+)
+def test_grid_engine_passes_per_cli_run_are_pinned(argv, eve_terms, best_power, monkeypatch, tmp_path):
+    calls = counting(monkeypatch, "_eve_terms", "_best_power")
+    out = ["--out-dir", str(tmp_path / "out")] if argv[0] == "sweep" else ["--out", str(tmp_path / "table.json")]
+    assert main([*argv, *out]) == 0
+    assert (calls["_eve_terms"], calls["_best_power"]) == (eve_terms, best_power)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_a_single_policy_sweep_builds_only_its_own_cells(policy, monkeypatch):
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    calls = counting(monkeypatch, "_eve_terms", "_best_power", "_metrics", "_cells")
+    summary = sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, grid_k=4, policy=policy), retain_cells=True)
+    assert len(summary.grid) == 16
+    jams = int(policy is PolicyKind.SMART_AP_FJ)
+    assert calls == Counter(_eve_terms=1, _best_power=jams, _metrics=1, _cells=1)

@@ -25,12 +25,12 @@ from secrecysim import (
     sweep_eavesdropper,
 )
 from secrecysim.fjopt import (
+    _best_power,
     _candidate_powers,
     _coefficients,
     _ratio_terms,
     derivative_numerator_roots,
     optimize_fj_power,
-    optimize_fj_power_array,
 )
 from secrecysim.sweep import _eve_terms
 
@@ -338,10 +338,10 @@ def test_array_optimizer_matches_scalar():
             name: np.array([getattr(geom, name) for geom in group])
             for name in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")
         }
-        p_opt = optimize_fj_power_array(
+        p_opt = _best_power(*coefficients(FjArgs(
             col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], alpha, noise_m, noise_e,
             col["p_i"], col["p_max"],
-        )
+        ))[1:], col["p_max"])
         for geom, power in zip(group, p_opt.tolist()):
             expected = optimize_fj_power(*geom)
             assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
@@ -365,7 +365,7 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     values = np.log2(num) - np.log2(den)
     expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
 
-    got = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max)
+    got = _best_power(*coefficients(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))[1:], p_max)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
     assert np.count_nonzero(got[p_max == 0.0]) == 0

@@ -21,10 +21,10 @@ from secrecysim import (
     sweep_eavesdropper,
 )
 from secrecysim import sweep as sweep_module
-from secrecysim.fjopt import optimize_fj_power_array
+from secrecysim.fjopt import _best_power
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sums, grid_coordinates
 
-from conftest import build_scenario
+from conftest import FjArgs, build_scenario, coefficients
 
 
 def small_cfg(policy=PolicyKind.SMART_AP_FJ, k=25, step=4.0):
@@ -133,7 +133,7 @@ def joint_fj_secrecy(scenario, cfg):
         d_ie, d_je = clamped(data, x, y), clamped(idle, x, y)
         p_i = np.full(x.shape, distance_corrected_power(data.tx_power, par))
         p_max = np.full(x.shape, distance_corrected_power(idle.tx_power_max, par))
-        p = optimize_fj_power_array(d_im, d_ie, d_jm, d_je, a, par.noise_m, par.noise_e, p_i, p_max)
+        p = _best_power(*coefficients(FjArgs(d_im, d_ie, d_jm, d_je, a, par.noise_m, par.noise_e, p_i, p_max))[1:], p_max)
         cap_m = np.log2(1.0 + p_i * d_im ** -a / (p * d_jm ** -a + par.noise_m))
         cap_e = np.log2(1.0 + p_i * d_ie ** -a / (p * d_je ** -a + par.noise_e))
         best = np.maximum(best, cap_m - cap_e)
