@@ -35,10 +35,10 @@ import numpy as np
 DEGENERACY_EPS = 1e-12
 
 
-def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, eve_pre=None):
+def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
     """The objective constants ``(A, B, C, D, E, F, K)``, the derivative quadratic ``(a, b, c)`` and
     the ratio's terms ``(A, B + p_i*C, p_i*D + K, B + p_i*E, p_i*F + K)`` from the distances raised to
-    alpha and ``eve_pre = noise_e*die_a*dje_a`` (computed unless given), floats or arrays, bit for bit alike.
+    alpha, the noises and the data AP's power, floats or arrays, bit for bit alike.
 
     The quadratic coefficients are the algebraically simplified forms
 
@@ -60,11 +60,11 @@ def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, eve_pre=Non
     ``Q0``, ``N_m*N_e`` and ``N_m*N_e*Q0**4`` for ``Q0 = d0**alpha``, the least ``d**alpha``;
     ``Scenario`` refuses a scenario where that is below ``2**-1021``, so none is subnormal.
     """
-    eve_pre = noise_e * die_a * dje_a if eve_pre is None else eve_pre
+    eve = noise_e * die_a * dje_a
     cap_a = dim_a * die_a
-    cap_b = eve_pre * dim_a + noise_m * dim_a * djm_a * die_a
+    cap_b = eve * dim_a + noise_m * dim_a * djm_a * die_a
     cap_c = djm_a * die_a
-    cap_d = eve_pre * djm_a
+    cap_d = eve * djm_a
     cap_e = dim_a * dje_a
     cap_f = noise_m * dim_a * djm_a * dje_a
     cap_k = noise_m * noise_e * dim_a * djm_a * die_a * dje_a
@@ -180,11 +180,11 @@ def _best_power(quad, ratio, p_max) -> np.ndarray:
     may resolve otherwise than in the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
     powers = _candidate_powers(quad, p_max)
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
-    values = [np.log2(ratio[2]) - np.log2(ratio[4])]
-    values += [np.log2(num) - np.log2(den) for num, den in (_ratio_terms(ratio, p) for p in powers[1:])]
+    best_p, best_v = powers[0], np.log2(ratio[2]) - np.log2(ratio[4])
     # running maximum over the candidates; the smallest power wins ties
-    best_p, best_v = powers[0], values[0]
-    for p, v in zip(powers[1:], values[1:]):
+    for p in powers[1:]:
+        num, den = _ratio_terms(ratio, p)
+        v = np.log2(num) - np.log2(den)
         better = (v > best_v) | ((v == best_v) & (p < best_p))
         best_p, best_v = np.where(better, p, best_p), np.where(better, v, best_v)
     return best_p

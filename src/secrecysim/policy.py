@@ -13,15 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import channel
-from .channel import (  # noqa: F401, the benchmark's tracer swaps distance_corrected_power too
-    ApConfig,
-    ChannelParams,
-    Point2D,
-    distance,
-    distance_corrected_power,
-    effective_distance,
-    shannon_capacity,
-)
+from .channel import ApConfig, ChannelParams, Point2D, distance, effective_distance, shannon_capacity
+from .channel import distance_corrected_power  # noqa: F401, the benchmark's tracer swaps this name
 from .fjopt import _check_float_range, optimize_fj_power
 
 
@@ -129,16 +122,23 @@ def _check_reach(scenario: Scenario, points=()) -> None:
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
     """Evaluate one policy at one eavesdropper position.
 
-    The rules run in the order of the grid engine, ``sweep._evaluate_grid``:
-    associate, then (``smart_fj`` only) let the idle AP jam. ``normal``
-    associates to the AP with the highest received power at the station
-    (its SINR, with zero ambient interference), so the eavesdropper plays
-    no role in its choice and only sets the reported capacities. ``smart``
-    and ``smart_fj`` associate to the AP with the larger secrecy
-    difference without jamming; ``smart_fj`` then optimizes the idle AP's
-    power in closed form and recomputes the capacities under that
-    interference. The no-jamming outcome stays in its candidate set, so
-    ``smart_fj`` never falls below ``smart`` on the same inputs.
+    The rules run in the order of the grid engine, ``sweep._evaluate_grid``: associate, then (``smart_fj``
+    only) let the idle AP jam. ``normal`` associates to the AP with the highest received power at the
+    station, so the eavesdropper only sets the reported capacities; ``smart`` and ``smart_fj`` to the AP
+    with the larger secrecy difference without jamming. ``smart_fj`` then gives the idle AP its optimal
+    power in closed form unless not jamming is better, so it never falls below ``smart``.
+
+    With each AP's cap equal to its power, select-then-jam is jointly optimal in exact arithmetic: serving
+    by the other AP, with its best jamming, is never better. Per Hz, in nats, with SNRs ``x, y`` at the
+    station and ``u, v`` at the eavesdropper from APs 1 and 2, AP 1 serving while AP 2 jams at ``t`` times
+    its cap gives ``s1(t) = ln(1 + x/(1+ty)) - ln(1 + u/(1+tv))``, and ``s2`` mirrors it. At ``t = 0`` and
+    at ``t = 1``, ``s1 - s2 = d = ln((1+x)(1+v) / ((1+u)(1+y)))``, and AP 1 is chosen iff ``d >= 0``: it
+    suffices that the AP not chosen does best at ``t = 0`` or ``1``. If ``x >= u`` and ``y <= v``, then
+    ``s1 >= 0 >= s2`` (and mirrored). Otherwise ``s1'`` has the sign of the quadratic
+    ``(1+x)/(xy) - (1+u)/(uv) + 2t(1/x - 1/u) + t^2(y/x - v/u)``, whose value and slope at 0 share the
+    sign of ``u - x``, so ``s1`` rises and then falls only if ``x < u`` and ``xv > uy``, and then ``s2``
+    does not. If moreover ``d < 0``, with ``y < v`` it gives ``u - x > xv - uy``: ``s1`` is negative below
+    its only zero ``(u - x)/(xv - uy) > 1``, so it rises on ``[0, 1]``. For ``s2``, swap the APs.
     """
     par = scenario.params
     alpha = par.pathloss_alpha

@@ -42,10 +42,11 @@ class SweepConfig:
     policy: PolicyKind = PolicyKind.SMART_AP_FJ
 
     def __post_init__(self):
-        if self.grid_k < 1:
-            raise ValueError("grid_k must be >= 1")
-        if self.cell_step <= 0:
-            raise ValueError("cell_step must be positive")
+        # an integer is what operator.index accepts: int, bool, numpy's integers
+        if not hasattr(type(self.grid_k), "__index__") or self.grid_k < 1:
+            raise ValueError("grid_k must be an integer >= 1")
+        if not 0 < self.cell_step < math.inf:
+            raise ValueError(f"cell_step must be {'positive' if self.cell_step <= 0 else 'finite'}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,12 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
-def _check_cells(scenario: Scenario, cfg: SweepConfig) -> None:
-    """Refuse cells, on the map or off it, where the jamming closed form leaves the float range."""
+def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
+    """The per-cell terms that do not depend on the station: the cell coordinates and, per AP, the
+    clamped distance to the powers alpha and -alpha, the signal and the eavesdropper capacity. Cells,
+    on the map or off it, where the jamming closed form leaves the float range are refused first."""
     lo, span = cfg.cell_origin, cfg.cell_step * (cfg.grid_k - 1)
     _check_reach(scenario, [(x, y) for x in (lo.x, lo.x + span) for y in (lo.y, lo.y + span)])
-
-
-def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
-    """The per-cell terms that do not depend on the station: the cell coordinates;
-    per AP, the clamped distance to the powers alpha and -alpha, the signal and the
-    eavesdropper capacity; per AP order, the closed form's ``noise_e*die_a*dje_a``."""
     par = scenario.params
     x, y = grid_coordinates(cfg)
     aps = []
@@ -147,8 +144,7 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
         d_a, d_n = d_e ** par.pathloss_alpha, d_e ** -par.pathloss_alpha
         s_e = p * d_n
         aps.append((d_a, d_n, s_e, np.log2(1.0 + s_e / par.noise_e)))
-    (d1_a, *_), (d2_a, *_) = aps
-    return x, y, aps, (par.noise_e * d1_a * d2_a, par.noise_e * d2_a * d1_a)
+    return x, y, aps
 
 
 def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
@@ -158,7 +154,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     item is asked for; ``smart_fj`` starts from ``smart``'s association."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
-    x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)), eve_pre = eve
+    x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)) = eve
     ((d1m, p1, cap1, _, c1m), (d2m, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
     def capacities(pick1):
@@ -180,7 +176,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
     (d1m_a, d2m_a), (d1m_n, d2m_n) = np.array((d1m, d2m)) ** alpha, np.array((d1m, d2m)) ** -alpha
     quad, ratio = _coefficients(  # operands built in the call, constants dropped: less peak memory
         np.where(pick1, d1m_a, d2m_a), np.where(pick1, d1e_a, d2e_a), np.where(pick1, d2m_a, d1m_a),
-        np.where(pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, np.where(pick1, p1, p2), np.where(pick1, *eve_pre),
+        np.where(pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, np.where(pick1, p1, p2),
     )[1:]
     p_opt = _best_power(quad, ratio, np.where(pick1, cap2, cap1))
     s_im, djm_n = np.where(pick1, p1 * d1m_n, p2 * d2m_n), np.where(pick1, d2m_n, d1m_n)
@@ -239,7 +235,6 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False) -> dict[PolicyKind, SweepSummary]:
     """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order, from
     one pass that stops after the last of them: only a pass that includes smart_fj runs the jamming optimizer."""
-    _check_cells(scenario, cfg)
     summaries = {}
     for policy, ev in _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg)):
         if policy in policies:
@@ -278,7 +273,12 @@ def _run_chunks(tasks) -> list[SampleRecord]:
     try:
         for task in forked:
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                for fd in read_fd, write_fd:
+                    os.close(fd)
+                raise
             if pid == 0:
                 try:
                     try:
@@ -323,7 +323,6 @@ def monte_carlo(
         raise ValueError("seed must be a nonnegative integer")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    _check_cells(scenario_template, cfg)
     workers = min(workers, n, os.cpu_count() or 1)
     eve = _eve_terms(scenario_template, cfg)
     # one contiguous chunk per worker, in sample order; forked workers inherit the eavesdropper terms

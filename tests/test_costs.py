@@ -9,6 +9,8 @@ made on them count too. The counts are exact and independent of the machine. Cou
 claim still needs benchmark pairs.
 
 A change that adds or removes array work per sample updates ``PER_SAMPLE``.
+The eavesdropper terms themselves are counted from counted cell coordinates,
+in ``EVE_TERMS``.
 
 The grid-engine passes of whole runs are counted too: the calls of the
 eavesdropper terms and of the array jamming optimizer per command-line run.
@@ -34,7 +36,7 @@ PER_SAMPLE = {
     PolicyKind.SMART_AP_FJ: {
         "absolute": 3, "add": 24, "bitwise_and": 7, "bitwise_or": 3, "clip": 2, "copysign": 1, "divide": 6,
         "equal": 3, "greater": 4, "greater_equal": 1, "invert": 2, "less": 4, "less_equal": 2, "log2": 10,
-        "maximum": 1, "multiply": 60, "negative": 2, "not_equal": 2, "sqrt": 1, "subtract": 13, "where": 24,
+        "maximum": 1, "multiply": 62, "negative": 2, "not_equal": 2, "sqrt": 1, "subtract": 13, "where": 23,
         "zeros_like": 1,
     },
     "metrics": {
@@ -50,6 +52,11 @@ PER_SAMPLE_LANES = {
 }
 # once per chunk: the exact sums of normal's eavesdropper capacity, one per AP
 PER_CHUNK = {"bincount": 6, "bitwise_and": 6, "flatnonzero": 2, "multiply": 2, "right_shift": 4}
+# sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
+EVE_TERMS = {
+    "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,
+}
+EVE_TERMS_LANES = 403_200
 # calls of sweep._eve_terms and sweep._best_power per command-line run on bundled scenarios:
 # one grid-engine pass per scenario, stopped before the optimizer when smart_fj is not asked for
 SCENARIOS = ["--scenario", "scenario1", "--scenario", "scenario2", "--scenario", "scenario3"]
@@ -191,6 +198,22 @@ def test_a_sample_makes_no_full_grid_power_and_at_most_15_bincounts(counted_samp
     total = sum((Counter(calls) for calls in steps.values()), Counter())
     assert total["power"] == 0
     assert total["bincount"] <= 15
+
+
+def test_numpy_calls_of_the_eavesdropper_terms_are_pinned(monkeypatch):
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    plain = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    grid_coordinates = sweep.grid_coordinates
+    monkeypatch.setattr(sweep, "grid_coordinates", lambda cfg: counted_terms(grid_coordinates(cfg)))
+    before = snapshot()
+    counted = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    assert since(before) == (EVE_TERMS, EVE_TERMS_LANES)
+
+    def arrays(eve):
+        x, y, aps = eve
+        return [a.tobytes() for a in (x, y, *(a for ap in aps for a in ap))]
+
+    assert arrays(counted) == arrays(plain)
 
 
 def counting(monkeypatch, *names):

@@ -445,7 +445,7 @@ def closed_form_values(loaded):
     eavesdropper terms, the roots'
     ``b*b`` and ``4*a*c``, ``|a|*p_max**2`` and the ratio terms at ``p_max``."""
     scenario, par = loaded.scenario, loaded.scenario.params
-    _, _, aps, eve_pre = _eve_terms(scenario, loaded.sweep)
+    _, _, aps = _eve_terms(scenario, loaded.sweep)
     extent = scenario.map_extent
     stations = [scenario.sta_m] + [Point2D(x, y) for x in (0.0, extent) for y in (0.0, extent)]
     values = []
@@ -454,13 +454,11 @@ def closed_form_values(loaded):
             (effective_distance(distance(ap.position, sta), par) ** par.pathloss_alpha, d_a, ap)
             for ap, (d_a, *_) in zip((scenario.ap1, scenario.ap2), aps)
         ]
-        for order, ((dim_a, die_a, ap_i), (djm_a, dje_a, ap_j)) in enumerate((links, links[::-1])):
+        for (dim_a, die_a, ap_i), (djm_a, dje_a, ap_j) in (links, links[::-1]):
             p_i = np.full(die_a.shape, distance_corrected_power(ap_i.tx_power, par))
             p_max = np.full(die_a.shape, distance_corrected_power(ap_j.tx_power_max, par))
             dim_a, djm_a = np.full(die_a.shape, dim_a), np.full(die_a.shape, djm_a)
-            caps, (a, b, c), ratio = _coefficients(
-                dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i, eve_pre[order]
-            )
+            caps, (a, b, c), ratio = _coefficients(dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i)
             values += [*caps, *ratio, a, b, c, b * b, 4.0 * a * c, np.abs(a) * p_max * p_max]
             values += _ratio_terms(ratio, p_max)
     return values

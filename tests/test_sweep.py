@@ -1,10 +1,12 @@
+import errno
 import math
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from secrecysim import (
     ApConfig,
@@ -180,6 +182,29 @@ def test_smart_fj_never_beats_the_joint_choice(seed):
         # with unequal tx powers, caps and noises, select-then-jam is not the
         # joint optimum: serving by the other AP, plus its jammer, does better
         assert np.max(gap) > 0.01
+
+
+def decades(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    places=st.lists(st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)), min_size=3, max_size=3),
+    tx=st.tuples(decades(-3.0, 0.0), decades(-3.0, 0.0)),
+    noises=st.tuples(decades(-12.0, -8.0), decades(-12.0, -8.0)),
+    alpha=st.floats(2.0, 4.0),
+)
+def test_smart_fj_equals_the_joint_choice_when_each_cap_is_its_power(places, tx, noises, alpha):
+    # select's docstring proves it: with caps equal to the tx powers, serving by
+    # the other AP, with its best jamming, never beats select-then-jam
+    ap1, ap2, sta_m = (Point2D(*place) for place in places)
+    assume(ap1 != ap2)
+    params = ChannelParams(pathloss_alpha=alpha, noise_m=noises[0], noise_e=noises[1])
+    scenario = Scenario(ApConfig(ap1, tx[0], tx[0]), ApConfig(ap2, tx[1], tx[1]), sta_m, params, 120.0)
+    cfg = SweepConfig(grid_k=30, cell_step=4.0)
+    sequential = sweep_eavesdropper(scenario, cfg, retain_cells=False).arrays.secrecy
+    assert np.max(np.abs(joint_fj_secrecy(scenario, cfg) - sequential)) <= 1e-9
 
 
 def test_sweep_without_retained_cells_keeps_metrics():
@@ -381,6 +406,42 @@ def test_monte_carlo_worker_that_dies_without_records_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
+def open_descriptors():
+    return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def test_monte_carlo_closes_the_pipe_when_a_fork_fails(monkeypatch):
+    # the first fork "starts" a made-up worker, the second fails as at the process
+    # limit; no process is started, so the made-up worker is signalled and reaped on paper
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    made_up, forks, reaped = 2**22 + 1, [], []  # above the largest pid Linux gives
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return made_up
+
+    def kill(pid, sig):
+        assert pid == made_up
+        reaped.append(sig)
+
+    def waitpid(pid, options):
+        assert pid == made_up
+        reaped.append("waited")
+        return pid, 0
+
+    before = open_descriptors()
+    with monkeypatch.context() as patched:
+        for name, fake in (("fork", fork), ("kill", kill), ("waitpid", waitpid)):
+            patched.setattr(os, name, fake)
+        with pytest.raises(BlockingIOError):
+            monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=8, seed=4, workers=3)
+    assert reaped == [signal.SIGKILL, "waited"]
+    assert_no_child_left()
+    assert open_descriptors() == before
+
+
 def test_monte_carlo_without_fork_runs_every_chunk_here(recording_pool, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     scenario, cfg = build_scenario(), small_cfg(k=5, step=24.0)
@@ -439,6 +500,14 @@ def test_sweep_config_validation():
         SweepConfig(grid_k=0)
     with pytest.raises(ValueError):
         SweepConfig(cell_step=0.0)
+    # a nan step would sweep nan cells, and an inf one is no step either
+    for step in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cell_step must be finite"):
+            SweepConfig(cell_step=step)
+    # 2.5 would give 3 x 3 cells on a box 1.5 steps wide
+    with pytest.raises(ValueError, match="grid_k must be an integer"):
+        SweepConfig(grid_k=2.5)
+    assert SweepConfig(grid_k=np.int64(3)).grid_k == 3
 
 
 def fsum_outcome(values):
