@@ -88,8 +88,8 @@ def _metrics_dict(m: PolicyMeans) -> dict:
 
 
 class _OutputSet:
-    """Tracks files and directories created by one command so failures
-    leave nothing behind; a directory that existed before stays.
+    """Writes and tracks the files and directories one command creates, so failures leave
+    nothing behind; a directory that existed before stays, and so does a file not replaced.
 
     Used as a context manager, it removes them on any exception, an
     interrupt included, and lets the exception propagate.
@@ -99,10 +99,11 @@ class _OutputSet:
         self.paths: list[Path] = []
         self.dirs: list[Path] = []
 
-    def add(self, path: Path) -> Path:
-        # with the temp file it is written through, should a write be cut short
-        self.paths += [path, temp_path(path)]
-        return path
+    def write(self, writer, path: Path, *args) -> None:
+        # the temp file first, should the write be cut short; the target once it is replaced
+        self.paths.append(temp_path(path))
+        writer(path, *args)
+        self.paths.append(path)
 
     def mkdir(self, path: Path) -> Path:
         # recorded before creating, so a mkdir that fails half-way is undone too
@@ -147,7 +148,7 @@ def _run_sweep(args) -> int:
                 "fj_power_dbm": _dbm_column(fj_watt),
             }
             for kind, values in columns.items():
-                write_heatmap(outputs.add(out_dir / f"{name}_{kind}.csv"), cells.x, cells.y, values)
+                outputs.write(write_heatmap, out_dir / f"{name}_{kind}.csv", cells.x, cells.y, values)
             document = {
                 "tool_version": __version__,
                 "policy": name,
@@ -157,7 +158,7 @@ def _run_sweep(args) -> int:
             if mc is not None:
                 means = _metrics_dict(mc.means[policy])
                 document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed, "means": means}
-            write_summary(outputs.add(out_dir / f"{name}_summary.json"), document)
+            outputs.write(write_summary, out_dir / f"{name}_summary.json", document)
         return 0
 
 
@@ -181,7 +182,7 @@ def _run_compare(args) -> int:
         if mc:
             document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed}
         if args.out is not None:
-            write_summary(outputs.add(Path(args.out)), document)
+            outputs.write(write_summary, Path(args.out), document)
         else:
             print(json.dumps(document, indent=2))
         return 0

@@ -34,6 +34,10 @@ import numpy as np
 # values dominated by rounding noise.
 DEGENERACY_EPS = 1e-12
 
+# the exponents ``(i, j, k)`` of the ten monomials ``P**i * N**j * Q**k`` that bound :func:`_coefficients`
+_CORNERS = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
+            (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
+
 
 def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
     """The objective constants ``(A, B, C, D, E, F, K)``, the derivative quadratic ``(a, b, c)`` and
@@ -53,7 +57,7 @@ def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
     below ``16*P**2*N**2*Q**10 + 4*P**3*N*Q**9``. Every value here, in
     :func:`_ratio_terms` and in the roots up to their clamped quotients is a sum
     of at most 20 monomials ``P**i * N**j * Q**k``, their exponents in the hull of
-    the ten corners :func:`_check_float_range` lists; ``Scenario`` refuses a
+    the ten ``_CORNERS`` :func:`_check_float_range` checks; ``Scenario`` refuses a
     scenario where 20 times the largest is not below ``2**1023``. From below, at
     ``p_j >= 0`` :func:`_ratio_terms` sums nonnegative terms, so both results are
     at least ``K``, whose partial products are at least the least of ``N_m``, ``N_e``,
@@ -83,10 +87,8 @@ def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
 def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
     """Raise ``ValueError`` outside :func:`_coefficients`' bounds, in logs: ``p`` is the largest
     corrected cap, ``d`` the largest distance from an AP to a map corner or the station."""
-    corners = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
-               (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
     logs = math.log2(p), math.log2(max(noise_m, noise_e)), alpha * min(math.log2(max(d, d0)), 1024.0)
-    if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in corners) >= 1023.0:
+    if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in _CORNERS) >= 1023.0:
         raise ValueError("channel.alpha overflows the jamming power's closed form on this map or its cells")
     n_m, n_e, q0 = math.log2(noise_m), math.log2(noise_e), alpha * math.log2(d0)
     if min(n_m, n_e, q0, n_m + n_e, n_m + n_e + 4.0 * q0) < -1021.0:
@@ -103,21 +105,20 @@ def _ratio_terms(ratio, p_j):
 def derivative_numerator_roots(quad, p_scale: float) -> list[float]:
     """Real roots of ``a*x**2 + b*x + c = 0`` for ``quad = (a, b, c)``, unclamped.
 
-    ``p_scale`` (typically the power cap) renders the three coefficients
-    commensurable for the degeneracy tests: the quadratic term is dropped
-    when it cannot matter anywhere on the interval of that scale, and the
-    quadratic formula uses the cancellation-free form (coefficient
-    magnitudes legitimately span ~1e-20 to ~1e10).
+    ``p_scale``, the power cap (positive in every accepted scenario), renders the
+    three coefficients commensurable for the degeneracy tests: the quadratic term is
+    dropped when it cannot matter anywhere on ``[0, p_scale]``, and the quadratic
+    formula uses the cancellation-free form (coefficient magnitudes legitimately
+    span ~1e-20 to ~1e10). ``b == 0`` ends in the linear test's ``0 <= DEGENERACY_EPS*|c|``.
     """
     a, b, c = quad
-    s = p_scale if p_scale > 0 else 1.0
-    a_n = abs(a) * s * s
-    b_n = abs(b) * s
+    a_n = abs(a) * p_scale * p_scale
+    b_n = abs(b) * p_scale
     c_n = abs(c)
     if a_n <= DEGENERACY_EPS * max(b_n, c_n):
         # effectively linear; if the linear term is negligible too, the
         # derivative keeps one sign and the endpoints suffice
-        if b_n <= DEGENERACY_EPS * c_n or b == 0.0:
+        if b_n <= DEGENERACY_EPS * c_n:
             return []
         return [-c / b]
     disc = b * b - 4.0 * a * c
@@ -134,22 +135,19 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     """The jamming power in ``[0, p_max]`` that maximizes secrecy, from the
     clamped distances (m) and corrected powers (Watt*m^alpha) of a ``Scenario``.
 
-    Candidates are the clamped roots of the derivative numerator plus the
-    interval endpoints; the best objective value among them is the global
-    maximum because the objective is smooth and every interior extremum
-    is a root. Ties break to the smallest power, so jamming is never
-    reported when it buys nothing.
+    Candidates are 0, ``p_max`` and the clamped roots of the derivative numerator,
+    in that order; the best objective value among them is the global maximum
+    because the objective is smooth and every interior extremum is a root. As in
+    :func:`_best_power`, a running maximum keeps the smallest power on ties, so
+    jamming is never reported when it buys nothing.
     """
     _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
-    candidates = {0.0, p_max}
-    for root in derivative_numerator_roots(quad, p_max):
-        candidates.add(min(max(root, 0.0), p_max))
-    # as max() does, keep the first of equal values; the powers ascend
-    best_p = best_v = None
-    for p in sorted(candidates):
+    # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
+    best_p, best_v = 0.0, math.log2(ratio[2]) - math.log2(ratio[4])
+    for p in [p_max, *(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad, p_max))]:
         num, den = _ratio_terms(ratio, p)
         v = math.log2(num) - math.log2(den)
-        if best_p is None or v > best_v:
+        if v > best_v or (v == best_v and p < best_p):
             best_p, best_v = p, v
     return best_p
 
@@ -160,12 +158,11 @@ def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:
     a, b, c = quad
     # np.where drops the branches a lane does not take
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.where(p_max > 0.0, p_max, 1.0)
-        a_n = np.abs(a) * s * s
-        b_n = np.abs(b) * s
+        a_n = np.abs(a) * p_max * p_max
+        b_n = np.abs(b) * p_max
         c_n = np.abs(c)
         linear = a_n <= DEGENERACY_EPS * np.maximum(b_n, c_n)
-        linear_ok = linear & ~(b_n <= DEGENERACY_EPS * c_n) & (b != 0.0)
+        linear_ok = linear & ~(b_n <= DEGENERACY_EPS * c_n)
         disc = b * b - 4.0 * a * c
         quadratic = ~linear & (disc >= 0.0)
         q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0

@@ -248,10 +248,8 @@ def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool 
     return _sweeps(scenario, cfg, (cfg.policy,), retain_cells)[cfg.policy]
 
 
-def _run_chunk(args) -> list[SampleRecord]:
-    scenario, eve, seed, indices = args
-    # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
-    normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+def _run_chunk(scenario: Scenario, eve, normal_eve, seed: int, indices: range) -> list[SampleRecord]:
+    """The records of the samples ``indices``; ``normal_eve`` holds each AP's exact eavesdropper-capacity sum."""
     records = []
     for index in indices:
         # per-sample generator keyed by (seed, index): order- and worker-independent
@@ -264,14 +262,14 @@ def _run_chunk(args) -> list[SampleRecord]:
     return records
 
 
-def _run_chunks(tasks) -> list[SampleRecord]:
-    """The records of ``tasks``, in order: the first task runs here, each other one in a forked worker
-    that sends its records or exception through a pipe and leaves by ``os._exit``, never running its
-    parent's cleanup; all are reaped before this returns or raises. Without ``os.fork`` all run here."""
-    forked = tasks[1:] if hasattr(os, "fork") else []
+def _run_chunks(run, chunks) -> list[SampleRecord]:
+    """The records of ``run(chunk)`` for each of ``chunks``, in order: the first runs here, each other in a
+    forked worker that sends its records or exception through a pipe and leaves by ``os._exit``, never running
+    its parent's cleanup; all are reaped before this returns or raises. Without ``os.fork`` all run here."""
+    forked = chunks[1:] if hasattr(os, "fork") else []
     children = []
     try:
-        for task in forked:
+        for chunk in forked:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -282,7 +280,7 @@ def _run_chunks(tasks) -> list[SampleRecord]:
             if pid == 0:
                 try:
                     try:
-                        result = _run_chunk(task)
+                        result = run(chunk)
                     except Exception as exc:
                         result = exc
                     with open(write_fd, "wb") as pipe:
@@ -291,7 +289,7 @@ def _run_chunks(tasks) -> list[SampleRecord]:
                     os._exit(0)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        records = [record for task in tasks[: len(tasks) - len(forked)] for record in _run_chunk(task)]
+        records = [record for chunk in chunks[: len(chunks) - len(forked)] for record in run(chunk)]
         for _, pipe in children:
             value = pickle.loads(data) if (data := pipe.read()) else ChildProcessError("a Monte Carlo worker died")
             if isinstance(value, Exception):
@@ -325,9 +323,11 @@ def monte_carlo(
         raise ValueError("workers must be >= 1")
     workers = min(workers, n, os.cpu_count() or 1)
     eve = _eve_terms(scenario_template, cfg)
-    # one contiguous chunk per worker, in sample order; forked workers inherit the eavesdropper terms
+    # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
+    normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+    # one contiguous chunk per worker, in sample order; forked workers inherit the terms and sums
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
-    records = _run_chunks([(scenario_template, eve, seed, chunk) for chunk in chunks])
+    records = _run_chunks(lambda chunk: _run_chunk(scenario_template, eve, normal_eve, seed, chunk), chunks)
 
     means = {}
     for policy in ALL_POLICIES:

@@ -99,12 +99,12 @@ def recording_pool(monkeypatch, tmp_path):
     log = ChunkLog(tmp_path / "chunks.log")
     run_chunk, fork = sweep._run_chunk, os.fork
 
-    def recorded_chunk(task):
-        # a Monte Carlo task ends with the range of sample indices it runs
-        chunk = task[-1]
+    def recorded_chunk(*args):
+        # a Monte Carlo chunk's last argument is the range of sample indices it runs
+        chunk = args[-1]
         with open(log.path, "a") as out:  # one short append: whole lines from every process
             out.write(f"{os.getpid()} {chunk.start} {chunk.stop}\n")
-        return run_chunk(task)
+        return run_chunk(*args)
 
     def recorded_fork():
         pid = fork()
@@ -124,10 +124,10 @@ def failing_chunks(monkeypatch):
     run_chunk = sweep._run_chunk
 
     def fail(first: bool):
-        def failing(task):
-            if (task[-1].start == 0) == first:
+        def failing(*args):
+            if (args[-1].start == 0) == first:
                 raise ValueError("chunk failed")
-            return run_chunk(task)
+            return run_chunk(*args)
 
         monkeypatch.setattr(sweep, "_run_chunk", failing)
 

@@ -324,6 +324,46 @@ def test_sweep_failure_removes_leftover_temp_files(small_scenario, tmp_path, mon
     assert not out.exists()
 
 
+FAULTS = {"oserror": OSError("disk full"), "interrupt": KeyboardInterrupt()}
+
+
+def main_cut_short(argv, fault, monkeypatch, capsys):
+    """``main(argv)`` while every ``Path.write_text`` writes half its text and raises ``fault``."""
+    real_write_text = Path.write_text
+
+    def cut_short(self, text, *args, **kwargs):
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise fault
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Path, "write_text", cut_short)
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: disk full\n"
+
+
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+def test_compare_cut_short_leaves_the_previous_table(fault, small_scenario, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "table.json"
+    out.write_text('{"old": true}')
+    main_cut_short(["compare", "--scenario", str(small_scenario), "--out", str(out)], fault, monkeypatch, capsys)
+    assert out.read_text() == '{"old": true}'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "table.json"]
+
+
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+def test_sweep_cut_short_leaves_the_previous_outputs(fault, small_scenario, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "normal_secrecy.csv").write_text("previous")
+    argv = ["sweep", "--scenario", str(small_scenario), "--policy", "normal", "--out-dir", str(out)]
+    main_cut_short(argv, fault, monkeypatch, capsys)
+    assert tree_bytes(out) == {"normal_secrecy.csv": b"previous"}
+
+
 def test_compare_three_scenarios_orders_policies(tmp_path):
     paths = []
     for idx, sta in enumerate([(20.0, 100.0), (80.0, 20.0), (60.0, 38.0)], start=1):

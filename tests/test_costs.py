@@ -16,6 +16,7 @@ The grid-engine passes of whole runs are counted too: the calls of the
 eavesdropper terms and of the array jamming optimizer per command-line run.
 """
 
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -34,9 +35,9 @@ PER_SAMPLE = {
         "astype": 1, "equal": 1, "greater_equal": 1, "multiply": 3, "subtract": 3, "where": 3, "zeros_like": 1,
     },
     PolicyKind.SMART_AP_FJ: {
-        "absolute": 3, "add": 24, "bitwise_and": 7, "bitwise_or": 3, "clip": 2, "copysign": 1, "divide": 6,
-        "equal": 3, "greater": 4, "greater_equal": 1, "invert": 2, "less": 4, "less_equal": 2, "log2": 10,
-        "maximum": 1, "multiply": 62, "negative": 2, "not_equal": 2, "sqrt": 1, "subtract": 13, "where": 23,
+        "absolute": 3, "add": 24, "bitwise_and": 6, "bitwise_or": 3, "clip": 2, "copysign": 1, "divide": 6,
+        "equal": 3, "greater": 3, "greater_equal": 1, "invert": 2, "less": 4, "less_equal": 2, "log2": 10,
+        "maximum": 1, "multiply": 62, "negative": 2, "not_equal": 1, "sqrt": 1, "subtract": 13, "where": 22,
         "zeros_like": 1,
     },
     "metrics": {
@@ -47,11 +48,11 @@ PER_SAMPLE = {
 PER_SAMPLE_LANES = {
     PolicyKind.NORMAL_WIFI: 115_200,
     PolicyKind.SMART_AP: 244_800,
-    PolicyKind.SMART_AP_FJ: 4_636_800,
+    PolicyKind.SMART_AP_FJ: 4_550_400,
     "metrics": 826_880,
 }
-# once per chunk: the exact sums of normal's eavesdropper capacity, one per AP
-PER_CHUNK = {"bincount": 6, "bitwise_and": 6, "flatnonzero": 2, "multiply": 2, "right_shift": 4}
+# a chunk makes no numpy call outside its samples: normal's two eavesdropper sums come with its arguments
+PER_CHUNK = {}
 # sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
 EVE_TERMS = {
     "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,
@@ -139,7 +140,9 @@ def count_sample():
     counts per step, the per-chunk counts, the records and the records of a plain run."""
     loaded = load_scenario(bundled_scenario_path("scenario1"))
     eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
-    plain = sweep._run_chunk((loaded.scenario, eve, 5, range(3, 4)))
+    # normal's eavesdropper sums as monte_carlo computes them, once per call
+    normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+    plain = sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(3, 4))
 
     steps, lanes = {}, {}
     evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
@@ -164,7 +167,7 @@ def count_sample():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_evaluate_grid", counted_grid)
         mp.setattr(sweep, "_metrics", counted_metrics)
-        records = sweep._run_chunk((loaded.scenario, counted_terms(eve), 5, range(3, 4)))
+        records = sweep._run_chunk(loaded.scenario, counted_terms(eve), normal_eve, 5, range(3, 4))
     chunk = dict(Counter(Counted.calls) - sum((Counter(c) for c in steps.values()), Counter()))
     return steps, lanes, chunk, records, plain
 
@@ -246,3 +249,16 @@ def test_a_single_policy_sweep_builds_only_its_own_cells(policy, monkeypatch):
     assert len(summary.grid) == 16
     jams = int(policy is PolicyKind.SMART_AP_FJ)
     assert calls == Counter(_eve_terms=1, _best_power=jams, _metrics=1, _cells=1)
+
+
+@pytest.mark.parametrize("n, workers", [(1, 1), (3, 1), (3, 2)])
+def test_monte_carlo_sums_normals_eavesdropper_capacity_once_per_call(n, workers, monkeypatch):
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    # every chunk runs in this process, where its calls are counted
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    calls = counting(monkeypatch, "_eve_terms", "_exact_sums")
+    sweep.monte_carlo(loaded.scenario, replace(loaded.sweep, grid_k=8), n, seed=1, workers=workers)
+    # two sums once per call, one per AP; then per sample two for smart and for smart_fj, and
+    # one for normal, whose eavesdropper sum is one of those two
+    assert calls == Counter(_eve_terms=1, _exact_sums=2 + 5 * n)

@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
+import operator
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +27,9 @@ from secrecysim import (
     select,
     sweep_eavesdropper,
 )
+from secrecysim import fjopt
 from secrecysim.fjopt import (
+    _CORNERS,
     _best_power,
     _candidate_powers,
     _coefficients,
@@ -601,3 +606,119 @@ def test_extreme_documents_are_accepted_in_a_third_of_the_examples():
 
     collect()
     assert len(verdicts) / 3 <= sum(verdicts) < len(verdicts)
+
+
+class Bound:
+    """An upper bound on a value's magnitude: ``terms`` maps the exponents ``(i, j, k)`` of the monomials
+    ``P**i * N**j * Q**k`` to nonnegative coefficients, and a ``signed`` value may be negative. Each result
+    of an operation is appended to ``trace``."""
+
+    def __init__(self, terms, signed=False, trace=None):
+        self.terms, self.signed, self.trace = terms, signed, trace
+
+    def _result(self, terms, signed):
+        self.trace.append(Bound(dict(terms), signed, self.trace))
+        return self.trace[-1]
+
+    def __add__(self, other):
+        return self._result(Counter(self.terms) + Counter(other.terms), self.signed or other.signed)
+
+    def __sub__(self, other):
+        if self.signed or other.signed:
+            return self._result(Counter(self.terms) + Counter(other.terms), True)
+        # |x - y| <= max(x, y) for nonnegative x and y
+        keys = self.terms.keys() | other.terms.keys()
+        return self._result({e: max(self.terms.get(e, 0), other.terms.get(e, 0)) for e in keys}, True)
+
+    def __mul__(self, other):
+        if not isinstance(other, Bound):
+            return self._result({e: abs(other) * c for e, c in self.terms.items()}, self.signed or other < 0)
+        terms = Counter()
+        for (e, c), (f, d) in itertools.product(self.terms.items(), other.terms.items()):
+            terms[tuple(map(operator.add, e, f))] += c * d
+        return self._result(terms, self.signed or other.signed)
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        return self._result(self.terms, False)
+
+
+class Low:
+    """A lower bound ``N_m**i * N_e**j * Q0**k`` on a value, as ``exp = (i, j, k)``; None when the value
+    is only known to be nonnegative, and ``signed`` when it may be negative. ``chain`` lists the bounds of
+    the operands and results of the products that made the value, its own last."""
+
+    def __init__(self, exp, chain=(), signed=False):
+        self.exp, self.chain, self.signed = exp, (*chain, exp), signed
+
+    def __mul__(self, other):
+        if not isinstance(other, Low):  # the literal 2.0, which only grows a value
+            return self
+        exp = None if None in (self.exp, other.exp) else tuple(map(operator.add, self.exp, other.exp))
+        return Low(exp, self.chain + other.chain, self.signed or other.signed)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        # a sum of nonnegative values is at least each of them
+        return Low(self.exp if other.exp is None else other.exp, signed=self.signed or other.signed)
+
+    def __sub__(self, other):
+        return Low(None, signed=True)
+
+
+def in_hull(point, corners) -> bool:
+    """Whether ``point`` lies in the convex hull of ``corners``, in exact integer arithmetic: on the
+    corners' side of every plane through three of them that has no corner on its other side."""
+    def minus(u, v):
+        return tuple(x - y for x, y in zip(u, v))
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    for a, b, c in itertools.combinations(corners, 3):
+        (u1, u2, u3), (v1, v2, v3) = minus(b, a), minus(c, a)
+        normal = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+        sides = {dot(normal, minus(k, a)) > 0 for k in corners if dot(normal, minus(k, a))}
+        if normal == (0, 0, 0) or len(sides) == 2:
+            continue
+        at = dot(normal, minus(point, a))
+        if at and (at > 0) not in sides:
+            return False
+    return True
+
+
+def test_float_range_bound_is_derived_from_the_code(monkeypatch):
+    # From above: P bounds the corrected powers and caps, N the noises, Q every d**alpha. The closed form's
+    # values, its ratio terms at p_j = P, and _candidate_powers' scaled magnitudes and discriminant, which
+    # are restated here because they sit in np.where, all stay below 20 monomials of the corners' hull.
+    trace = []
+    inputs = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    big_p, big_n, big_q = (Bound({e: 1}, trace=trace) for e in inputs)
+    _, (a, b, c), ratio = _coefficients(big_q, big_q, big_q, big_q, big_n, big_n, big_p)
+    _ratio_terms(ratio, big_p)
+    abs(a) * big_p * big_p, abs(b) * big_p, abs(c), b * b - 4.0 * a * c
+    assert max(sum(value.terms.values()) for value in trace) <= 20
+    exponents = {e for value in trace for e in value.terms} - set(inputs)
+    assert exponents >= set(_CORNERS)
+    assert [e for e in sorted(exponents) if not in_hull(e, _CORNERS)] == []
+
+    # From below: the ratio terms at p_j >= 0 are at least K, and the least of K's operands and partial
+    # products is the least of the terms _check_float_range refuses below 2**-1021
+    n_m, n_e, q0 = (Low(e) for e in inputs)
+    caps, _, ratio = _coefficients(q0, q0, q0, q0, n_m, n_e, Low(None))
+    terms = _ratio_terms(ratio, Low(None))
+    assert [(t.exp, t.signed) for t in terms] == [(caps[6].exp, False)] * 2
+    chain = set(caps[6].chain)
+    checked = []
+    monkeypatch.setattr(fjopt, "min", lambda *values: checked.append(values) or min(*values), raising=False)
+    binding, alpha = set(), 2.0
+    for logs in np.random.default_rng(19).uniform(-8.0, 8.0, (400, 3)).tolist():
+        noise_m, noise_e, d0 = 2.0 ** logs[0], 2.0 ** logs[1], 2.0 ** (logs[2] / 4.0 / alpha)
+        fjopt._check_float_range(1.0, noise_m, noise_e, alpha, d0, d0)
+        logs = math.log2(noise_m), math.log2(noise_e), alpha * math.log2(d0)
+        least = {e: sum(map(operator.mul, e, logs)) for e in chain}
+        binding.add(min(least, key=least.get))
+        assert min(checked[-1]) == pytest.approx(min(least.values()), rel=1e-12, abs=1e-12)
+    assert binding == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 4)}

@@ -400,7 +400,7 @@ def test_monte_carlo_raises_a_failed_chunks_error_and_leaves_no_child(first, fai
 def test_monte_carlo_worker_that_dies_without_records_is_an_error(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run_chunk = sweep_module._run_chunk
-    monkeypatch.setattr(sweep_module, "_run_chunk", lambda task: os._exit(3) if task[-1].start else run_chunk(task))
+    monkeypatch.setattr(sweep_module, "_run_chunk", lambda *args: os._exit(3) if args[-1].start else run_chunk(*args))
     with pytest.raises(ChildProcessError, match="worker died"):
         monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=4, seed=4, workers=2)
     assert_no_child_left()

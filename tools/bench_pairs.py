@@ -20,8 +20,11 @@ quartiles, and per metric the number of pairs the change won. A gain
 counts when there are at least ten pairs, the change wins at least nine
 pairs in ten, and its median beats the parent's by more than the
 parent's interquartile range; fewer pairs can only show that nothing got
-worse. The direction of each metric ("lower" or "higher" is better)
-comes from the change checkout's ``BENCHMARK.json``. Nothing under
+worse. A metric stays within its bound when the change's median is worse
+than the parent's by at most ``bound`` times the parent's median; that
+bound is what the benchmark's no-regression check applies. The direction
+of each metric ("lower" or "higher" is better) and its bound come from the
+change checkout's ``BENCHMARK.json``. Nothing under
 ``bench/`` is written to, apart from what ``bench/run.py`` itself leaves
 in its work directory.
 """
@@ -55,16 +58,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, wins of the change, and the verdict."""
+def summarize(pairs: list[dict], declared: dict[str, dict]) -> dict:
+    """Per metric of ``declared`` (each name's ``BENCHMARK.json`` entry, with ``better`` and ``bound``):
+    each side's median and quartiles, wins of the change, the gain verdict and the bound verdict."""
     summary = {}
-    for name, direction in better.items():
+    for name, metric in declared.items():
+        direction = metric["better"]
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         side_p, side_c = quartiles(parent), quartiles(change)
-        gain = sign * (side_p["median"] - side_c["median"])
+        gain = sign * (side_p["median"] - side_c["median"])  # negative when the change is worse
         iqr = side_p["q3"] - side_p["q1"]
         summary[name] = {
             "better": direction,
@@ -75,11 +80,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(pairs),
             "median_gain_exceeds_parent_iqr": gain > iqr,
             "gain_holds": len(pairs) >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * len(pairs)) and gain > iqr,
+            "bound": metric["bound"],
+            "within_bound": -gain <= metric["bound"] * abs(side_p["median"]),
         }
     return summary
 
 
-def measure(args, workload: str, better: dict[str, str]) -> dict:
+def measure(args, workload: str, declared: dict[str, dict]) -> dict:
     pairs = []
     for index in range(args.pairs):
         seed = args.seeds[index % len(args.seeds)]
@@ -98,7 +105,7 @@ def measure(args, workload: str, better: dict[str, str]) -> dict:
         pairs.append(pair)
         walls = {side: f"{pair[side]['metrics']['wall_s']:.4f}" for side in ("parent", "change")}
         print(f"{workload} pair {index + 1}/{args.pairs} seed {seed}: wall_s {walls}", flush=True)
-    return {"pairs": pairs, "summary": summarize(pairs, better)}
+    return {"pairs": pairs, "summary": summarize(pairs, declared)}
 
 
 def main(argv=None) -> int:
@@ -112,8 +119,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2, so that each side has quartiles")
-    declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
     document = {
         "parent": args.parent.resolve().name,
         "change": args.change.resolve().name,
@@ -121,7 +128,8 @@ def main(argv=None) -> int:
             f"pairs >= {MIN_PAIRS} and wins >= ceil({WIN_SHARE} * pairs)"
             " and median gain > parent interquartile range"
         ),
-        "workloads": {workload: measure(args, workload, better) for workload in args.workload},
+        "bound_rule": "change median worse than parent median by at most bound * |parent median|",
+        "workloads": {workload: measure(args, workload, declared) for workload in args.workload},
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
@@ -129,7 +137,7 @@ def main(argv=None) -> int:
         for name, s in data["summary"].items():
             print(
                 f"{workload} {name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
-                f"wins {s['wins']}/{s['pairs']} gain_holds {s['gain_holds']}"
+                f"wins {s['wins']}/{s['pairs']} gain_holds {s['gain_holds']} within_bound {s['within_bound']}"
             )
     print(f"wrote {out}")
     return 0
