@@ -550,6 +550,14 @@ def test_dbm_column_matches_scalar_watt_to_dbm():
     assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
 
 
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a new interpreter that imports secrecysim from this checkout."""
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env)
+
+
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):
     # nor with it: Monte Carlo forks its workers itself
     script = (
@@ -560,17 +568,28 @@ def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_pa
         "    assert secrecysim.cli.main(argv) == 0\n"
         "    print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
     )
-    src = Path(cli.__file__).resolve().parent.parent
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(small_scenario), str(tmp_path / "out"), str(tmp_path / "mc")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_fresh(script, small_scenario, tmp_path / "out", tmp_path / "mc")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
     assert len(list((tmp_path / "out").iterdir())) == 15
     assert len(list((tmp_path / "mc").iterdir())) == 15
+
+
+def test_monte_carlo_never_imports_numpys_random_module(tmp_path):
+    # the pytest process has imported it already, so a fresh interpreter runs the commands
+    script = (
+        "import sys\n"
+        "import secrecysim.cli\n"
+        "argv = ['sweep', '--scenario', 'scenario1', '--policy', 'smart_fj', '--monte-carlo-n', '3',\n"
+        "        '--threads', '2', '--out-dir', sys.argv[1]]\n"
+        "assert secrecysim.cli.main(argv) == 0\n"
+        "assert secrecysim.cli.main(['compare', '--scenario', 'scenario1', '--monte-carlo-n', '2']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+    )
+    proc = run_fresh(script, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert '"monte_carlo"' in proc.stdout
+    assert len(list((tmp_path / "out").iterdir())) == 5
 
 
 def test_console_script_version():

@@ -470,6 +470,43 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(scenario, small_cfg(), n=1, seed=-1)
 
 
+@pytest.mark.parametrize("name, value", [("n", 2.5), ("seed", 1.5), ("workers", 1.5)])
+def test_monte_carlo_refuses_a_non_integer_count_seed_or_worker_count(name, value):
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    args = {"n": 2, "seed": 1, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        monte_carlo(scenario, SweepConfig(grid_k=6, cell_step=20.0), **args)
+
+
+def test_monte_carlo_takes_a_numpy_integer_seed_as_that_int():
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    cfg = SweepConfig(grid_k=6, cell_step=20.0)
+    summary = monte_carlo(scenario, cfg, n=3, seed=np.int64(42))
+    assert summary == monte_carlo(scenario, cfg, n=3, seed=42)
+    assert type(summary.seed) is int
+
+
+def assert_draw_is_numpys(seed, index, extent):
+    got = sweep_module._station_draw(seed, index, extent)
+    expected = np.random.default_rng([seed, index]).uniform(0.0, extent, size=2)
+    assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**130), st.integers(0, 2**40), st.floats(1e-300, 1e300))
+def test_station_draw_equals_numpys_default_rng(seed, index, extent):
+    assert_draw_is_numpys(seed, index, extent)
+
+
+def test_station_draw_equals_numpys_default_rng_at_word_boundaries():
+    # a zero gives one entropy word; 2**32 and 2**64 start a new one
+    edges = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64)
+    for seed in edges:
+        for index in edges:
+            for extent in (120.0, 37.5, 1e-300, 1e300):
+                assert_draw_is_numpys(seed, index, extent)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_monte_carlo_refuses_a_worker_count_below_one(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
