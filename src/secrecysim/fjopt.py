@@ -28,15 +28,9 @@ import math
 
 import numpy as np
 
-# Relative threshold below which the derivative quadratic is treated as
-# linear (and below which the linear term is treated as absent). Symmetric
-# geometries drive the coefficients to exact zero; near-symmetric ones to
-# values dominated by rounding noise.
-DEGENERACY_EPS = 1e-12
-
 # the exponents ``(i, j, k)`` of the ten monomials ``P**i * N**j * Q**k`` that bound :func:`_coefficients`
 _CORNERS = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
-            (1, 2, 4), (2, 0, 0), (2, 2, 10), (3, 0, 4), (3, 1, 9))
+            (1, 2, 4), (2, 0, 0), (2, 0, 2), (2, 2, 10), (3, 1, 9))
 
 
 def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
@@ -102,30 +96,24 @@ def _ratio_terms(ratio, p_j):
     return cap_a * p_sq + lin_m * p_j + con_m, cap_a * p_sq + lin_e * p_j + con_e
 
 
-def derivative_numerator_roots(quad, p_scale: float) -> list[float]:
-    """Real roots of ``a*x**2 + b*x + c = 0`` for ``quad = (a, b, c)``, unclamped.
+def derivative_numerator_roots(quad) -> list[float]:
+    """Real roots of ``a*x**2 + b*x + c = 0`` for ``quad = (a, b, c)``, unclamped, by the
+    cancellation-free quadratic formula (coefficient magnitudes span ~1e-20 to ~1e10).
 
-    ``p_scale``, the power cap (positive in every accepted scenario), renders the
-    three coefficients commensurable for the degeneracy tests: the quadratic term is
-    dropped when it cannot matter anywhere on ``[0, p_scale]``, and the quadratic
-    formula uses the cancellation-free form (coefficient magnitudes legitimately
-    span ~1e-20 to ~1e10). ``b == 0`` ends in the linear test's ``0 <= DEGENERACY_EPS*|c|``.
+    The caller clamps the roots to ``[0, P]`` beside the endpoints 0 and ``P``, so no
+    degeneracy branch is needed. With ``a == 0``, ``q == -b`` and ``c/q`` is the linear
+    root ``-c/b``; with ``b == 0`` as well, ``q == 0``, no root is returned, and the
+    derivative keeps the sign of ``c``. Near that, with ``eps = |a|*P/|b|`` small: a root
+    ``x`` in ``[0, P]`` is ``-c/b - a*x*x/b``, within relative ``eps`` of ``-c/b``; ``|q/a|
+    >= P/(2*eps)`` clamps to an endpoint; and a negative discriminant means ``|c/b| >
+    P/(4*eps)``, so the linear root a threshold on ``a`` would keep clamps to one too.
     """
     a, b, c = quad
-    a_n = abs(a) * p_scale * p_scale
-    b_n = abs(b) * p_scale
-    c_n = abs(c)
-    if a_n <= DEGENERACY_EPS * max(b_n, c_n):
-        # effectively linear; if the linear term is negligible too, the
-        # derivative keeps one sign and the endpoints suffice
-        if b_n <= DEGENERACY_EPS * c_n:
-            return []
-        return [-c / b]
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
     q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    roots = [q / a]
+    roots = [q / a] if a != 0.0 else []
     if q != 0.0:
         roots.append(c / q)
     return roots
@@ -144,7 +132,7 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
     best_p, best_v = 0.0, math.log2(ratio[2]) - math.log2(ratio[4])
-    for p in [p_max, *(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad, p_max))]:
+    for p in [p_max, *(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad))]:
         num, den = _ratio_terms(ratio, p)
         v = math.log2(num) - math.log2(den)
         if v > best_v or (v == best_v and p < best_p):
@@ -153,21 +141,16 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
 
 
 def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:
-    """Per lane: 0, ``p_max`` and the two roots of :func:`derivative_numerator_roots`
-    clamped to ``[0, p_max]``; a lane without a usable root gets 0."""
+    """Per lane: 0, ``p_max`` and the roots ``q/a`` and ``c/q`` of :func:`derivative_numerator_roots`,
+    clamped to ``[0, p_max]``; a root that function does not return is 0 here."""
     a, b, c = quad
     # np.where drops the branches a lane does not take
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_n = np.abs(a) * p_max * p_max
-        b_n = np.abs(b) * p_max
-        c_n = np.abs(c)
-        linear = a_n <= DEGENERACY_EPS * np.maximum(b_n, c_n)
-        linear_ok = linear & ~(b_n <= DEGENERACY_EPS * c_n)
         disc = b * b - 4.0 * a * c
-        quadratic = ~linear & (disc >= 0.0)
+        real = disc >= 0.0
         q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
-        root1 = np.where(quadratic, q / a, np.where(linear_ok, -c / b, 0.0))
-        root2 = np.where(quadratic & (q != 0.0), c / q, 0.0)
+        root1 = np.where(real & (a != 0.0), q / a, 0.0)
+        root2 = np.where(real & (q != 0.0), c / q, 0.0)
     return np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from secrecysim import (
     ApConfig,
@@ -24,6 +25,7 @@ from secrecysim import (
     distance_corrected_power,
     effective_distance,
     load_scenario,
+    monte_carlo,
     select,
     sweep_eavesdropper,
 )
@@ -60,7 +62,7 @@ def ratio_secrecy(geom, p_j):
 def candidate_powers(geom):
     """0, ``p_max`` and the derivative roots clamped to ``[0, p_max]``."""
     _, quad, _ = coefficients(geom)
-    roots = derivative_numerator_roots(quad, geom.p_max)
+    roots = derivative_numerator_roots(quad)
     return [0.0, geom.p_max] + [min(max(root, 0.0), geom.p_max) for root in roots]
 
 
@@ -280,7 +282,7 @@ def test_root_residuals_are_small():
         geom = random_fj_geometry(rng)
         _, quad, _ = coefficients(geom)
         quad_a, quad_b, quad_c = quad
-        for root in derivative_numerator_roots(quad, geom.p_max):
+        for root in derivative_numerator_roots(quad):
             residual = quad_a * root * root + quad_b * root + quad_c
             scale = max(abs(quad_a * root * root), abs(quad_b * root), abs(quad_c))
             if scale > 0.0:
@@ -289,15 +291,53 @@ def test_root_residuals_are_small():
     assert checked > 100
 
 
-def test_roots_degenerate_quadratic_branches():
-    # pure synthetic coefficient sets exercise every degeneracy branch
-    assert derivative_numerator_roots((0.0, 0.0, 5.0), 1.0) == []
-    assert derivative_numerator_roots((0.0, 2.0, -1.0), 1.0) == [0.5]
-    assert derivative_numerator_roots((1.0, 0.0, 1.0), 1.0) == []  # negative discriminant
-    roots = derivative_numerator_roots((1.0, 0.0, -4.0), 1.0)
-    assert sorted(roots) == [-2.0, 2.0]
-    # quadratic term negligible at the interval's scale counts as linear
-    assert derivative_numerator_roots((1e-30, 2.0, -1.0), 1.0) == [0.5]
+def clamped_candidates(quads, p_max):
+    """Per lane of the coefficient lists ``quads = (a, b, c)`` and of ``p_max``: the candidate set
+    ``{0, p_max, clamped roots}`` from the scalar finder and from the array finder, as ``float.hex``.
+    Both sets start from 0.0, so a root that clamps to -0.0 adds nothing to either."""
+    scalar = [
+        {0.0, p, *(min(max(root, 0.0), p) for root in derivative_numerator_roots(quad))}
+        for quad, p in zip(zip(*quads), p_max)
+    ]
+    array = np.stack(_candidate_powers(tuple(np.array(x) for x in quads), np.array(p_max))).T.tolist()
+    return [{p.hex() for p in s} for s in scalar], [{p.hex() for p in set(a)} for a in array]
+
+
+def test_degenerate_quadratics_give_the_clamped_candidates():
+    # (a, b, c, p_max) and the candidate set both finders must give
+    cases = [
+        ((0.0, 0.0, 5.0), 1.0, {0.0, 1.0}),  # a = b = 0: the derivative keeps the sign of c
+        ((0.0, 0.0, 0.0), 1.0, {0.0, 1.0}),  # a = b = c = 0: the objective is flat
+        ((0.0, 2.0, -1.0), 1.0, {0.0, 0.5, 1.0}),  # a = 0: the linear root
+        ((1.0, 0.0, 1.0), 1.0, {0.0, 1.0}),  # negative discriminant
+        ((1.0, 0.0, -4.0), 3.0, {0.0, 2.0, 3.0}),  # roots -2 and 2
+        ((1e-30, 2.0, -1.0), 1.0, {0.0, 0.5, 1.0}),  # near-linear: the root -2e30 clamps to 0
+        ((1e-30, 1.0, 1e31), 1.0, {0.0, 1.0}),  # near-linear, negative discriminant: -c/b = -1e31 clamps to 0
+    ]
+    scalar, array = clamped_candidates(list(zip(*(quad for quad, _, _ in cases))), [p for _, p, _ in cases])
+    expected = [{p.hex() for p in candidates} for *_, candidates in cases]
+    assert scalar == expected
+    assert array == expected
+
+
+def test_scalar_and_array_finders_give_the_same_candidates():
+    # random signed coefficients over 30 decades, with exact zeros in a, b, c, a and b, and all
+    # three, lanes with p_max = 0, and the coefficients of random geometries; both finders get the
+    # same floats, as d**alpha differs between libm and numpy's AVX-512 power
+    rng = np.random.default_rng(23)
+    n = 30_000
+    quads = [rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20.0, 10.0, n) for _ in range(3)]
+    kind = np.arange(n) % 6
+    for k, zeros in enumerate([(), (0,), (1,), (2,), (0, 1), (0, 1, 2)]):
+        for i in zeros:
+            quads[i][kind == k] = 0.0
+    p_max = 10.0 ** rng.uniform(-12.0, 12.0, n)
+    p_max[::7] = 0.0
+    geoms = [random_fj_geometry(rng, noise_e=n_e) for n_e in (1e-10, 1e-11, 1e-9) for _ in range(500)]
+    quads = [x.tolist() + [coefficients(geom)[1][i] for geom in geoms] for i, x in enumerate(quads)]
+    scalar, array = clamped_candidates(quads, p_max.tolist() + [geom.p_max for geom in geoms])
+    assert [k for k, (s, a) in enumerate(zip(scalar, array)) if s != a] == []
+    assert sum(len(s) > 2 for s in scalar) > n // 10
 
 
 def test_linear_degenerate_geometry_matches_grid():
@@ -312,6 +352,40 @@ def test_linear_degenerate_geometry_matches_grid():
     assert quad_b != 0.0
     best_grid, _ = grid_search_best(geom)
     assert ratio_secrecy(geom, optimize_fj_power(*geom)) >= best_grid - 1e-6
+
+
+@st.composite
+def near_degenerate_geometries(draw):
+    """Geometries next to the degenerate quadratics, with equal or unequal noises: alpha 1 with
+    ``d_im*d_je`` within a relative 1e-10 of ``d_jm*d_ie``, where ``a`` is near 0, or each AP at
+    distances from the station and the eavesdropper within a relative 1e-10, where ``a``, ``b``
+    and, with equal noises, ``c`` are near 0."""
+    dist, offset = st.floats(1.0, 170.0), st.floats(0.0, 1e-10)
+    d_im, d_jm = draw(dist), draw(dist)
+    if draw(st.booleans()):
+        alpha, d_ie = 1.0, draw(dist)
+        d_je = d_jm * d_ie / d_im * (1.0 + draw(offset))
+        assume(d_je >= 1.0)
+    else:
+        alpha = draw(st.sampled_from([2.0, 3.0]))
+        d_ie, d_je = d_im * (1.0 + draw(offset)), d_jm * (1.0 + draw(offset))
+    noise = st.floats(-11.0, -9.0).map(lambda e: 10.0 ** e)
+    noise_m = draw(noise)
+    noise_e = draw(st.one_of(st.just(noise_m), noise))
+    p = distance_corrected_power(0.05, ChannelParams(pathloss_alpha=alpha))
+    return FjArgs(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_degenerate_geometries())
+def test_near_degenerate_geometries_reach_the_grid_search_best(geom):
+    # the root finders have no degeneracy threshold; next to the degenerate quadratics both
+    # optimizers still reach the dense grid's best within test_optimize_matches_grid_search's tolerance
+    best_grid, _ = grid_search_best(geom, points=20001)
+    lane = geom._replace(**{k: np.array([getattr(geom, k)]) for k in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")})
+    for power in (optimize_fj_power(*geom), float(_best_power(*coefficients(lane)[1:], lane.p_max)[0])):
+        assert 0.0 <= power <= geom.p_max
+        assert ratio_secrecy(geom, power) >= best_grid - 1e-6
 
 
 
@@ -448,7 +522,7 @@ def closed_form_values(loaded):
     """Every AP order at every grid cell, with the station at its own place and
     at the corners of the Monte Carlo square: ``_coefficients`` from the grid engine's
     eavesdropper terms, the roots'
-    ``b*b`` and ``4*a*c``, ``|a|*p_max**2`` and the ratio terms at ``p_max``."""
+    ``b*b`` and ``4*a*c`` and the ratio terms at ``p_max``."""
     scenario, par = loaded.scenario, loaded.scenario.params
     _, _, aps = _eve_terms(scenario, loaded.sweep)
     extent = scenario.map_extent
@@ -464,7 +538,7 @@ def closed_form_values(loaded):
             p_max = np.full(die_a.shape, distance_corrected_power(ap_j.tx_power_max, par))
             dim_a, djm_a = np.full(die_a.shape, dim_a), np.full(die_a.shape, djm_a)
             caps, (a, b, c), ratio = _coefficients(dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i)
-            values += [*caps, *ratio, a, b, c, b * b, 4.0 * a * c, np.abs(a) * p_max * p_max]
+            values += [*caps, *ratio, a, b, c, b * b, 4.0 * a * c]
             values += _ratio_terms(ratio, p_max)
     return values
 
@@ -608,6 +682,31 @@ def test_extreme_documents_are_accepted_in_a_third_of_the_examples():
     assert len(verdicts) / 3 <= sum(verdicts) < len(verdicts)
 
 
+def test_scenario_once_refused_for_a_bound_nothing_reaches_loads_and_runs(tmp_path):
+    # P**3 * Q**4 overflows here, but no value of the closed form grows like it, so the range
+    # check accepts this scenario and every path stays finite on it
+    doc = json.loads(bundled_scenario_path("scenario1").read_text())
+    for ap in doc["aps"]:
+        ap.update(tx_power_watt=1.64e85, tx_power_max_watt=1.64e85)
+    loaded = load_with_channel(
+        tmp_path, doc, center_freq_hz=21.5, alpha=3.585, noise_m_watt=9.76e-123, noise_e_watt=9.76e-123
+    )
+    assert loaded is not None
+    scenario = loaded.scenario
+    e = scenario.map_extent
+    corners = [Point2D(x, y) for x in (0.0, e) for y in (0.0, e)]
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        assert all(np.isfinite(v).all() for v in closed_form_values(loaded))
+        for policy in PolicyKind:
+            summary = sweep_eavesdropper(scenario, replace(loaded.sweep, policy=policy), retain_cells=False)
+            assert all(np.isfinite(v).all() for v in vars(summary.arrays).values())
+            for sta_e in [scenario.sta_m, scenario.ap1.position, scenario.ap2.position] + corners:
+                assert all(math.isfinite(v) for v in vars(select(scenario, sta_e, policy)).values())
+        means = monte_carlo(scenario, loaded.sweep, 2, seed=1).means
+    assert all(math.isfinite(v) for m in means.values() for v in vars(m).values())
+
+
 class Bound:
     """An upper bound on a value's magnitude: ``terms`` maps the exponents ``(i, j, k)`` of the monomials
     ``P**i * N**j * Q**k`` to nonnegative coefficients, and a ``signed`` value may be negative. Each result
@@ -691,14 +790,14 @@ def in_hull(point, corners) -> bool:
 
 def test_float_range_bound_is_derived_from_the_code(monkeypatch):
     # From above: P bounds the corrected powers and caps, N the noises, Q every d**alpha. The closed form's
-    # values, its ratio terms at p_j = P, and _candidate_powers' scaled magnitudes and discriminant, which
-    # are restated here because they sit in np.where, all stay below 20 monomials of the corners' hull.
+    # values, its ratio terms at p_j = P, and _candidate_powers' discriminant, which is restated here
+    # because it sits in np.where, all stay below 20 monomials of the corners' hull.
     trace = []
     inputs = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     big_p, big_n, big_q = (Bound({e: 1}, trace=trace) for e in inputs)
     _, (a, b, c), ratio = _coefficients(big_q, big_q, big_q, big_q, big_n, big_n, big_p)
     _ratio_terms(ratio, big_p)
-    abs(a) * big_p * big_p, abs(b) * big_p, abs(c), b * b - 4.0 * a * c
+    b * b - 4.0 * a * c
     assert max(sum(value.terms.values()) for value in trace) <= 20
     exponents = {e for value in trace for e in value.terms} - set(inputs)
     assert exponents >= set(_CORNERS)
