@@ -7,7 +7,18 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
+# secrecysim makes no BLAS call, but numpy's OpenBLAS starts one busy-waiting
+# thread per extra core unless this is 1 when it loads. It reads the variable only
+# then, so the CLI, which owns its process, sets it for that moment: a caller's own
+# value, a numpy loaded earlier and the environment children inherit stay as they are.
+_own_blas_setting = "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules
+if _own_blas_setting:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _own_blas_setting:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .channel import transmit_power_from_corrected

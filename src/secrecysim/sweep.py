@@ -346,10 +346,12 @@ def monte_carlo(
 
     Positions are drawn uniformly over the map square; ``cfg.policy`` is
     ignored because every sample evaluates all policies. The samples run
-    on ``min(workers, n, os.cpu_count())`` processes, one contiguous chunk
-    each: this one and forked workers (see :func:`_run_chunks`). The result
-    never depends on their number. Sample ``i``'s station is the PCG64 draw of
-    ``SeedSequence([seed, i])``, equal to numpy's ``default_rng`` (:func:`_station_draw`).
+    on ``min(workers, n, cpus)`` processes, one contiguous chunk each: this
+    one and forked workers (see :func:`_run_chunks`). ``cpus`` counts the
+    CPUs this process may run on (:func:`os.sched_getaffinity`, else
+    :func:`os.cpu_count`). The result never depends on the process count.
+    Sample ``i``'s station is the PCG64 draw of ``SeedSequence([seed, i])``,
+    equal to numpy's ``default_rng`` (:func:`_station_draw`).
     """
     for name, value in ("n", n), ("seed", seed), ("workers", workers):
         if not hasattr(type(value), "__index__"):
@@ -361,7 +363,8 @@ def monte_carlo(
         raise ValueError("seed must be a nonnegative integer")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, n, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, n, cpus)
     eve = _eve_terms(scenario_template, cfg)
     # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
     normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +70,14 @@ def scenario1():
     return build_scenario(STA_SCENARIO_1)
 
 
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a new interpreter that imports secrecysim from this checkout."""
+    src = Path(sweep.__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env)
+
+
 class ChunkLog:
     """Where Monte Carlo ran its chunks. Each chunk appends ``pid start stop`` to
     ``path``, from whichever process runs it; ``forked`` holds the pids
@@ -115,6 +126,18 @@ def recording_pool(monkeypatch, tmp_path):
     monkeypatch.setattr(sweep, "_run_chunk", recorded_chunk)
     monkeypatch.setattr(os, "fork", recorded_fork)
     return log
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """``usable_cpus(count)`` makes Monte Carlo see ``count`` CPUs, in this process's
+    affinity mask and in ``os.cpu_count``."""
+
+    def set_count(count: int):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_count
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import secrecysim.cli
 import secrecysim.policy
 from secrecysim.cli import build_parser
 
+from conftest import run_fresh
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
@@ -55,6 +57,32 @@ def test_public_names_are_pinned_and_resolve():
     assert secrecysim.__all__ == PUBLIC_NAMES
     for name in secrecysim.__all__:
         assert getattr(secrecysim, name) is not None, name
+
+
+def test_the_package_loads_no_numpy_and_each_name_on_first_use():
+    # the pytest process has imported everything already, so a fresh interpreter checks
+    script = (
+        "import sys\n"
+        "import secrecysim\n"
+        "assert 'numpy' not in sys.modules\n"
+        "listed = dir(secrecysim)\n"
+        "for name in ('fjopt', 'channel', 'policy', 'scenario_io', 'sweep'):\n"
+        "    assert name in listed, name\n"
+        "    assert getattr(secrecysim, name) is sys.modules['secrecysim.' + name], name\n"
+        "star = {}\n"
+        "exec('from secrecysim import *', star)\n"
+        "for name in secrecysim.__all__:\n"
+        "    assert name in listed, name\n"
+        "    assert star[name] is getattr(secrecysim, name), name\n"
+        "assert secrecysim.select is secrecysim.policy.select\n"
+        "try:\n"
+        "    secrecysim.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    print(error)\n"
+    )
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'secrecysim' has no attribute 'no_such_name'\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])

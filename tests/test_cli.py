@@ -2,7 +2,6 @@ import json
 import math
 import os
 import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from secrecysim import cli
 from secrecysim.cli import main
 from secrecysim.scenario_io import temp_path
 
-from conftest import UNDERFLOW_DOCUMENT
+from conftest import UNDERFLOW_DOCUMENT, run_fresh
 
 SMALL = {
     "channel": {
@@ -455,9 +454,9 @@ def test_threads_env_fallback(small_scenario, tmp_path, monkeypatch):
 
 
 def test_threads_beyond_the_cpu_count_start_no_more_workers(
-    small_scenario, tmp_path, monkeypatch, recording_pool
+    small_scenario, tmp_path, monkeypatch, recording_pool, usable_cpus
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     args = ["sweep", "--scenario", str(small_scenario), "--policy", "smart", "--monte-carlo-n", "8"]
     monkeypatch.setenv("SECRECY_SIM_THREADS", "5000")
     assert main(args + ["--out-dir", str(tmp_path / "env")]) == 0
@@ -470,9 +469,9 @@ def test_threads_beyond_the_cpu_count_start_no_more_workers(
 
 @pytest.mark.parametrize("first", [False, True], ids=["worker-fails", "caller-fails"])
 def test_sweep_monte_carlo_chunk_failure_fails_cleanly(
-    first, small_scenario, tmp_path, monkeypatch, capsys, failing_chunks
+    first, small_scenario, tmp_path, monkeypatch, capsys, failing_chunks, usable_cpus
 ):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     failing_chunks(first)
     out = tmp_path / "out"
     out.mkdir()
@@ -550,14 +549,6 @@ def test_dbm_column_matches_scalar_watt_to_dbm():
     assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
 
 
-def run_fresh(script, *args):
-    """Run ``script`` with ``args`` in a new interpreter that imports secrecysim from this checkout."""
-    src = Path(cli.__file__).resolve().parent.parent
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env)
-
-
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):
     # nor with it: Monte Carlo forks its workers itself
     script = (
@@ -590,6 +581,29 @@ def test_monte_carlo_never_imports_numpys_random_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert '"monte_carlo"' in proc.stdout
     assert len(list((tmp_path / "out").iterdir())) == 5
+
+
+@pytest.mark.parametrize("caller_value", [None, "2"], ids=["unset", "set-by-caller"])
+def test_cli_loads_numpy_with_one_blas_thread_and_leaves_the_environment_as_it_was(caller_value, monkeypatch):
+    if caller_value is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller_value)
+    script = (
+        "import os\n"
+        "import secrecysim.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None)\n"
+    )
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == str(caller_value)
+    if caller_value is None:
+        if threads == "None":
+            pytest.skip("no /proc/self/task to count this process's threads")
+        # no idle OpenBLAS worker, whatever the core count
+        assert threads == "1"
 
 
 def test_console_script_version():

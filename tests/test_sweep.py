@@ -312,8 +312,8 @@ def test_monte_carlo_samples_match_per_policy_sweeps(workers):
             ], (index, policy)
 
 
-def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, usable_cpus):
+    usable_cpus(64)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=5, step=24.0)
     capped = monte_carlo(scenario, cfg, n=3, seed=4, workers=64)
@@ -326,8 +326,8 @@ def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, monkeyp
 
 
 @pytest.mark.parametrize("n, workers", [(9, 2), (7, 3), (3, 64)])
-def test_monte_carlo_gives_each_worker_one_contiguous_chunk(n, workers, recording_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+def test_monte_carlo_gives_each_worker_one_contiguous_chunk(n, workers, recording_pool, usable_cpus):
+    usable_cpus(64)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=3, step=40.0)
     pooled = monte_carlo(scenario, cfg, n=n, seed=4, workers=workers)
@@ -372,10 +372,19 @@ def test_monte_carlo_runs_the_jamming_optimizer_once_per_sample(optimizer_calls)
     assert set(mc.samples[0].metrics) == set(ALL_POLICIES)
 
 
-@pytest.mark.parametrize("cpus, started", [(2, 2), (None, 1)], ids=["two-cpus", "unknown"])
-def test_monte_carlo_starts_no_more_workers_than_cpus(cpus, started, recording_pool, monkeypatch):
-    # every worker is a process, so 5,000 asked for would be 5,000 processes
+@pytest.mark.parametrize(
+    "cpus, allowed, started",
+    [(2, 2, 2), (None, None, 1), (64, 1, 1)],
+    ids=["two-cpus", "unknown", "one-allowed-cpu"],
+)
+def test_monte_carlo_starts_no_more_workers_than_cpus(cpus, allowed, started, recording_pool, monkeypatch):
+    # every worker is a process, so 5,000 asked for would be 5,000 processes; only the
+    # CPUs in the affinity mask count, and without a mask the CPU count, else one
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if allowed is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
     scenario = build_scenario((20.0, 100.0))
     cfg = small_cfg(k=3, step=40.0)
     capped = monte_carlo(scenario, cfg, n=20, seed=4, workers=5000)
@@ -389,16 +398,16 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("first", [False, True], ids=["worker-fails", "caller-fails"])
-def test_monte_carlo_raises_a_failed_chunks_error_and_leaves_no_child(first, failing_chunks, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_monte_carlo_raises_a_failed_chunks_error_and_leaves_no_child(first, failing_chunks, usable_cpus):
+    usable_cpus(2)
     failing_chunks(first)
     with pytest.raises(ValueError, match="chunk failed"):
         monte_carlo(build_scenario(), small_cfg(k=5, step=24.0), n=4, seed=4, workers=2)
     assert_no_child_left()
 
 
-def test_monte_carlo_worker_that_dies_without_records_is_an_error(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_monte_carlo_worker_that_dies_without_records_is_an_error(monkeypatch, usable_cpus):
+    usable_cpus(2)
     run_chunk = sweep_module._run_chunk
     monkeypatch.setattr(sweep_module, "_run_chunk", lambda *args: os._exit(3) if args[-1].start else run_chunk(*args))
     with pytest.raises(ChildProcessError, match="worker died"):
@@ -410,10 +419,10 @@ def open_descriptors():
     return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
 
 
-def test_monte_carlo_closes_the_pipe_when_a_fork_fails(monkeypatch):
+def test_monte_carlo_closes_the_pipe_when_a_fork_fails(monkeypatch, usable_cpus):
     # the first fork "starts" a made-up worker, the second fails as at the process
     # limit; no process is started, so the made-up worker is signalled and reaped on paper
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    usable_cpus(3)
     made_up, forks, reaped = 2**22 + 1, [], []  # above the largest pid Linux gives
 
     def fork():
@@ -442,8 +451,8 @@ def test_monte_carlo_closes_the_pipe_when_a_fork_fails(monkeypatch):
     assert open_descriptors() == before
 
 
-def test_monte_carlo_without_fork_runs_every_chunk_here(recording_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_monte_carlo_without_fork_runs_every_chunk_here(recording_pool, monkeypatch, usable_cpus):
+    usable_cpus(2)
     scenario, cfg = build_scenario(), small_cfg(k=5, step=24.0)
     serial = monte_carlo(scenario, cfg, n=5, seed=4, workers=1)
     recording_pool.take()
