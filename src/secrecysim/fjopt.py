@@ -18,10 +18,14 @@ The derivative of ``f`` has the sign of a plain quadratic
 maximizer over ``[0, p_max]`` is one of at most four candidates: the two
 clamped real roots of that quadratic plus the two interval endpoints.
 
-The closed form is written once, as arithmetic on floats or arrays, shared
-by :func:`optimize_fj_power` (nine floats, for ``policy.select``) and
-:func:`_best_power` (arrays of :func:`_coefficients`, for the grid sweep).
-Both break ties to the smallest power and trust a ``Scenario``'s values.
+The closed form is stated twice, on purpose. :func:`_coefficients`,
+:func:`_ratio_terms` and :func:`optimize_fj_power` are the scalar statement,
+in plain operators, for ``policy.select``. :func:`_best_power` is the array
+statement, for the grid engine: the same operations in the same order, each
+writing into a preallocated buffer, so a Monte Carlo sample allocates no grid
+arrays. Before ``log2`` every value of the two is equal lane by lane, and the
+tests check that by ``float.hex``. Both break ties to the smallest power and
+trust a ``Scenario``'s values.
 """
 
 import math
@@ -36,7 +40,8 @@ _CORNERS = ((0, 0, 2), (0, 1, 5), (0, 2, 0), (0, 2, 4), (1, 0, 4),
 def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
     """The objective constants ``(A, B, C, D, E, F, K)``, the derivative quadratic ``(a, b, c)`` and
     the ratio's terms ``(A, B + p_i*C, p_i*D + K, B + p_i*E, p_i*F + K)`` from the distances raised to
-    alpha, the noises and the data AP's power, floats or arrays, bit for bit alike.
+    alpha, the noises and the data AP's power: the scalar statement, in plain operators, so the
+    tests apply it to arrays too; :func:`_coefficients_into` is the array statement.
 
     The quadratic coefficients are the algebraically simplified forms
 
@@ -67,13 +72,10 @@ def _coefficients(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i):
     cap_f = noise_m * dim_a * djm_a * dje_a
     cap_k = noise_m * noise_e * dim_a * djm_a * die_a * dje_a
 
+    f_minus_d = cap_f - cap_d
     quad_a = p_i * cap_a * (cap_e - cap_c)
-    quad_b = 2.0 * p_i * cap_a * (cap_f - cap_d)
-    quad_c = (
-        p_i * cap_b * (cap_f - cap_d)
-        + p_i * p_i * (cap_c * cap_f - cap_e * cap_d)
-        + p_i * cap_k * (cap_c - cap_e)
-    )
+    quad_b = 2.0 * p_i * cap_a * f_minus_d
+    quad_c = p_i * cap_b * f_minus_d + p_i * p_i * (cap_c * cap_f - cap_e * cap_d) + p_i * cap_k * (cap_c - cap_e)
     ratio = cap_a, cap_b + p_i * cap_c, p_i * cap_d + cap_k, cap_b + p_i * cap_e, p_i * cap_f + cap_k
     return (cap_a, cap_b, cap_c, cap_d, cap_e, cap_f, cap_k), (quad_a, quad_b, quad_c), ratio
 
@@ -92,8 +94,8 @@ def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
 def _ratio_terms(ratio, p_j):
     """Numerator and denominator of f at ``p_j`` from :func:`_coefficients`' ratio terms, floats or arrays."""
     cap_a, lin_m, con_m, lin_e, con_e = ratio
-    p_sq = p_j * p_j
-    return cap_a * p_sq + lin_m * p_j + con_m, cap_a * p_sq + lin_e * p_j + con_e
+    lead = cap_a * (p_j * p_j)
+    return lead + lin_m * p_j + con_m, lead + lin_e * p_j + con_e
 
 
 def derivative_numerator_roots(quad) -> list[float]:
@@ -140,31 +142,102 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     return best_p
 
 
-def _candidate_powers(quad, p_max) -> tuple[np.ndarray, ...]:
-    """Per lane: 0, ``p_max`` and the roots ``q/a`` and ``c/q`` of :func:`derivative_numerator_roots`,
-    clamped to ``[0, p_max]``; a root that function does not return is 0 here."""
+def _coefficients_into(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, floats):
+    """:func:`_coefficients`' ``(a, b, c)`` and ratio terms for 1-d arrays, lane by lane the same floats:
+    each of its operations, in its order, writes into a buffer. Eight buffers shaped like the
+    arguments come from the list ``floats``; those the results do not hold go back to it, and so
+    do the array arguments, overwritten but for ``p_i``."""
+    mul, add, sub = np.multiply, np.add, np.subtract
+    eve, cap_a, cap_b, term, cap_c, cap_f, quad_c, tmp = (floats.pop() for _ in range(8))
+    mul(mul(noise_e, die_a, out=eve), dje_a, out=eve)
+    mul(dim_a, die_a, out=cap_a)
+    mul(eve, dim_a, out=cap_b)
+    add(cap_b, mul(mul(mul(noise_m, dim_a, out=term), djm_a, out=term), die_a, out=term), out=cap_b)
+    mul(djm_a, die_a, out=cap_c)
+    cap_d = mul(eve, djm_a, out=eve)
+    cap_e = mul(dim_a, dje_a, out=term)
+    mul(mul(mul(noise_m, dim_a, out=cap_f), djm_a, out=cap_f), dje_a, out=cap_f)
+    cap_k = mul(noise_m * noise_e, dim_a, out=dim_a)
+    for factor in djm_a, die_a, dje_a:
+        mul(cap_k, factor, out=cap_k)
+
+    # die_a, djm_a and dje_a are free from here
+    quad_a = mul(mul(p_i, cap_a, out=die_a), sub(cap_e, cap_c, out=djm_a), out=die_a)
+    f_minus_d = sub(cap_f, cap_d, out=dje_a)
+    quad_b = mul(mul(mul(2.0, p_i, out=djm_a), cap_a, out=djm_a), f_minus_d, out=djm_a)
+    mul(mul(p_i, cap_b, out=quad_c), f_minus_d, out=quad_c)
+    cross = sub(mul(cap_c, cap_f, out=f_minus_d), mul(cap_e, cap_d, out=tmp), out=f_minus_d)
+    add(quad_c, mul(mul(p_i, p_i, out=tmp), cross, out=tmp), out=quad_c)
+    add(quad_c, mul(mul(p_i, cap_k, out=cross), sub(cap_c, cap_e, out=tmp), out=cross), out=quad_c)
+
+    lin_m = add(cap_b, mul(p_i, cap_c, out=cap_c), out=cap_c)
+    con_m = add(mul(p_i, cap_d, out=cap_d), cap_k, out=cap_d)
+    lin_e = add(cap_b, mul(p_i, cap_e, out=cap_e), out=cap_e)
+    con_e = add(mul(p_i, cap_f, out=cap_f), cap_k, out=cap_f)
+    floats += [cap_b, cap_k, cross, tmp, p_i]
+    return (quad_a, quad_b, quad_c), (cap_a, lin_m, con_m, lin_e, con_e)
+
+
+def _ratio_terms_into(ratio, p_j, num, den, lead):
+    """:func:`_ratio_terms` for 1-d arrays, lane by lane the same floats, into the buffers ``num``
+    and ``den``; ``lead`` is overwritten with ``A*p_j**2``."""
+    cap_a, lin_m, con_m, lin_e, con_e = ratio
+    np.multiply(cap_a, np.multiply(p_j, p_j, out=lead), out=lead)
+    np.add(np.add(lead, np.multiply(lin_m, p_j, out=num), out=num), con_m, out=num)
+    np.add(np.add(lead, np.multiply(lin_e, p_j, out=den), out=den), con_e, out=den)
+    return num, den
+
+
+def _clamped_roots(quad, p_max, floats, flags) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane of the 1-d arrays ``quad`` and ``p_max``: the roots ``q/a`` and ``c/q`` of
+    :func:`derivative_numerator_roots`, clamped to ``[0, p_max]``; a root that function does not
+    return is 0 here. Three buffers come from ``floats`` and two from ``flags``; the roots hold
+    two of them, and the others go back."""
     a, b, c = quad
-    # np.where drops the branches a lane does not take
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = b * b - 4.0 * a * c
-        real = disc >= 0.0
-        q = -(b + np.copysign(np.sqrt(disc), b)) / 2.0
-        root1 = np.where(real & (a != 0.0), q / a, 0.0)
-        root2 = np.where(real & (q != 0.0), c / q, 0.0)
-    return np.zeros_like(p_max), p_max, np.clip(root1, 0.0, p_max), np.clip(root2, 0.0, p_max)
+    root1, q, root2 = (floats.pop() for _ in range(3))
+    real, nonzero = flags.pop(), flags.pop()
+    # a lane with a negative discriminant gets a nan q, which its mask drops
+    with np.errstate(invalid="ignore", over="ignore"):
+        disc = np.subtract(np.multiply(b, b, out=root1), np.multiply(np.multiply(4.0, a, out=q), c, out=q), out=root1)
+        np.greater_equal(disc, 0.0, out=real)
+        np.divide(np.negative(np.add(b, np.copysign(np.sqrt(disc, out=q), b, out=q), out=q), out=q), 2.0, out=q)
+        for root, num, den in (root1, q, a), (root2, c, q):
+            np.bitwise_and(real, np.not_equal(den, 0.0, out=nonzero), out=nonzero)
+            np.copyto(root, 0.0)
+            np.divide(num, den, out=root, where=nonzero)
+            np.clip(root, 0.0, p_max, out=root)
+    floats.append(q)
+    flags += real, nonzero
+    return root1, root2
 
 
-def _best_power(quad, ratio, p_max) -> np.ndarray:
-    """The power :func:`optimize_fj_power` returns, per lane of :func:`_coefficients`' 1-d
-    ``quad`` and ``ratio`` arrays and of ``p_max``. Ties go to the smallest power; near ties
-    may resolve otherwise than in the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ."""
-    powers = _candidate_powers(quad, p_max)
+def _best_power(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, p_max, floats, flags) -> np.ndarray:
+    """The power :func:`optimize_fj_power` returns, per lane of 1-d arrays of the distances to the
+    power alpha, ``p_i`` and ``p_max`` (floats for the noises), in a buffer from ``floats``.
+
+    The array statement of the closed form: :func:`_coefficients_into`, :func:`_clamped_roots` and
+    :func:`_ratio_terms_into` repeat the scalar statement's operations in its order, so every value
+    before ``log2`` equals the scalar one lane by lane. Ties go to the smallest power; near ties may
+    resolve otherwise than in the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ.
+    Buffers shaped like the arguments come from the lists ``floats`` (at most eight) and ``flags``
+    (three, bool) and go back, the array arguments included, all but the result."""
+    quad, ratio = _coefficients_into(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, floats)
+    candidates = p_max, *_clamped_roots(quad, p_max, floats, flags)
+    floats += quad
+    best_p, best_v, num, den, lead = (floats.pop() for _ in range(5))
+    better, tie, smaller = (flags.pop() for _ in range(3))
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
-    best_p, best_v = powers[0], np.log2(ratio[2]) - np.log2(ratio[4])
+    np.copyto(best_p, 0.0)
+    np.subtract(np.log2(ratio[2], out=best_v), np.log2(ratio[4], out=num), out=best_v)
     # running maximum over the candidates; the smallest power wins ties
-    for p in powers[1:]:
-        num, den = _ratio_terms(ratio, p)
-        v = np.log2(num) - np.log2(den)
-        better = (v > best_v) | ((v == best_v) & (p < best_p))
-        best_p, best_v = np.where(better, p, best_p), np.where(better, v, best_v)
+    for p in candidates:
+        _ratio_terms_into(ratio, p, num, den, lead)
+        v = np.subtract(np.log2(num, out=num), np.log2(den, out=den), out=num)
+        np.greater(v, best_v, out=better)
+        np.equal(v, best_v, out=tie)
+        np.bitwise_or(better, np.bitwise_and(tie, np.less(p, best_p, out=smaller), out=tie), out=better)
+        np.copyto(best_p, p, where=better)
+        np.copyto(best_v, v, where=better)
+    floats += [*ratio, *candidates, best_v, num, den, lead]
+    flags += better, tie, smaller
     return best_p

@@ -8,6 +8,8 @@ do not depend on the station are computed once per sweep or Monte Carlo run;
 the station's come from the helper that ``select``'s ``Scenario`` uses.
 The jamming power comes from :func:`secrecysim.fjopt._best_power` on powers of the distances
 computed once; ``sweep --policy all`` and ``compare`` take the three policies from one pass per scenario.
+Every array of a pass is a buffer of a workspace made once per sweep and once per Monte Carlo chunk, so a
+Monte Carlo sample after a chunk's first allocates no grid array.
 Aggregates use exact, correctly rounded summation, so results are
 independent of evaluation order and of the number of Monte Carlo workers.
 Monte Carlo stations are numpy's ``default_rng([seed, index])`` draws, computed in Python integers.
@@ -23,7 +25,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .channel import Point2D
-from .fjopt import _best_power, _coefficients
+from .fjopt import _best_power
 from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _station_terms
 
 ALL_POLICIES = (PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ)
@@ -149,63 +151,119 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
     return x, y, aps
 
 
-def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve):
+class _Buffers(list):
+    """Free buffers of one dtype shaped like the cell array ``like``, for the grid engine and its reductions:
+    ``pop`` makes one with ``np.empty_like`` when none is free, and ``made`` keeps every buffer made."""
+
+    def __init__(self, like: np.ndarray, dtype):
+        super().__init__()
+        self.like, self.dtype, self.made = like, dtype, []
+
+    def pop(self) -> np.ndarray:
+        if self:
+            return super().pop()
+        self.made.append(np.empty_like(self.like, dtype=self.dtype))
+        return self.made[-1]
+
+
+def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
+    """The float64, int64 and bool buffers of grid-engine passes over cells like ``like``, made as the first
+    pass needs them, in the process that runs it: as many as a pass holds at once, 3.3 MB at 120 x 120 cells."""
+    return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
+
+
+def _pick(out: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:
+    """``np.where(mask, a, b)`` written into ``out``, which is returned."""
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+    return out
+
+
+def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     """The array twin of policy.select: yield ``(policy, GridArrays)`` for
     ``normal``, ``smart`` and ``smart_fj`` in turn, with the station at ``sta_m``,
     over the grid whose :func:`_eve_terms` are ``eve``. A step runs only when its
-    item is asked for; ``smart_fj`` starts from ``smart``'s association."""
+    item is asked for; ``smart_fj`` starts from ``smart``'s association.
+
+    Every array comes from ``work``, a :func:`_workspace`'s free buffers: each step takes its
+    results' buffers from them for good and puts its scratch back before it yields."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
+    floats, ints, flags = work
     x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)) = eve
     ((d1m, p1, cap1, _, c1m), (d2m, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
-    def capacities(pick1):
-        return np.where(pick1, c1m, c2m), np.where(pick1, c1e, c2e)
+    def results():
+        return ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
 
-    def arrays(chosen, cap_m, cap_e, fj_power=None):
-        fj_power = np.zeros_like(cap_e) if fj_power is None else fj_power
-        return GridArrays(x, y, chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)
+    chosen, cap_m, cap_e, secrecy, fj_power = results()
+    c_m, c_e = (c1m, c1e) if choice == 1 else (c2m, c2e)
+    np.copyto(chosen, choice)
+    np.copyto(cap_m, w * c_m)
+    np.multiply(w, c_e, out=cap_e)
+    np.multiply(w, np.subtract(c_m, c_e, out=secrecy), out=secrecy)
+    np.copyto(fj_power, 0.0)
+    yield PolicyKind.NORMAL_WIFI, GridArrays(x, y, chosen, cap_m, cap_e, secrecy, fj_power)
 
-    chosen = np.full(x.shape, choice, dtype=np.int64)
-    yield PolicyKind.NORMAL_WIFI, arrays(chosen, *capacities(chosen == 1))
-
-    chosen = np.where(c1m - c1e >= c2m - c2e, 1, 2).astype(np.int64)
-    pick1 = chosen == 1
-    cap_m, cap_e = capacities(pick1)
-    yield PolicyKind.SMART_AP, arrays(chosen, cap_m, cap_e)
+    chosen, cap_m, cap_e, secrecy, fj_power = results()
+    # per Hz: AP 1's secrecy difference in secrecy, AP 2's in diff, then the chosen AP's in diff
+    pick1, diff = flags.pop(), floats.pop()
+    np.greater_equal(np.subtract(c1m, c1e, out=secrecy), np.subtract(c2m, c2e, out=diff), out=pick1)
+    np.copyto(diff, secrecy, where=pick1)
+    _pick(chosen, pick1, 1, 2)
+    _pick(cap_m, pick1, w * c1m, w * c2m)
+    np.multiply(w, _pick(cap_e, pick1, c1e, c2e), out=cap_e)
+    np.multiply(w, diff, out=secrecy)
+    np.copyto(fj_power, 0.0)
+    yield PolicyKind.SMART_AP, GridArrays(x, y, chosen, cap_m, cap_e, secrecy, fj_power)
 
     # the station's distances to the powers alpha and -alpha from numpy's kernel, as the cells'
     (d1m_a, d2m_a), (d1m_n, d2m_n) = np.array((d1m, d2m)) ** alpha, np.array((d1m, d2m)) ** -alpha
-    quad, ratio = _coefficients(  # operands built in the call, constants dropped: less peak memory
-        np.where(pick1, d1m_a, d2m_a), np.where(pick1, d1e_a, d2e_a), np.where(pick1, d2m_a, d1m_a),
-        np.where(pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, np.where(pick1, p1, p2),
-    )[1:]
-    p_opt = _best_power(quad, ratio, np.where(pick1, cap2, cap1))
-    s_im, djm_n = np.where(pick1, p1 * d1m_n, p2 * d2m_n), np.where(pick1, d2m_n, d1m_n)
-    cap_m_fj = np.log2(1.0 + s_im / (p_opt * djm_n + par.noise_m))
-    cap_e_fj = np.log2(1.0 + np.where(pick1, s1e, s2e) / (p_opt * np.where(pick1, d2e_n, d1e_n) + par.noise_e))
-    # same guard as the scalar path: never fall below the no-jamming result
-    worse = (cap_m_fj - cap_e_fj) < (cap_m - cap_e)
-    yield PolicyKind.SMART_AP_FJ, arrays(
-        chosen, np.where(worse, cap_m, cap_m_fj), np.where(worse, cap_e, cap_e_fj), np.where(worse, 0.0, p_opt)
+    dim_a, die_a, djm_a, dje_a, p_i, p_max = (floats.pop() for _ in range(6))
+    p_opt = _best_power(
+        _pick(dim_a, pick1, d1m_a, d2m_a), _pick(die_a, pick1, d1e_a, d2e_a), _pick(djm_a, pick1, d2m_a, d1m_a),
+        _pick(dje_a, pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, _pick(p_i, pick1, p1, p2),
+        _pick(p_max, pick1, cap2, cap1), floats, flags,
     )
+    # per Hz: log2(1 + signal / (p_opt * gain + noise)) at the station and at the eavesdropper, then their difference
+    cap_m_fj, cap_e_fj, jam = floats.pop(), floats.pop(), floats.pop()
+    for cap, signal, gain, noise in (
+        (cap_m_fj, (p1 * d1m_n, p2 * d2m_n), (d2m_n, d1m_n), par.noise_m),
+        (cap_e_fj, (s1e, s2e), (d2e_n, d1e_n), par.noise_e),
+    ):
+        np.add(np.multiply(p_opt, _pick(jam, pick1, *gain), out=jam), noise, out=jam)
+        np.log2(np.add(1.0, np.divide(_pick(cap, pick1, *signal), jam, out=cap), out=cap), out=cap)
+    secrecy_fj = np.subtract(cap_m_fj, cap_e_fj, out=jam)
+    # same guard as the scalar path: never fall below the no-jamming result
+    worse = np.less(secrecy_fj, diff, out=flags.pop())
+    for fj, no_fj in (cap_m_fj, cap_m), (cap_e_fj, cap_e), (secrecy_fj, secrecy):
+        np.copyto(np.multiply(w, fj, out=fj), no_fj, where=worse)
+    np.copyto(p_opt, 0.0, where=worse)
+    chosen_fj = ints.pop()
+    np.copyto(chosen_fj, chosen)
+    floats.append(diff)
+    flags += pick1, worse
+    yield PolicyKind.SMART_AP_FJ, GridArrays(x, y, chosen_fj, cap_m_fj, cap_e_fj, secrecy_fj, p_opt)
 
 
-def _exact_sums(a: np.ndarray) -> tuple[float, float]:
+def _exact_sums(a: np.ndarray, buffers=None) -> tuple[float, float]:
     """``math.fsum`` of a float64 array and of ``np.maximum(a, 0.0)``, as lists, at numpy speed.
 
     ``np.bincount`` sums the 26-bit halves of the mantissas per sign and exponent,
     exactly below ``2**26`` values; all bins, and the positive-sign bins, make two integer
     counts of ``2**-1075`` whose quotients are correctly rounded, as ``fsum`` is. Inf,
-    nan and zero sums (the sign of zero) go to ``fsum``.
+    nan and zero sums (the sign of zero) go to ``fsum``. ``buffers``, two int64 arrays
+    and a float64 one shaped like ``a``, are overwritten; without them fresh ones are made.
     """
+    key, part, weights = buffers or (np.empty(a.shape, np.int64), np.empty(a.shape, np.int64), np.empty_like(a))
     bits = a.view(np.int64)
-    key = (bits >> 52) & 0xFFF
+    np.bitwise_and(np.right_shift(bits, 52, out=key), 0xFFF, out=key)
     count = np.bincount(key, minlength=0x1000)
     if a.size >= 1 << 26 or count[0x7FF] or count[0xFFF]:
         return math.fsum(a.tolist()), math.fsum(np.maximum(a, 0.0).tolist())
-    hi = np.bincount(key, weights=(bits >> 26) & 0x3FFFFFF, minlength=0x1000)
-    lo = np.bincount(key, weights=bits & 0x3FFFFFF, minlength=0x1000)
+    # float weights, as bincount would convert them
+    hi = np.bincount(key, np.bitwise_and(np.right_shift(bits, 26, out=part), 0x3FFFFFF, out=weights), 0x1000)
+    lo = np.bincount(key, np.bitwise_and(bits, 0x3FFFFFF, out=weights), 0x1000)
     used = np.flatnonzero(count)
     sums = [0, 0]  # the positive-sign bins, the negative-sign bins
     for k, n, h, l in zip(used.tolist(), count[used].tolist(), hi[used].tolist(), lo[used].tolist()):
@@ -217,12 +275,18 @@ def _exact_sums(a: np.ndarray) -> tuple[float, float]:
     )
 
 
-def _metrics(ev: GridArrays, eve_sum: float | None = None) -> PolicyMeans:
-    """The means of ``ev``; ``eve_sum``, when given, is the exact sum of ``ev.cap_eve``."""
-    size = ev.secrecy.size
-    secrecy, truncated = _exact_sums(ev.secrecy)
-    eve_sum = _exact_sums(ev.cap_eve)[0] if eve_sum is None else eve_sum
-    return PolicyMeans(secrecy / size, truncated / size, eve_sum / size, int(np.count_nonzero(ev.secrecy > 0.0)) / size)
+def _metrics(ev: GridArrays, work, eve_sum: float | None = None) -> PolicyMeans:
+    """The means of ``ev``, with scratch from the free buffers of a :func:`_workspace`, ``work``, given back after;
+    ``eve_sum``, when given, is the exact sum of ``ev.cap_eve``."""
+    floats, ints, flags = work
+    (key, part, weights), positive, size = (ints.pop(), ints.pop(), floats.pop()), flags.pop(), ev.secrecy.size
+    secrecy, truncated = _exact_sums(ev.secrecy, (key, part, weights))
+    eve_sum = _exact_sums(ev.cap_eve, (key, part, weights))[0] if eve_sum is None else eve_sum
+    count = int(np.count_nonzero(np.greater(ev.secrecy, 0.0, out=positive)))
+    ints += key, part
+    floats.append(weights)
+    flags.append(positive)
+    return PolicyMeans(secrecy / size, truncated / size, eve_sum / size, count / size)
 
 
 def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
@@ -237,10 +301,18 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False) -> dict[PolicyKind, SweepSummary]:
     """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order, from
     one pass that stops after the last of them: only a pass that includes smart_fj runs the jamming optimizer."""
-    summaries = {}
-    for policy, ev in _evaluate_grid(scenario, scenario.sta_m, _eve_terms(scenario, cfg)):
+    eve = _eve_terms(scenario, cfg)
+    # every array returned is a buffer of its own; the workspace's scratch is freed on return
+    summaries, work = {}, _workspace(eve[0])
+    floats, ints, _ = work
+    for policy, ev in _evaluate_grid(scenario, scenario.sta_m, eve, work):
         if policy in policies:
-            summaries[policy] = SweepSummary(**vars(_metrics(ev)), arrays=ev, grid=_cells(ev) if retain_cells else ())
+            means = _metrics(ev, work)
+            summaries[policy] = SweepSummary(**vars(means), arrays=ev, grid=_cells(ev) if retain_cells else ())
+        elif policy is PolicyKind.NORMAL_WIFI:
+            # no later step reads normal's arrays: the next steps may take their buffers
+            ints.append(ev.chosen)
+            floats += ev.cap_legit, ev.cap_eve, ev.secrecy, ev.fj_power
         if summaries.keys() >= set(policies):
             return summaries
 
@@ -285,15 +357,18 @@ def _station_draw(seed: int, index: int, extent: float) -> tuple[float, float]:
 
 
 def _run_chunk(scenario: Scenario, eve, normal_eve, seed: int, indices: range) -> list[SampleRecord]:
-    """The records of the samples ``indices``; ``normal_eve`` holds each AP's exact eavesdropper-capacity sum."""
-    records = []
+    """The records of the samples ``indices``; ``normal_eve`` holds each AP's exact eavesdropper-capacity sum.
+    One workspace, made here (after the fork in a worker), serves every sample: after the first, a sample allocates
+    no grid array."""
+    work, records = _workspace(eve[0]), []
     for index in indices:
         # per-sample draw keyed by (seed, index): order- and worker-independent
         sta_m = Point2D(*_station_draw(seed, index, scenario.map_extent))
-        # all three grids before any reduction: interleaving them doubled the page faults per sample
-        grids = dict(_evaluate_grid(scenario, sta_m, eve))
+        for buffers in work:
+            buffers[:] = buffers.made  # all free again: the first sample made them, the others make none
+        grids = dict(_evaluate_grid(scenario, sta_m, eve, work))
         eve_sums = {PolicyKind.NORMAL_WIFI: normal_eve[grids[PolicyKind.NORMAL_WIFI].chosen[0] - 1]}
-        records.append(SampleRecord(sta_m, {p: _metrics(ev, eve_sums.get(p)) for p, ev in grids.items()}))
+        records.append(SampleRecord(sta_m, {p: _metrics(ev, work, eve_sums.get(p)) for p, ev in grids.items()}))
     return records
 
 

@@ -16,7 +16,7 @@ from secrecysim import (
     distance_corrected_power,
 )
 from secrecysim import sweep
-from secrecysim.fjopt import _coefficients, _ratio_terms
+from secrecysim.fjopt import _best_power, _clamped_roots, _coefficients, _ratio_terms
 
 # Standard layout used throughout: two 50 mW APs at (40,60) and (80,60) on a
 # 120 m map, 2.4 GHz, alpha=2, -70 dBm noise, 1 Hz bandwidth.
@@ -178,6 +178,26 @@ def coefficients(geom: FjArgs):
     to alpha as the optimizers raise them."""
     a = geom.alpha
     return _coefficients(geom.d_im ** a, geom.d_ie ** a, geom.d_jm ** a, geom.d_je ** a, geom.noise_m, geom.noise_e, geom.p_i)
+
+
+def buffers(like, count: int, dtype=float) -> list:
+    """``count`` fresh buffers shaped like ``like``, as the array statement of ``fjopt`` takes them."""
+    return [np.empty(np.shape(like), dtype) for _ in range(count)]
+
+
+def best_power(geom: FjArgs) -> np.ndarray:
+    """``fjopt._best_power`` of ``geom``, whose distances and powers are 1-d arrays, its distances
+    raised to alpha as the grid engine raises them, on fresh buffers; ``geom`` is left as it was."""
+    a = geom.alpha
+    powers = [np.asarray(d, dtype=float) ** a for d in (geom.d_im, geom.d_ie, geom.d_jm, geom.d_je)]
+    p_i, p_max = np.array(geom.p_i, dtype=float), np.array(geom.p_max, dtype=float)
+    floats, flags = buffers(p_max, 8), buffers(p_max, 3, bool)
+    return _best_power(*powers, geom.noise_m, geom.noise_e, p_i, p_max, floats, flags)
+
+
+def clamped_roots(quad, p_max) -> tuple[np.ndarray, np.ndarray]:
+    """``fjopt._clamped_roots`` of the 1-d arrays ``quad = (a, b, c)`` and ``p_max``, on fresh buffers."""
+    return _clamped_roots(quad, p_max, buffers(p_max, 3), buffers(p_max, 2, bool))
 
 
 def log2_ratio(ratio, p_j: float) -> float:

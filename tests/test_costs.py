@@ -4,9 +4,11 @@ Time on a shared machine drifts too much to see one extra array pass, so
 these tests count numpy calls instead. The eavesdropper terms of one chunk
 are handed to the sample kernel as :class:`Counted` arrays; every ufunc and
 array function that receives one is counted under its name, with the lanes
-of its array inputs, and its array results are wrapped again, so the calls
-made on them count too. The counts are exact and independent of the machine. Counts are not time: a speed
-claim still needs benchmark pairs.
+of its array arguments (``out=`` buffers and ``where=`` masks included), and
+its array results are wrapped again, so the calls made on them count too.
+The chunk's workspace is made with ``np.empty_like`` from those terms, so its
+buffers are counted arrays as well. The counts are exact and independent of
+the machine. Counts are not time: a speed claim still needs benchmark pairs.
 
 A change that adds or removes array work per sample updates ``PER_SAMPLE``.
 The eavesdropper terms themselves are counted from counted cell coordinates,
@@ -18,6 +20,7 @@ eavesdropper terms and of the array jamming optimizer per command-line run.
 
 import os
 import pprint
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -29,30 +32,31 @@ from secrecysim import sweep
 from secrecysim.cli import main
 
 # numpy calls per step of one sample on a bundled scenario: the three policy
-# steps of ``_evaluate_grid``, then the three ``_metrics`` together
+# steps of ``_evaluate_grid``, then the three ``_metrics`` together. Every call
+# writes into the chunk's workspace (``out=`` or ``np.copyto``); none makes a grid array
 PER_SAMPLE = {
-    PolicyKind.NORMAL_WIFI: {"multiply": 2, "subtract": 1, "where": 1, "zeros_like": 1},
-    PolicyKind.SMART_AP: {
-        "astype": 1, "equal": 1, "greater_equal": 1, "multiply": 3, "subtract": 3, "where": 3, "zeros_like": 1,
-    },
+    PolicyKind.NORMAL_WIFI: {"copyto": 3, "multiply": 2, "subtract": 1},
+    PolicyKind.SMART_AP: {"copyto": 8, "greater_equal": 1, "multiply": 2, "subtract": 2},
     PolicyKind.SMART_AP_FJ: {
-        "add": 24, "bitwise_and": 5, "bitwise_or": 3, "clip": 2, "copysign": 1, "divide": 5, "equal": 3,
-        "greater": 3, "greater_equal": 1, "less": 4, "log2": 10, "multiply": 57, "negative": 1, "not_equal": 2,
-        "sqrt": 1, "subtract": 13, "where": 21, "zeros_like": 1,
+        "add": 24, "bitwise_and": 5, "bitwise_or": 3, "clip": 2, "copysign": 1, "copyto": 34, "divide": 5,
+        "equal": 3, "greater": 3, "greater_equal": 1, "less": 4, "log2": 10, "multiply": 54, "negative": 1,
+        "not_equal": 2, "sqrt": 1, "subtract": 10,
     },
     "metrics": {
         "bincount": 15, "bitwise_and": 15, "count_nonzero": 3, "flatnonzero": 5, "greater": 3, "right_shift": 10,
     },
 }
-# the lanes those calls read, summed over their array inputs, on the 14,400 cells of scenario1
+# the lanes those calls touch, summed over their array inputs, ``out=`` buffers and ``where=``
+# masks, on the 14,400 cells of scenario1
 PER_SAMPLE_LANES = {
-    PolicyKind.NORMAL_WIFI: 115_200,
-    PolicyKind.SMART_AP: 244_800,
-    PolicyKind.SMART_AP_FJ: 4_176_000,
-    "metrics": 826_880,
+    PolicyKind.NORMAL_WIFI: 129_600,
+    PolicyKind.SMART_AP: 374_400,
+    PolicyKind.SMART_AP_FJ: 6_220_800,
+    "metrics": 1_230_080,
 }
-# a chunk makes no numpy call outside its samples: normal's two eavesdropper sums come with its arguments
-PER_CHUNK = {}
+# a chunk's calls besides its samples' own: its workspace's 23 float, 5 int and 4 bool buffers, as many as
+# a sample holds at once, made in its first sample; normal's two eavesdropper sums come with its arguments
+PER_CHUNK = {"empty_like": 32}
 # sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
 EVE_TERMS = {
     "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,
@@ -136,27 +140,31 @@ def since(before):
 
 
 def count_sample():
-    """Run one sample through ``_run_chunk`` on counted eavesdropper terms; returns the
-    counts per step, the per-chunk counts, the records and the records of a plain run."""
+    """Run two samples through ``_run_chunk`` on counted eavesdropper terms; returns the counts
+    per step of the second, the chunk's other counts (the calls of the first sample that the
+    second does not make), the records and the records of a plain run."""
     loaded = load_scenario(bundled_scenario_path("scenario1"))
     eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
     # normal's eavesdropper sums as monte_carlo computes them, once per call
     normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
-    plain = sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(3, 4))
+    plain = sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(3, 5))
 
     steps, lanes = {}, {}
     evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
 
-    def counted_grid(scenario, sta_m, eve):
+    def counted_grid(scenario, sta_m, eve, work):
+        # each sample's counts replace the one before's
+        steps.pop("metrics", None)
+        lanes.pop("metrics", None)
         before = snapshot()
-        for policy, ev in evaluate_grid(scenario, sta_m, eve):
+        for policy, ev in evaluate_grid(scenario, sta_m, eve, work):
             steps[policy], lanes[policy] = since(before)
             yield policy, ev
             before = snapshot()
 
-    def counted_metrics(ev, eve_sum=None):
+    def counted_metrics(ev, work, eve_sum=None):
         before = snapshot()
-        result = metrics(ev, eve_sum)
+        result = metrics(ev, work, eve_sum)
         calls, touched = since(before)
         steps["metrics"] = dict(Counter(steps.get("metrics", {})) + Counter(calls))
         lanes["metrics"] = lanes.get("metrics", 0) + touched
@@ -167,8 +175,9 @@ def count_sample():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_evaluate_grid", counted_grid)
         mp.setattr(sweep, "_metrics", counted_metrics)
-        records = sweep._run_chunk(loaded.scenario, counted_terms(eve), normal_eve, 5, range(3, 4))
-    chunk = dict(Counter(Counted.calls) - sum((Counter(c) for c in steps.values()), Counter()))
+        records = sweep._run_chunk(loaded.scenario, counted_terms(eve), normal_eve, 5, range(3, 5))
+    sample = sum((Counter(c) for c in steps.values()), Counter())
+    chunk = dict(Counter(Counted.calls) - sample - sample)
     return steps, lanes, chunk, records, plain
 
 
@@ -253,13 +262,39 @@ def test_a_single_policy_sweep_builds_only_its_own_cells(policy, monkeypatch):
 
 
 @pytest.mark.parametrize("n, workers", [(1, 1), (3, 1), (3, 2)])
-def test_monte_carlo_sums_normals_eavesdropper_capacity_once_per_call(n, workers, monkeypatch):
+def test_monte_carlo_sums_normals_eavesdropper_capacity_once_per_call(n, workers, monkeypatch, usable_cpus):
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    # every chunk runs in this process, where its calls are counted
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # every chunk runs in this process, where its calls are counted; two CPUs allow two chunks
+    usable_cpus(2)
     monkeypatch.delattr(os, "fork", raising=False)
-    calls = counting(monkeypatch, "_eve_terms", "_exact_sums")
+    calls = counting(monkeypatch, "_eve_terms", "_exact_sums", "_run_chunk")
     sweep.monte_carlo(loaded.scenario, replace(loaded.sweep, grid_k=8), n, seed=1, workers=workers)
     # two sums once per call, one per AP; then per sample two for smart and for smart_fj, and
     # one for normal, whose eavesdropper sum is one of those two
-    assert calls == Counter(_eve_terms=1, _exact_sums=2 + 5 * n)
+    assert calls == Counter(_eve_terms=1, _exact_sums=2 + 5 * n, _run_chunk=min(n, workers))
+
+
+def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
+    # every grid array of a sample is a buffer of the chunk's workspace; what a sample still
+    # allocates (bincount's bins, index lists, records) stays below two 14,400-cell arrays
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+    draw, start = sweep._station_draw, []
+
+    def measured_draw(seed, index, extent):
+        # sample 0 warms up; samples 1 and 2 are measured from the start of sample 1
+        if index == 1:
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return draw(seed, index, extent)
+
+    monkeypatch.setattr(sweep, "_station_draw", measured_draw)
+    tracemalloc.start()
+    try:
+        sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(0, 3))
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024  # two 14,400-cell float arrays are 225 KB
+

@@ -20,6 +20,7 @@ from secrecysim import (
     PolicyKind,
     Scenario,
     ScenarioValidationError,
+    SweepConfig,
     bundled_scenario_path,
     distance,
     distance_corrected_power,
@@ -29,13 +30,13 @@ from secrecysim import (
     select,
     sweep_eavesdropper,
 )
-from secrecysim import fjopt
+from secrecysim import fjopt, sweep
 from secrecysim.fjopt import (
     _CORNERS,
-    _best_power,
-    _candidate_powers,
     _coefficients,
+    _coefficients_into,
     _ratio_terms,
+    _ratio_terms_into,
     derivative_numerator_roots,
     optimize_fj_power,
 )
@@ -44,6 +45,9 @@ from secrecysim.sweep import _eve_terms
 from conftest import (
     UNDERFLOW_DOCUMENT,
     FjArgs,
+    best_power,
+    buffers,
+    clamped_roots,
     coefficients,
     direct_secrecy_curve,
     grid_search_best,
@@ -299,7 +303,8 @@ def clamped_candidates(quads, p_max):
         {0.0, p, *(min(max(root, 0.0), p) for root in derivative_numerator_roots(quad))}
         for quad, p in zip(zip(*quads), p_max)
     ]
-    array = np.stack(_candidate_powers(tuple(np.array(x) for x in quads), np.array(p_max))).T.tolist()
+    p_max = np.array(p_max)
+    array = np.stack((np.zeros_like(p_max), p_max, *clamped_roots(tuple(np.array(x) for x in quads), p_max))).T.tolist()
     return [{p.hex() for p in s} for s in scalar], [{p.hex() for p in set(a)} for a in array]
 
 
@@ -338,6 +343,69 @@ def test_scalar_and_array_finders_give_the_same_candidates():
     scalar, array = clamped_candidates(quads, p_max.tolist() + [geom.p_max for geom in geoms])
     assert [k for k, (s, a) in enumerate(zip(scalar, array)) if s != a] == []
     assert sum(len(s) > 2 for s in scalar) > n // 10
+
+
+def engine_lanes(scenario, cfg):
+    """The arguments the grid engine gives the array optimizer for ``scenario``'s station on ``cfg``'s cells,
+    copied before it overwrites them: the four distances to the power alpha, the noises, ``p_i`` and ``p_max``."""
+    captured, best_power = [], sweep._best_power
+
+    def capture(*args):
+        captured.append([a.copy() if isinstance(a, np.ndarray) else a for a in args[:8]])
+        return best_power(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_best_power", capture)
+        sweep_eavesdropper(scenario, replace(cfg, policy=PolicyKind.SMART_AP_FJ), retain_cells=False)
+    return captured[0]
+
+
+def mismatched_lanes(lanes) -> list[int]:
+    """The lanes where the array statement's ``(a, b, c)``, ratio terms, and ratio numerator and
+    denominator at ``p_max`` and at both clamped roots differ from the scalar statement's by ``float.hex``."""
+    dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, p_max = lanes
+    columns = [a.tolist() for a in (dim_a, die_a, djm_a, dje_a, p_i)]
+    quad, ratio = _coefficients_into(
+        dim_a.copy(), die_a.copy(), djm_a.copy(), dje_a.copy(), noise_m, noise_e, p_i.copy(), buffers(p_i, 8)
+    )
+    powers = (p_max, *clamped_roots(quad, p_max))
+    terms = [term for p in powers for term in _ratio_terms_into(ratio, p, *buffers(p, 3))]
+    array = list(zip(*(a.tolist() for a in (*quad, *ratio, *terms))))
+    mismatched = []
+    for k, (d_im, d_ie, d_jm, d_je, p) in enumerate(zip(*columns)):
+        _, quad_k, ratio_k = _coefficients(d_im, d_ie, d_jm, d_je, noise_m, noise_e, p)
+        scalar = [*quad_k, *ratio_k] + [term for p_j in powers for term in _ratio_terms(ratio_k, float(p_j[k]))]
+        if [v.hex() for v in scalar] != [v.hex() for v in array[k]]:
+            mismatched.append(k)
+    return mismatched
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_the_array_statement_equals_the_scalar_one_in_every_cell(name):
+    # only + - * / before log2, so the two statements agree exactly on any machine
+    loaded = load_scenario(bundled_scenario_path(name))
+    lanes = engine_lanes(loaded.scenario, loaded.sweep)
+    assert lanes[0].size == loaded.sweep.grid_k ** 2
+    assert mismatched_lanes(lanes) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    places=st.lists(st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)), min_size=3, max_size=3),
+    tx=st.tuples(st.floats(-3.0, 0.0), st.floats(-3.0, 0.0)).map(lambda e: (10.0 ** e[0], 10.0 ** e[1])),
+    caps=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+    noises=st.tuples(st.floats(-12.0, -8.0), st.floats(-12.0, -8.0)).map(lambda e: (10.0 ** e[0], 10.0 ** e[1])),
+    alpha=st.floats(2.0, 4.0),
+)
+def test_the_array_statement_equals_the_scalar_one_on_drawn_scenarios(places, tx, caps, noises, alpha):
+    # unequal noises, a non-integer alpha, caps above the powers
+    assume(noises[0] != noises[1] and alpha != int(alpha))
+    ap1, ap2, sta_m = (Point2D(*place) for place in places)
+    assume(ap1 != ap2)
+    params = ChannelParams(pathloss_alpha=alpha, noise_m=noises[0], noise_e=noises[1])
+    aps = (ApConfig(ap, power, power * cap) for ap, power, cap in zip((ap1, ap2), tx, caps))
+    scenario = Scenario(*aps, sta_m, params, 120.0)
+    assert mismatched_lanes(engine_lanes(scenario, SweepConfig(grid_k=15, cell_step=8.0))) == []
 
 
 def test_linear_degenerate_geometry_matches_grid():
@@ -383,7 +451,7 @@ def test_near_degenerate_geometries_reach_the_grid_search_best(geom):
     # optimizers still reach the dense grid's best within test_optimize_matches_grid_search's tolerance
     best_grid, _ = grid_search_best(geom, points=20001)
     lane = geom._replace(**{k: np.array([getattr(geom, k)]) for k in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")})
-    for power in (optimize_fj_power(*geom), float(_best_power(*coefficients(lane)[1:], lane.p_max)[0])):
+    for power in (optimize_fj_power(*geom), float(best_power(lane)[0])):
         assert 0.0 <= power <= geom.p_max
         assert ratio_secrecy(geom, power) >= best_grid - 1e-6
 
@@ -417,10 +485,9 @@ def test_array_optimizer_matches_scalar():
             name: np.array([getattr(geom, name) for geom in group])
             for name in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")
         }
-        p_opt = _best_power(*coefficients(FjArgs(
-            col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], alpha, noise_m, noise_e,
-            col["p_i"], col["p_max"],
-        ))[1:], col["p_max"])
+        p_opt = best_power(FjArgs(
+            col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], alpha, noise_m, noise_e, col["p_i"], col["p_max"]
+        ))
         for geom, power in zip(group, p_opt.tolist()):
             expected = optimize_fj_power(*geom)
             assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
@@ -439,12 +506,12 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     p_max = np.where(np.arange(d_im.size) % 7 == 0, 0.0, P_50MW)
 
     _, quad, ratio = coefficients(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))
-    cands = np.sort(np.stack(_candidate_powers(quad, p_max)), axis=0)
+    cands = np.sort(np.stack((np.zeros_like(p_max), p_max, *clamped_roots(quad, p_max))), axis=0)
     num, den = _ratio_terms(ratio, cands)
     values = np.log2(num) - np.log2(den)
     expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
 
-    got = _best_power(*coefficients(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))[1:], p_max)
+    got = best_power(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
     assert np.count_nonzero(got[p_max == 0.0]) == 0
@@ -545,7 +612,7 @@ def closed_form_values(loaded):
 
 def test_largest_accepted_alpha_keeps_the_closed_form_finite(tmp_path):
     # scenario1's full 120 x 120 geometry at the largest alpha the loader
-    # accepts, outside _candidate_powers and its errstate
+    # accepts, outside _clamped_roots and its errstate
     doc = json.loads(bundled_scenario_path("scenario1").read_text())
     low, high = 4.0, 20.0
     assert load_with_channel(tmp_path, doc, alpha=low) and not load_with_channel(tmp_path, doc, alpha=high)
@@ -790,8 +857,8 @@ def in_hull(point, corners) -> bool:
 
 def test_float_range_bound_is_derived_from_the_code(monkeypatch):
     # From above: P bounds the corrected powers and caps, N the noises, Q every d**alpha. The closed form's
-    # values, its ratio terms at p_j = P, and _candidate_powers' discriminant, which is restated here
-    # because it sits in np.where, all stay below 20 monomials of the corners' hull.
+    # values, its ratio terms at p_j = P, and _clamped_roots' discriminant, which is restated here
+    # because it is written into buffers, all stay below 20 monomials of the corners' hull.
     trace = []
     inputs = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     big_p, big_n, big_q = (Bound({e: 1}, trace=trace) for e in inputs)

@@ -23,10 +23,9 @@ from secrecysim import (
     sweep_eavesdropper,
 )
 from secrecysim import sweep as sweep_module
-from secrecysim.fjopt import _best_power
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sums, grid_coordinates
 
-from conftest import FjArgs, build_scenario, coefficients
+from conftest import FjArgs, best_power, build_scenario
 
 
 def small_cfg(policy=PolicyKind.SMART_AP_FJ, k=25, step=4.0):
@@ -135,7 +134,7 @@ def joint_fj_secrecy(scenario, cfg):
         d_ie, d_je = clamped(data, x, y), clamped(idle, x, y)
         p_i = np.full(x.shape, distance_corrected_power(data.tx_power, par))
         p_max = np.full(x.shape, distance_corrected_power(idle.tx_power_max, par))
-        p = _best_power(*coefficients(FjArgs(d_im, d_ie, d_jm, d_je, a, par.noise_m, par.noise_e, p_i, p_max))[1:], p_max)
+        p = best_power(FjArgs(d_im, d_ie, d_jm, d_je, a, par.noise_m, par.noise_e, p_i, p_max))
         cap_m = np.log2(1.0 + p_i * d_im ** -a / (p * d_jm ** -a + par.noise_m))
         cap_e = np.log2(1.0 + p_i * d_ie ** -a / (p * d_je ** -a + par.noise_e))
         best = np.maximum(best, cap_m - cap_e)
@@ -222,6 +221,52 @@ def test_sweep_without_retained_cells_keeps_metrics():
          c.selection.cap_eve, c.selection.secrecy, c.selection.fj_power)
         for c in with_cells.grid
     ]
+
+
+def result_arrays(arrays, coordinates=True):
+    """The arrays of a ``GridArrays``, the cell coordinates only when ``coordinates``."""
+    return [a for name, a in vars(arrays).items() if coordinates or name not in ("x", "y")]
+
+
+def test_sweep_results_share_no_memory_and_own_their_buffers():
+    # a retained summary holds its own arrays, never a view into a block that also holds scratch
+    scenario = build_scenario((80.0, 20.0), noise_e=1e-9, alpha=2.418)
+    first, second = (sweep_eavesdropper(scenario, small_cfg(), retain_cells=False).arrays for _ in range(2))
+    assert not any(np.shares_memory(a, b) for a in result_arrays(first) for b in result_arrays(second))
+    # one pass: the policies share only the cells' coordinates
+    summaries = sweep_module._sweeps(scenario, small_cfg(), ALL_POLICIES)
+    arrays = [a for summary in summaries.values() for a in result_arrays(summary.arrays, coordinates=False)]
+    assert len(arrays) == 15
+    assert [(i, j) for i, a in enumerate(arrays) for j, b in enumerate(arrays[:i]) if np.shares_memory(a, b)] == []
+    assert all(a.base is None for a in arrays)
+
+
+@pytest.mark.parametrize("noise_e, alpha", [(1e-10, 2.0), (1e-9, 2.418)])
+def test_one_chunk_of_four_samples_equals_four_chunks_of_one(noise_e, alpha, monkeypatch):
+    # the chunk's workspace serves every sample: a step that reads a buffer before it writes it
+    # reads a value left from an earlier sample there, and nan or garbage in a chunk's first
+    pop = sweep_module._Buffers.pop
+
+    def poisoned(buffers):
+        made = not buffers
+        buffer = pop(buffers)
+        if made:
+            buffer.fill(np.nan if buffer.dtype == np.float64 else 3)
+        return buffer
+
+    monkeypatch.setattr(sweep_module._Buffers, "pop", poisoned)
+    scenario = build_scenario((20.0, 100.0), noise_e=noise_e, alpha=alpha)
+    cfg = small_cfg(k=30, step=4.0)
+    eve = sweep_module._eve_terms(scenario, cfg)
+    normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+
+    def records(indices):
+        return [
+            (r.sta_m, [[float(v).hex() for v in vars(m).values()] for m in r.metrics.values()])
+            for r in sweep_module._run_chunk(scenario, eve, normal_eve, 8, indices)
+        ]
+
+    assert records(range(0, 4)) == [record for i in range(4) for record in records(range(i, i + 1))]
 
 
 def test_mirror_symmetry_of_the_standard_layout():
