@@ -168,7 +168,7 @@ class _Buffers(list):
 
 def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
     """The float64, int64 and bool buffers of grid-engine passes over cells like ``like``, made as the first
-    pass needs them, in the process that runs it: as many as a pass holds at once, 3.3 MB at 120 x 120 cells."""
+    pass needs them, in the process that runs it: as many as a pass holds at once, 3.1 MB at 120 x 120 cells."""
     return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
 
 
@@ -246,46 +246,55 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     yield PolicyKind.SMART_AP_FJ, GridArrays(x, y, chosen_fj, cap_m_fj, cap_e_fj, secrecy_fj, p_opt)
 
 
-def _exact_sums(a: np.ndarray, buffers=None) -> tuple[float, float]:
+def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[float, float]:
     """``math.fsum`` of a float64 array and of ``np.maximum(a, 0.0)``, as lists, at numpy speed.
 
-    ``np.bincount`` sums the 26-bit halves of the mantissas per sign and exponent,
-    exactly below ``2**26`` values; all bins, and the positive-sign bins, make two integer
-    counts of ``2**-1075`` whose quotients are correctly rounded, as ``fsum`` is. Inf,
-    nan and zero sums (the sign of zero) go to ``fsum``. ``buffers``, two int64 arrays
-    and a float64 one shaped like ``a``, are overwritten; without them fresh ones are made.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31(1), 2008): for ``sigma`` a power of two and ``|r| <= 2**-M * sigma``, ``q = (sigma + r) - sigma``
+    and ``r - q`` are exact, ``q`` is a multiple of ``2**-53 * sigma`` with ``|q| <= 2**-M * sigma``, and
+    ``|r - q| <= 2**-53 * sigma``. With ``2**M >= a.size + 2`` a sum of ``q`` lanes is exact in any order.
+    The first pass takes ``sigma = 2**(e + M)`` for ``max|a| < 2**e`` and the rest ``r = a``; each pass sums
+    ``q`` over all lanes and over the lanes ``a > 0``, keeps ``r - q`` as the rest and scales ``sigma`` by
+    ``2**(M - 53)``. When the rest is all zero, ``fsum`` of the passes' sums is correctly rounded. ``fsum``
+    of the lists takes over for inf or nan, an empty or all-zero array, ``max|a| >= 2**(1000 - M)`` (``sigma``
+    near overflow), ``sigma`` below the normal range (the lemma assumes no underflow) and a zero sum (its sign).
+    ``buffers``, two float64 arrays and a bool one shaped like ``a``, are overwritten, the bool one with
+    ``a > 0``; without them fresh ones are made. ``positive=False`` skips the lanes ``a > 0``: the bool
+    buffer is not written and the second sum is 0.0.
     """
-    key, part, weights = buffers or (np.empty(a.shape, np.int64), np.empty(a.shape, np.int64), np.empty_like(a))
-    bits = a.view(np.int64)
-    np.bitwise_and(np.right_shift(bits, 52, out=key), 0xFFF, out=key)
-    count = np.bincount(key, minlength=0x1000)
-    if a.size >= 1 << 26 or count[0x7FF] or count[0xFFF]:
-        return math.fsum(a.tolist()), math.fsum(np.maximum(a, 0.0).tolist())
-    # float weights, as bincount would convert them
-    hi = np.bincount(key, np.bitwise_and(np.right_shift(bits, 26, out=part), 0x3FFFFFF, out=weights), 0x1000)
-    lo = np.bincount(key, np.bitwise_and(bits, 0x3FFFFFF, out=weights), 0x1000)
-    used = np.flatnonzero(count)
-    sums = [0, 0]  # the positive-sign bins, the negative-sign bins
-    for k, n, h, l in zip(used.tolist(), count[used].tolist(), hi[used].tolist(), lo[used].tolist()):
-        e = k & 0x7FF
-        sums[k >> 11] += (((n << 52) if e else 0) + (int(h) << 26) + int(l)) << max(e, 1)
-    return (
-        (sums[0] - sums[1]) / (1 << 1075) if sums[0] != sums[1] else math.fsum(a.tolist()),
-        sums[0] / (1 << 1075) if sums[0] else math.fsum(np.maximum(a, 0.0).tolist()),
-    )
+    q, rest, mask = buffers or (np.empty_like(a), np.empty_like(a), np.empty(a.shape, np.bool_))
+    if positive:
+        np.greater(a, 0.0, out=mask)
+    m = (a.size + 1).bit_length()  # the least m with 2**m >= a.size + 2
+    top = float(np.max(np.abs(a, out=q), initial=0.0))
+    # nan, inf, 0.0 and a top too close to overflow leave sigma at 0.0, below the normal range
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if 0.0 < top < 2.0 ** (1000 - m) else 0.0
+    r, totals, parts = a, [], []
+    while sigma >= 2.0**-1022:
+        r = np.subtract(r, np.subtract(np.add(r, sigma, out=q), sigma, out=q), out=rest)
+        totals.append(float(q.sum()))
+        if positive:
+            parts.append(float(q.sum(where=mask)))
+        if not r.any():
+            total, part = math.fsum(totals), math.fsum(parts)
+            return (
+                total if total else math.fsum(a.tolist()),
+                part if part or not positive else math.fsum(np.maximum(a, 0.0).tolist()),
+            )
+        sigma *= 2.0 ** (m - 53)
+    return math.fsum(a.tolist()), math.fsum(np.maximum(a, 0.0).tolist()) if positive else 0.0
 
 
 def _metrics(ev: GridArrays, work, eve_sum: float | None = None) -> PolicyMeans:
     """The means of ``ev``, with scratch from the free buffers of a :func:`_workspace`, ``work``, given back after;
     ``eve_sum``, when given, is the exact sum of ``ev.cap_eve``."""
-    floats, ints, flags = work
-    (key, part, weights), positive, size = (ints.pop(), ints.pop(), floats.pop()), flags.pop(), ev.secrecy.size
-    secrecy, truncated = _exact_sums(ev.secrecy, (key, part, weights))
-    eve_sum = _exact_sums(ev.cap_eve, (key, part, weights))[0] if eve_sum is None else eve_sum
-    count = int(np.count_nonzero(np.greater(ev.secrecy, 0.0, out=positive)))
-    ints += key, part
-    floats.append(weights)
-    flags.append(positive)
+    floats, _, flags = work
+    buffers, size = (floats.pop(), floats.pop(), flags.pop()), ev.secrecy.size
+    secrecy, truncated = _exact_sums(ev.secrecy, buffers)
+    count = int(np.count_nonzero(buffers[2]))  # the lanes of positive secrecy
+    eve_sum = _exact_sums(ev.cap_eve, buffers, positive=False)[0] if eve_sum is None else eve_sum
+    floats += buffers[:2]
+    flags.append(buffers[2])
     return PolicyMeans(secrecy / size, truncated / size, eve_sum / size, count / size)
 
 

@@ -699,3 +699,67 @@ def test_split_sums_of_negative_zero_subnormal_and_single_lanes(values):
 @given(st.lists(st.one_of(scaled, special), min_size=1, max_size=30))
 def test_split_sums_fall_back_on_inf_and_nan(values):
     assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
+
+
+@pytest.mark.parametrize(
+    "values", [[], [0.0], [-0.0], [1.5], [-1.5], [5e-324], [-TINY], [1.7e308], [-1.7e308], [math.inf], [math.nan]]
+)
+def test_split_sums_of_empty_and_one_lane_arrays(values):
+    assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
+
+
+@pytest.mark.parametrize("k", range(2, 18))
+def test_split_sums_at_sizes_around_each_pass_width_step(k):
+    # the pass width M, with 2**M >= n + 2, steps up at n = 2**k - 1; lanes just below the power of two
+    # above the largest give each pass's sum nearly 2**53 units of 2**-53 * sigma when they share a sign
+    rng = np.random.default_rng(k)
+    for n in range(max(2**k - 3, 0), 2**k + 2):
+        near_two = np.nextafter(2.0, 0.0) - rng.random(n) * 2.0**-20
+        for array in near_two, -near_two, near_two * rng.choice([-1.0, 1.0], n), rng.normal(size=n) * 1e-9:
+            assert split_sums_outcome(array) == fsums_outcome(array.tolist()), (k, n)
+
+
+@pytest.mark.parametrize("n", [3, 100, 14_400])
+def test_split_sums_just_below_and_above_the_overflow_fallback(n):
+    # max|a| below 2**(1000 - M) runs the passes, at or above it goes to fsum; from 2**(1023 - M) on,
+    # sigma would overflow
+    rng = np.random.default_rng(n)
+    limit = 2.0 ** (1000 - (n + 1).bit_length())
+    signs = rng.choice([-1.0, 1.0], n)
+    for top in np.nextafter(limit, 0.0), limit, np.nextafter(limit, math.inf), limit * 2.0**23, np.finfo(float).max:
+        for array in np.full(n, top) / (1.0 + rng.random(n)), signs * top * rng.random(n), signs * top:
+            array[0] = top
+            assert split_sums_outcome(array) == fsums_outcome(array.tolist()), (n, top)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 1e-300, 5e-324],
+        [1.0, -1e-300, 5e-324, -3 * 5e-324, TINY / 3],
+        [1e-300, -1e-310, 5e-324],
+        [TINY, -TINY / 2**20, 7 * 5e-324],
+        [-1.0, 2.0**-1000, -(2.0**-1060), 2.0**-1074],
+        [1e-300] * 50 + [-1e-300] * 49 + [5e-324],
+    ],
+)
+def test_split_sums_whose_remainders_reach_the_sigma_floor(values):
+    # the rest keeps a tiny lane until sigma leaves the normal range, where fsum takes over
+    for array in np.array(values), -np.array(values):
+        assert split_sums_outcome(array) == fsums_outcome(array.tolist())
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_split_sums_of_every_array_a_monte_carlo_sample_sums(name):
+    loaded = load_scenario(bundled_scenario_path(name))
+    eve = sweep_module._eve_terms(loaded.scenario, loaded.sweep)
+    sta_m = Point2D(*sweep_module._station_draw(5, 4, loaded.scenario.map_extent))
+    grids = dict(sweep_module._evaluate_grid(loaded.scenario, sta_m, eve, sweep_module._workspace(eve[0])))
+    for ev in grids.values():
+        for array in ev.secrecy, ev.cap_eve:
+            assert split_sums_outcome(array) == fsums_outcome(array.tolist())
+            # with a workspace's buffers: the eavesdropper sum alone, and the mask of positive lanes
+            buffers = np.full_like(array, np.nan), np.full_like(array, np.nan), np.zeros(array.shape, np.bool_)
+            assert _exact_sums(array, buffers, positive=False)[0].hex() == math.fsum(array.tolist()).hex()
+            _exact_sums(array, buffers)
+            assert np.array_equal(buffers[2], array > 0.0)

@@ -13,6 +13,14 @@ the traced memory at the call's start. ``ru_maxrss`` is printed at the end, for
 this process and for its largest reaped worker. Per-sample figures include the
 call's one-off work (the eavesdropper terms, the workers' fork) divided by n.
 
+The timed run also splits a sample's time between its two layers: the grid
+engine (``sweep._evaluate_grid``, the three policy steps) and the metric
+reduction (``sweep._metrics``, the exact sums). Wrappers installed by this
+script time each step of the engine's generator and each ``_metrics`` call
+with ``time.perf_counter``; the split is per sample of the chunk that runs in
+this process, since a forked worker's timers stay in the worker. The program
+itself carries no timer.
+
 Run it as its own command, in a fresh interpreter, never after other work in
 the same process. glibc's malloc returns the free top of its heap to the
 system once it exceeds the trim threshold (128 KB by default), and a program
@@ -35,7 +43,38 @@ import tracemalloc
 # as the command line does: numpy's OpenBLAS threads would spin through the timed run
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from secrecysim import bundled_scenario_path, load_scenario, monte_carlo  # noqa: E402
+from secrecysim import bundled_scenario_path, load_scenario, monte_carlo, sweep  # noqa: E402
+
+
+def split_timers(spent: dict):
+    """Wrap ``sweep._evaluate_grid`` and ``sweep._metrics`` so that they add their seconds to ``spent``
+    under ``"evaluate_grid"`` and ``"metrics"``, and count the engine's calls, one per sample, under
+    ``"samples"``; returns a function that puts the unwrapped two back."""
+    evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
+
+    def timed_grid(*args):
+        spent["samples"] += 1
+        steps = evaluate_grid(*args)
+        while True:
+            start = time.perf_counter()
+            item = next(steps, None)
+            spent["evaluate_grid"] += time.perf_counter() - start
+            if item is None:
+                return
+            yield item
+
+    def timed_metrics(*args):
+        start = time.perf_counter()
+        try:
+            return metrics(*args)
+        finally:
+            spent["metrics"] += time.perf_counter() - start
+
+    def restore():
+        sweep._evaluate_grid, sweep._metrics = evaluate_grid, metrics
+
+    sweep._evaluate_grid, sweep._metrics = timed_grid, timed_metrics
+    return restore
 
 
 def usage() -> tuple:
@@ -56,10 +95,13 @@ def main(argv=None) -> int:
     def run():
         return monte_carlo(loaded.scenario, loaded.sweep, n=args.n, seed=args.seed, workers=args.workers)
 
+    spent = {"samples": 0, "evaluate_grid": 0.0, "metrics": 0.0}
+    restore = split_timers(spent)
     before, start = usage(), time.perf_counter()
     run()
     wall, after = time.perf_counter() - start, usage()
     faults, system, user = (b - a for a, b in zip(before, after))
+    restore()
 
     tracemalloc.start()
     start_traced = tracemalloc.get_traced_memory()[0]
@@ -75,6 +117,9 @@ def main(argv=None) -> int:
         ("minor_faults_per_sample", f"{faults / args.n:.1f}", ""),
         ("system_ms_per_sample", f"{1e3 * system / args.n:.3f}", "ms"),
         ("user_ms_per_sample", f"{1e3 * user / args.n:.3f}", "ms"),
+        ("split_samples", spent["samples"], ""),
+        ("evaluate_grid_ms_per_sample", f"{1e3 * spent['evaluate_grid'] / spent['samples']:.3f}", "ms"),
+        ("metrics_ms_per_sample", f"{1e3 * spent['metrics'] / spent['samples']:.3f}", "ms"),
         ("tracemalloc_peak_kb", f"{peak / 1024.0:.1f}", "KB"),
         ("ru_maxrss_mb", f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}", "MB"),
         ("ru_maxrss_children_mb", f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0:.2f}", "MB"),
