@@ -23,9 +23,10 @@ The closed form is stated twice, on purpose. :func:`_coefficients`,
 in plain operators, for ``policy.select``. :func:`_best_power` is the array
 statement, for the grid engine: the same operations in the same order, each
 writing into a preallocated buffer, so a Monte Carlo sample allocates no grid
-arrays. Before ``log2`` every value of the two is equal lane by lane, and the
-tests check that by ``float.hex``. Both break ties to the smallest power and
-trust a ``Scenario``'s values.
+arrays. Both take the first largest ratio ``num / den`` over their candidates in
+ascending order, so ties go to the smallest power. From the same ``d**alpha`` every
+value of the two, the returned power included, is equal lane by lane, and the
+tests check that by ``float.hex``. Both trust a ``Scenario``'s values.
 """
 
 import math
@@ -125,19 +126,18 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     """The jamming power in ``[0, p_max]`` that maximizes secrecy, from the
     clamped distances (m) and corrected powers (Watt*m^alpha) of a ``Scenario``.
 
-    Candidates are 0, ``p_max`` and the clamped roots of the derivative numerator,
-    in that order; the best objective value among them is the global maximum
-    because the objective is smooth and every interior extremum is a root. As in
-    :func:`_best_power`, a running maximum keeps the smallest power on ties, so
-    jamming is never reported when it buys nothing.
+    Candidates are 0, the clamped roots of the derivative numerator and ``p_max``;
+    the best ratio among them is the global maximum because the objective is smooth
+    and every interior extremum is a root. As in :func:`_best_power`, the first
+    largest ratio over the candidates in ascending order wins, so ties go to the
+    smallest power and jamming is never reported when it buys nothing.
     """
     _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
-    best_p, best_v = 0.0, math.log2(ratio[2]) - math.log2(ratio[4])
-    for p in [p_max, *(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad))]:
+    best_p, best_v = 0.0, ratio[2] / ratio[4]
+    for p in [*sorted(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad)), p_max]:
         num, den = _ratio_terms(ratio, p)
-        v = math.log2(num) - math.log2(den)
-        if v > best_v or (v == best_v and p < best_p):
+        if (v := num / den) > best_v:
             best_p, best_v = p, v
     return best_p
 
@@ -216,28 +216,26 @@ def _best_power(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, p_max, floats
     power alpha, ``p_i`` and ``p_max`` (floats for the noises), in a buffer from ``floats``.
 
     The array statement of the closed form: :func:`_coefficients_into`, :func:`_clamped_roots` and
-    :func:`_ratio_terms_into` repeat the scalar statement's operations in its order, so every value
-    before ``log2`` equals the scalar one lane by lane. Ties go to the smallest power; near ties may
-    resolve otherwise than in the scalar optimizer, as ``np.log2`` and ``math.log2`` can differ.
+    :func:`_ratio_terms_into` repeat the scalar statement's operations in its order, and the pick is
+    the same rule on correctly rounded quotients, so the returned power equals the scalar one lane by
+    lane. A root the scalar finder does not return is 0 here, whose ratio never beats the one at 0.
     Buffers shaped like the arguments come from the lists ``floats`` (at most eight) and ``flags``
-    (three, bool) and go back, the array arguments included, all but the result."""
+    (two, bool) and go back, the array arguments included, all but the result."""
     quad, ratio = _coefficients_into(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, floats)
-    candidates = p_max, *_clamped_roots(quad, p_max, floats, flags)
+    root1, root2 = _clamped_roots(quad, p_max, floats, flags)
     floats += quad
-    best_p, best_v, num, den, lead = (floats.pop() for _ in range(5))
-    better, tie, smaller = (flags.pop() for _ in range(3))
+    best_p, best_v, num, den, lead, low = (floats.pop() for _ in range(6))
+    better = flags.pop()
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
     np.copyto(best_p, 0.0)
-    np.subtract(np.log2(ratio[2], out=best_v), np.log2(ratio[4], out=num), out=best_v)
-    # running maximum over the candidates; the smallest power wins ties
+    np.divide(ratio[2], ratio[4], out=best_v)
+    # the first largest ratio over the candidates in ascending order: the clamped roots, then p_max
+    candidates = np.minimum(root1, root2, out=low), np.maximum(root1, root2, out=root2), p_max
     for p in candidates:
-        _ratio_terms_into(ratio, p, num, den, lead)
-        v = np.subtract(np.log2(num, out=num), np.log2(den, out=den), out=num)
+        v = np.divide(*_ratio_terms_into(ratio, p, num, den, lead), out=num)
         np.greater(v, best_v, out=better)
-        np.equal(v, best_v, out=tie)
-        np.bitwise_or(better, np.bitwise_and(tie, np.less(p, best_p, out=smaller), out=tie), out=better)
         np.copyto(best_p, p, where=better)
         np.copyto(best_v, v, where=better)
-    floats += [*ratio, *candidates, best_v, num, den, lead]
-    flags += better, tie, smaller
+    floats += [*ratio, *candidates, root1, best_v, num, den, lead]
+    flags.append(better)
     return best_p

@@ -168,7 +168,7 @@ class _Buffers(list):
 
 def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
     """The float64, int64 and bool buffers of grid-engine passes over cells like ``like``, made as the first
-    pass needs them, in the process that runs it: as many as a pass holds at once, 3.1 MB at 120 x 120 cells."""
+    pass needs them, in the process that runs it: as many as a pass holds at once, 3.0 MB at 120 x 120 cells."""
     return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
 
 
@@ -255,9 +255,10 @@ def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[flo
     ``|r - q| <= 2**-53 * sigma``. With ``2**M >= a.size + 2`` a sum of ``q`` lanes is exact in any order.
     The first pass takes ``sigma = 2**(e + M)`` for ``max|a| < 2**e`` and the rest ``r = a``; each pass sums
     ``q`` over all lanes and over the lanes ``a > 0``, keeps ``r - q`` as the rest and scales ``sigma`` by
-    ``2**(M - 53)``. When the rest is all zero, ``fsum`` of the passes' sums is correctly rounded. ``fsum``
-    of the lists takes over for inf or nan, an empty or all-zero array, ``max|a| >= 2**(1000 - M)`` (``sigma``
-    near overflow), ``sigma`` below the normal range (the lemma assumes no underflow) and a zero sum (its sign).
+    ``2**(M - 53)``. When the rest is all zero, ``fsum`` of the passes' sums is correctly rounded. Underflow
+    does no harm: a sum or difference with a subnormal result is exact, so a pass at a subnormal ``sigma`` leaves
+    no rest, and a power of two times ``2**(M - 53)`` is exact or 0. ``fsum`` of the lists takes over for inf or
+    nan, an empty or all-zero array, ``max|a| >= 2**(1000 - M)`` (``sigma`` near overflow) and a zero sum (its sign).
     ``buffers``, two float64 arrays and a bool one shaped like ``a``, are overwritten, the bool one with
     ``a > 0``; without them fresh ones are made. ``positive=False`` skips the lanes ``a > 0``: the bool
     buffer is not written and the second sum is 0.0.
@@ -267,10 +268,10 @@ def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[flo
         np.greater(a, 0.0, out=mask)
     m = (a.size + 1).bit_length()  # the least m with 2**m >= a.size + 2
     top = float(np.max(np.abs(a, out=q), initial=0.0))
-    # nan, inf, 0.0 and a top too close to overflow leave sigma at 0.0, below the normal range
+    # nan, inf, 0.0 and a top too close to overflow leave sigma at 0.0, which runs no pass
     sigma = math.ldexp(1.0, math.frexp(top)[1] + m) if 0.0 < top < 2.0 ** (1000 - m) else 0.0
     r, totals, parts = a, [], []
-    while sigma >= 2.0**-1022:
+    while sigma:
         r = np.subtract(r, np.subtract(np.add(r, sigma, out=q), sigma, out=q), out=rest)
         totals.append(float(q.sum()))
         if positive:

@@ -191,7 +191,7 @@ def best_power(geom: FjArgs) -> np.ndarray:
     a = geom.alpha
     powers = [np.asarray(d, dtype=float) ** a for d in (geom.d_im, geom.d_ie, geom.d_jm, geom.d_je)]
     p_i, p_max = np.array(geom.p_i, dtype=float), np.array(geom.p_max, dtype=float)
-    floats, flags = buffers(p_max, 8), buffers(p_max, 3, bool)
+    floats, flags = buffers(p_max, 8), buffers(p_max, 2, bool)
     return _best_power(*powers, geom.noise_m, geom.noise_e, p_i, p_max, floats, flags)
 
 
@@ -201,8 +201,8 @@ def clamped_roots(quad, p_max) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log2_ratio(ratio, p_j: float) -> float:
-    """log2 of the objective ratio at ``p_j`` from ``_coefficients``' ratio terms, as
-    the scalar optimizer computes it."""
+    """log2 of the objective ratio at ``p_j`` from ``_coefficients``' ratio terms: the
+    secrecy per Hz, as a difference of logs."""
     num, den = _ratio_terms(ratio, p_j)
     return math.log2(num) - math.log2(den)
 

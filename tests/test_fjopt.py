@@ -361,20 +361,23 @@ def engine_lanes(scenario, cfg):
 
 
 def mismatched_lanes(lanes) -> list[int]:
-    """The lanes where the array statement's ``(a, b, c)``, ratio terms, and ratio numerator and
-    denominator at ``p_max`` and at both clamped roots differ from the scalar statement's by ``float.hex``."""
+    """The lanes where the array statement's ``(a, b, c)``, ratio terms, ratio numerator and denominator
+    at ``p_max`` and at both clamped roots, and returned power differ from the scalar statement's by
+    ``float.hex``; the scalar optimizer gets the same raised distances, at alpha 1, as ``x ** 1.0 == x``."""
     dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, p_max = lanes
-    columns = [a.tolist() for a in (dim_a, die_a, djm_a, dje_a, p_i)]
+    columns = [a.tolist() for a in (dim_a, die_a, djm_a, dje_a, p_i, p_max)]
     quad, ratio = _coefficients_into(
         dim_a.copy(), die_a.copy(), djm_a.copy(), dje_a.copy(), noise_m, noise_e, p_i.copy(), buffers(p_i, 8)
     )
     powers = (p_max, *clamped_roots(quad, p_max))
     terms = [term for p in powers for term in _ratio_terms_into(ratio, p, *buffers(p, 3))]
-    array = list(zip(*(a.tolist() for a in (*quad, *ratio, *terms))))
+    p_opt = best_power(FjArgs(dim_a, die_a, djm_a, dje_a, 1.0, noise_m, noise_e, p_i, p_max))
+    array = list(zip(*(a.tolist() for a in (*quad, *ratio, *terms, p_opt))))
     mismatched = []
-    for k, (d_im, d_ie, d_jm, d_je, p) in enumerate(zip(*columns)):
+    for k, (d_im, d_ie, d_jm, d_je, p, cap) in enumerate(zip(*columns)):
         _, quad_k, ratio_k = _coefficients(d_im, d_ie, d_jm, d_je, noise_m, noise_e, p)
         scalar = [*quad_k, *ratio_k] + [term for p_j in powers for term in _ratio_terms(ratio_k, float(p_j[k]))]
+        scalar.append(optimize_fj_power(d_im, d_ie, d_jm, d_je, 1.0, noise_m, noise_e, p, cap))
         if [v.hex() for v in scalar] != [v.hex() for v in array[k]]:
             mismatched.append(k)
     return mismatched
@@ -382,7 +385,7 @@ def mismatched_lanes(lanes) -> list[int]:
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
 def test_the_array_statement_equals_the_scalar_one_in_every_cell(name):
-    # only + - * / before log2, so the two statements agree exactly on any machine
+    # only + - * / and sqrt, so the two statements agree exactly on any machine
     loaded = load_scenario(bundled_scenario_path(name))
     lanes = engine_lanes(loaded.scenario, loaded.sweep)
     assert lanes[0].size == loaded.sweep.grid_k ** 2
@@ -460,8 +463,8 @@ def test_near_degenerate_geometries_reach_the_grid_search_best(geom):
 def test_array_optimizer_matches_scalar():
     # the grid engine's optimizer against the scalar one, lane by lane, on
     # random (three noise ratios), p_max = 0, symmetric (a = b = c = 0)
-    # and linear (a ~ 0) geometries; ties near rounding level may pick a
-    # neighbouring candidate, hence a tolerance rather than equality
+    # and linear (a ~ 0) geometries; both get the same distances to the
+    # power alpha, raised once, at alpha 1, so their powers are equal
     rng = np.random.default_rng(15)
     lanes = [random_fj_geometry(rng, noise_e=n_e) for n_e in (1e-10, 1e-11, 1e-9) for _ in range(2000)]
     lanes += [geom._replace(p_max=0.0) for geom in lanes[::60]]
@@ -476,27 +479,33 @@ def test_array_optimizer_matches_scalar():
         for eps in (0.0, 1e-16, 1e-14, 1e-12)
     ]
     lanes += symmetric + linear
+    raised = [
+        geom._replace(**{k: getattr(geom, k) ** geom.alpha for k in ("d_im", "d_ie", "d_jm", "d_je")}, alpha=1.0)
+        for geom in lanes
+    ]
 
     groups = {}
-    for geom in lanes:
-        groups.setdefault((geom.alpha, geom.noise_m, geom.noise_e), []).append(geom)
-    for (alpha, noise_m, noise_e), group in groups.items():
+    for geom in raised:
+        groups.setdefault((geom.noise_m, geom.noise_e), []).append(geom)
+    for (noise_m, noise_e), group in groups.items():
         col = {
             name: np.array([getattr(geom, name) for geom in group])
             for name in ("d_im", "d_ie", "d_jm", "d_je", "p_i", "p_max")
         }
         p_opt = best_power(FjArgs(
-            col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], alpha, noise_m, noise_e, col["p_i"], col["p_max"]
+            col["d_im"], col["d_ie"], col["d_jm"], col["d_je"], 1.0, noise_m, noise_e, col["p_i"], col["p_max"]
         ))
         for geom, power in zip(group, p_opt.tolist()):
-            expected = optimize_fj_power(*geom)
-            assert power == pytest.approx(expected, rel=1e-9, abs=1e-18), geom
+            assert power.hex() == optimize_fj_power(*geom).hex(), geom
+
 
 @pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
 def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
-    # the running maximum against the reference it replaced: the four
-    # candidates sorted per lane and the first maximum taken; lanes with
-    # p_max = 0, and symmetric lanes whose candidates all tie exactly
+    # the array and the scalar optimizer against the reference of their rule:
+    # the candidates sorted per lane and the first largest num / den taken by
+    # argmax; random lanes, lanes with p_max = 0, and symmetric lanes whose
+    # candidates all tie exactly; both get the same distances to the power
+    # alpha, raised once, at alpha 1
     rng = np.random.default_rng(16)
     d = rng.uniform(1.0, 170.0, (4, 3000))
     sym = rng.uniform(1.0, 170.0, (2, 300))
@@ -504,46 +513,25 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     d_jm, d_je = np.concatenate([d[2], sym[1]]), np.concatenate([d[3], sym[1]])
     p_i = np.full(d_im.size, P_50MW)
     p_max = np.where(np.arange(d_im.size) % 7 == 0, 0.0, P_50MW)
+    lanes = FjArgs(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, 1.0, 1e-10, noise_e, p_i, p_max)
 
-    _, quad, ratio = coefficients(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))
+    _, quad, ratio = coefficients(lanes)
     cands = np.sort(np.stack((np.zeros_like(p_max), p_max, *clamped_roots(quad, p_max))), axis=0)
     num, den = _ratio_terms(ratio, cands)
-    values = np.log2(num) - np.log2(den)
+    values = num / den
     expected = np.take_along_axis(cands, np.argmax(values, axis=0)[None, :], axis=0)[0]
+    ties = np.all(values == values[0], axis=0) & (p_max > 0.0)
 
-    got = best_power(FjArgs(d_im, d_ie, d_jm, d_je, alpha, 1e-10, noise_e, p_i, p_max))
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
-    assert np.count_nonzero(got[p_max == 0.0]) == 0
+    columns = zip(*(a.tolist() for a in (*lanes[:4], p_i, p_max)))
+    scalar = np.array([optimize_fj_power(*d, 1.0, 1e-10, noise_e, p, cap) for *d, p, cap in columns])
+    for got in best_power(lanes), scalar:
+        assert [p.hex() for p in got.tolist()] == [p.hex() for p in expected.tolist()]
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert np.count_nonzero(got[p_max == 0.0]) == 0
+        # ties go to +0.0, never to a root clamped to -0.0
+        assert np.count_nonzero(got[ties]) == 0 and not np.any(np.signbit(got[ties | (p_max == 0.0)]))
     if noise_e == 1e-10:
-        ties = np.all(values == values[0], axis=0) & (p_max > 0.0)
         assert np.count_nonzero(ties) > 200
-        assert np.count_nonzero(got[ties]) == 0
-
-
-@pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
-def test_scalar_pick_matches_sort_and_first_max(alpha, noise_e):
-    # the scalar twin of the test above: the optimizer's loop against max()
-    # over the sorted candidate set, which keeps the first of equal values;
-    # random lanes, lanes with p_max = 0, and symmetric lanes that tie exactly
-    rng = np.random.default_rng(16)
-    d = rng.uniform(1.0, 170.0, (4, 600)).tolist()
-    sym = rng.uniform(1.0, 170.0, (2, 100)).tolist()
-    lanes = list(zip(*d)) + [(e, e, f, f) for e, f in zip(*sym)]
-    ties = 0
-    for k, dists in enumerate(lanes):
-        geom = FjArgs(*dists, alpha, 1e-10, noise_e, P_50MW, 0.0 if k % 7 == 0 else P_50MW)
-        ratio = coefficients(geom)[2]
-        values = {p: log2_ratio(ratio, p) for p in set(candidate_powers(geom))}
-        expected = max(sorted(values), key=values.get)
-        got = optimize_fj_power(*geom)
-        assert got.hex() == expected.hex(), geom
-        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-        if geom.p_max == 0.0 or (len(set(values.values())) == 1 and len(values) > 1):
-            ties += geom.p_max > 0.0
-            assert got == 0.0 and math.copysign(1.0, got) == 1.0, geom
-    if noise_e == 1e-10:
-        assert ties > 60
 
 
 def test_candidate_list_shape_and_bounds():

@@ -744,9 +744,30 @@ def test_split_sums_just_below_and_above_the_overflow_fallback(n):
     ],
 )
 def test_split_sums_whose_remainders_reach_the_sigma_floor(values):
-    # the rest keeps a tiny lane until sigma leaves the normal range, where fsum takes over
+    # the rest keeps a tiny lane until sigma reaches the subnormal range, where a pass is exact
     for array in np.array(values), -np.array(values):
         assert split_sums_outcome(array) == fsums_outcome(array.tolist())
+
+
+def test_split_sums_of_normal_and_subnormal_lanes_finish_in_passes(monkeypatch):
+    # sigma runs on into the subnormal range, where a pass leaves no rest, so fsum only adds the pass sums
+    rng = np.random.default_rng(7)
+    normal = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-307.0, 0.0, 1000)
+    subnormal = rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.0, TINY, 1000)
+    fsum, summed = math.fsum, []
+
+    def recorded_fsum(values):
+        summed.append(list(values))
+        return fsum(values)
+
+    for array in np.array([1.0, 1e-310, -3e-320, 2.5e-308]), np.concatenate([normal, subnormal]):
+        expected = fsums_outcome(array.tolist())
+        summed.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(math, "fsum", recorded_fsum)
+            assert split_sums_outcome(array) == expected
+        assert array.tolist() not in summed and np.maximum(array, 0.0).tolist() not in summed
+        assert len(summed) == 2
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
