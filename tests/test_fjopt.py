@@ -534,6 +534,32 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
         assert np.count_nonzero(ties) > 200
 
 
+@pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])
+def test_scalar_pick_matches_sort_and_first_max(alpha, noise_e):
+    # the scalar twin of the test above, on the optimizer's own alpha: its
+    # loop against max() of num / den over the sorted candidate set, which
+    # keeps the first of equal values; random lanes, lanes with p_max = 0,
+    # and symmetric lanes that tie exactly
+    rng = np.random.default_rng(16)
+    d = rng.uniform(1.0, 170.0, (4, 600)).tolist()
+    sym = rng.uniform(1.0, 170.0, (2, 100)).tolist()
+    lanes = list(zip(*d)) + [(e, e, f, f) for e, f in zip(*sym)]
+    ties = 0
+    for k, dists in enumerate(lanes):
+        geom = FjArgs(*dists, alpha, 1e-10, noise_e, P_50MW, 0.0 if k % 7 == 0 else P_50MW)
+        ratio = coefficients(geom)[2]
+        values = {p: operator.truediv(*_ratio_terms(ratio, p)) for p in set(candidate_powers(geom))}
+        expected = max(sorted(values), key=values.get)
+        got = optimize_fj_power(*geom)
+        assert got.hex() == expected.hex(), geom
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+        if geom.p_max == 0.0 or (len(set(values.values())) == 1 and len(values) > 1):
+            ties += geom.p_max > 0.0
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, geom
+    if noise_e == 1e-10:
+        assert ties > 60
+
+
 def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)
     for _ in range(100):
