@@ -87,11 +87,11 @@ def distance(a: Point2D, b: Point2D) -> float:
 def effective_distance(d: float, params: ChannelParams) -> float:
     """Clamp a distance to the validity region of the path-loss model.
 
-    All capacity computations use this value, never the raw distance;
-    it keeps received power finite when a grid cell coincides with a
-    transmitter.
+    All capacity computations use this value, never the raw distance; it keeps received power
+    finite when a grid cell coincides with a transmitter. As ``max(d, d0)``, it returns ``d``
+    unless ``d0 > d``, ``nan`` included.
     """
-    return max(d, params.ref_distance_d0)
+    return params.ref_distance_d0 if params.ref_distance_d0 > d else d
 
 
 def distance_corrected_power(tx_power: float, params: ChannelParams) -> float:

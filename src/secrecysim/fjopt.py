@@ -126,16 +126,20 @@ def optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, noise_m, noise_e, p_i, p_ma
     """The jamming power in ``[0, p_max]`` that maximizes secrecy, from the
     clamped distances (m) and corrected powers (Watt*m^alpha) of a ``Scenario``.
 
-    Candidates are 0, the clamped roots of the derivative numerator and ``p_max``;
-    the best ratio among them is the global maximum because the objective is smooth
-    and every interior extremum is a root. As in :func:`_best_power`, the first
-    largest ratio over the candidates in ascending order wins, so ties go to the
-    smallest power and jamming is never reported when it buys nothing.
+    Candidates are 0, the clamped roots of the derivative numerator and ``p_max``; the best ratio
+    among them is the global maximum because the objective is smooth and every interior extremum is
+    a root. As in :func:`_best_power`, the first largest ratio over the candidates in ascending order
+    wins, so ties go to the smallest power and jamming is never reported when it buys nothing. The
+    roots are clamped by comparisons to the floats of ``min(max(root, 0.0), p_max)``: a ``-0.0`` root
+    has the ratio of ``0.0``, and a ``nan`` root never beats ``p = 0`` under the strict ``>``.
     """
     _, quad, ratio = _coefficients(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, noise_m, noise_e, p_i)
     # at p = 0 the ratio is (p_i*D + K) / (p_i*F + K): positive and finite in accepted scenarios
     best_p, best_v = 0.0, ratio[2] / ratio[4]
-    for p in [*sorted(min(max(root, 0.0), p_max) for root in derivative_numerator_roots(quad)), p_max]:
+    powers = [p_max if root > p_max else 0.0 if root < 0.0 else root for root in derivative_numerator_roots(quad)]
+    powers.sort()
+    powers.append(p_max)
+    for p in powers:
         num, den = _ratio_terms(ratio, p)
         if (v := num / den) > best_v:
             best_p, best_v = p, v

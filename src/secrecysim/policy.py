@@ -73,10 +73,9 @@ class Scenario:
 class SelectionResult:
     """Outcome of one policy evaluation at one eavesdropper position.
 
-    ``secrecy`` is the raw capacity difference and may be negative;
-    truncation to zero happens only in coverage metrics and map
-    rendering. ``fj_power`` is in distance-corrected units (Watt*m^alpha)
-    and is zero for the non-jamming policies.
+    ``secrecy`` is the raw capacity difference and may be negative; truncation to zero happens only in coverage
+    metrics and map rendering. ``fj_power`` is in distance-corrected units (Watt*m^alpha) and is zero for the
+    non-jamming policies. :func:`select` builds results that are valid already, without the constructor's checks.
     """
 
     chosen_ap: int
@@ -92,20 +91,32 @@ class SelectionResult:
             raise ValueError("fj_power must be nonnegative")
 
 
+_NORMAL, _SMART_FJ = PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP_FJ
+
+
+def _result(chosen, cap_m, cap_e, secrecy, fj_power) -> SelectionResult:
+    """``SelectionResult(...)`` of valid values, its fields set in order without ``__init__`` and its checks."""
+    r = object.__new__(SelectionResult)
+    f = r.__dict__
+    f["chosen_ap"], f["cap_legit"], f["cap_eve"], f["secrecy"], f["fj_power"] = chosen, cap_m, cap_e, secrecy, fj_power
+    return r
+
+
 def _station_terms(scenario: Scenario, sta_m: Point2D):
-    """The terms of the station at ``sta_m``: per AP, in index order, ``(d_m, p, p_max,
-    s_m, c_m)``, the clamped distance, corrected power and cap, the signal ``p*d_m**-alpha``
-    and the per-Hz capacity; then ``normal``'s choice, the AP with the larger signal."""
+    """The terms of the station at ``sta_m``: per AP, in index order, ``(d_m, g_m, p, p_max,
+    s_m, c_m)``, the clamped distance and its power ``-alpha``, the corrected power and cap, the
+    signal ``p*g_m`` and the per-Hz capacity; then ``normal``'s choice, the AP with the larger signal."""
     # channel.* keeps these calls untraced, as in Scenario.__post_init__
     par = scenario.params
     terms = []
     for ap in (scenario.ap1, scenario.ap2):
         d_m = channel.effective_distance(channel.distance(ap.position, sta_m), par)
+        g_m = d_m ** -par.pathloss_alpha
         p = channel.distance_corrected_power(ap.tx_power, par)
-        s_m = p * d_m ** -par.pathloss_alpha
+        s_m = p * g_m
         p_max = channel.distance_corrected_power(ap.tx_power_max, par)
-        terms.append((d_m, p, p_max, s_m, channel.shannon_capacity(s_m, 0.0, par.noise_m)))
-    return terms, 1 if terms[0][3] >= terms[1][3] else 2
+        terms.append((d_m, g_m, p, p_max, s_m, channel.shannon_capacity(s_m, 0.0, par.noise_m)))
+    return terms, 1 if terms[0][4] >= terms[1][4] else 2
 
 
 def _check_reach(scenario: Scenario, points=()) -> None:
@@ -115,18 +126,18 @@ def _check_reach(scenario: Scenario, points=()) -> None:
     ends = ((0.0, 0.0), (0.0, e), (e, 0.0), (e, e), (sta.x, sta.y), *points)
     d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (scenario.ap1, scenario.ap2) for x, y in ends)
     # each AP's corrected cap is at least its corrected power
-    p = max(p_max for _, _, p_max, _, _ in scenario._station[0])
+    p = max(p_max for _, _, _, p_max, _, _ in scenario._station[0])
     _check_float_range(p, par.noise_m, par.noise_e, par.pathloss_alpha, par.ref_distance_d0, d)
 
 
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
     """Evaluate one policy at one eavesdropper position.
 
-    The rules run in the order of the grid engine, ``sweep._evaluate_grid``: associate, then (``smart_fj``
-    only) let the idle AP jam. ``normal`` associates to the AP with the highest received power at the
-    station, so the eavesdropper only sets the reported capacities; ``smart`` and ``smart_fj`` to the AP
-    with the larger secrecy difference without jamming. ``smart_fj`` then gives the idle AP its optimal
-    power in closed form unless not jamming is better, so it never falls below ``smart``.
+    The rules run in the order of the grid engine, ``sweep._evaluate_grid``: associate, then (``smart_fj`` only)
+    let the idle AP jam. ``normal`` associates to the AP with the highest received power at the station, so the
+    eavesdropper only sets the reported capacities; ``smart`` and ``smart_fj`` to the AP with the larger secrecy
+    difference without jamming. ``smart_fj`` then gives the idle AP its optimal power in closed form unless not
+    jamming is better, so it never falls below ``smart``. The result is built valid, without the constructor's checks.
 
     With each AP's cap equal to its power, select-then-jam is jointly optimal in exact arithmetic: serving
     by the other AP, with its best jamming, is never better. Per Hz, in nats, with SNRs ``x, y`` at the
@@ -140,28 +151,28 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
     does not. If moreover ``d < 0``, with ``y < v`` it gives ``u - x > xv - uy``: ``s1`` is negative below
     its only zero ``(u - x)/(xv - uy) > 1``, so it rises on ``[0, 1]``. For ``s2``, swap the APs.
     """
-    par = scenario.params
+    par, (station, chosen) = scenario.params, scenario._station
     alpha = par.pathloss_alpha
-    station, chosen = scenario._station
     # the eavesdropper side, per call, of both APs (normal: the chosen one only):
-    # the clamped distance, the signal and the per-Hz capacity
-    normal, eves = policy is PolicyKind.NORMAL_WIFI, [None, None]
+    # the clamped distance, its power -alpha, the signal and the per-Hz capacity
+    normal, eves = policy is _NORMAL, [None, None]
     for k in (chosen - 1,) if normal else (0, 1):
         d_e = effective_distance(distance((scenario.ap1, scenario.ap2)[k].position, sta_e), par)
-        s_e = station[k][1] * d_e ** -alpha
-        eves[k] = d_e, s_e, shannon_capacity(s_e, 0.0, par.noise_e)
+        g_e = d_e ** -alpha
+        s_e = station[k][2] * g_e
+        eves[k] = d_e, g_e, s_e, shannon_capacity(s_e, 0.0, par.noise_e)
     if not normal:
-        chosen = 1 if station[0][4] - eves[0][2] >= station[1][4] - eves[1][2] else 2
-    cap_m, cap_e = station[chosen - 1][4], eves[chosen - 1][2]
+        chosen = 1 if station[0][5] - eves[0][3] >= station[1][5] - eves[1][3] else 2
+    cap_m, cap_e = station[chosen - 1][5], eves[chosen - 1][3]
 
     fj_power = 0.0
-    if policy is PolicyKind.SMART_AP_FJ:
-        (d_im, p_i, _, s_im, _), (d_jm, _, p_max, _, _) = station if chosen == 1 else station[::-1]
-        (d_ie, s_ie, _), (d_je, _, _) = eves if chosen == 1 else eves[::-1]
+    if policy is _SMART_FJ:
+        (d_im, _, p_i, _, s_im, _), (d_jm, g_jm, _, p_max, _, _) = station if chosen == 1 else station[::-1]
+        (d_ie, _, s_ie, _), (d_je, g_je, _, _) = eves if chosen == 1 else eves[::-1]
         p_opt = optimize_fj_power(d_im, d_ie, d_jm, d_je, alpha, par.noise_m, par.noise_e, p_i, p_max)
         if p_opt != 0.0:
-            fj_m = shannon_capacity(s_im, p_opt * d_jm ** -alpha, par.noise_m)
-            fj_e = shannon_capacity(s_ie, p_opt * d_je ** -alpha, par.noise_e)
+            fj_m = shannon_capacity(s_im, p_opt * g_jm, par.noise_m)
+            fj_e = shannon_capacity(s_ie, p_opt * g_je, par.noise_e)
             # the optimizer compares the ratio form; guard the reported metric
             # against a last-ulp disagreement with the two-capacity form so the
             # jamming result can never fall below the no-jamming one
@@ -169,5 +180,5 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
                 cap_m, cap_e, fj_power = fj_m, fj_e, p_opt
 
     w = par.bandwidth_w
-    # one multiply of the per-Hz difference keeps orderings W-invariant
-    return SelectionResult(chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)
+    # one multiply of the per-Hz difference keeps orderings W-invariant; chosen is 1 or 2, fj_power in [0, p_max]
+    return _result(chosen, w * cap_m, w * cap_e, w * (cap_m - cap_e), fj_power)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import Point2D
 from .fjopt import _best_power
-from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _station_terms
+from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _result, _station_terms
 
 ALL_POLICIES = (PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ)
 
@@ -143,7 +143,7 @@ def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
     par = scenario.params
     x, y = grid_coordinates(cfg)
     aps = []
-    for ap, (_, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
+    for ap, (_, _, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
         d_e = np.maximum(np.sqrt((x - ap.position.x) ** 2 + (y - ap.position.y) ** 2), par.ref_distance_d0)
         d_a, d_n = d_e ** par.pathloss_alpha, d_e ** -par.pathloss_alpha
         s_e = p * d_n
@@ -191,7 +191,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     alpha, w = par.pathloss_alpha, par.bandwidth_w
     floats, ints, flags = work
     x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)) = eve
-    ((d1m, p1, cap1, _, c1m), (d2m, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
+    ((d1m, _, p1, cap1, _, c1m), (d2m, _, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
     def results():
         return ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
@@ -300,10 +300,10 @@ def _metrics(ev: GridArrays, work, eve_sum: float | None = None) -> PolicyMeans:
 
 
 def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
-    # x, y, then SelectionResult's fields; .tolist() gives ints for ``chosen``, floats for the rest
+    # x, y, then SelectionResult's fields, valid as written; .tolist() gives ints for ``chosen``, floats for the rest
     columns = (column.tolist() for column in vars(ev).values())
     return tuple(
-        CellResult(Point2D(x, y), SelectionResult(chosen, cap_m, cap_e, secrecy, fj_power))
+        CellResult(Point2D(x, y), _result(chosen, cap_m, cap_e, secrecy, fj_power))
         for x, y, chosen, cap_m, cap_e, secrecy, fj_power in zip(*columns)
     )
 

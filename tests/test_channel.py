@@ -40,6 +40,15 @@ def test_effective_distance_clamps_to_reference(d, expected):
     assert effective_distance(d, DEFAULTS) == expected
 
 
+@pytest.mark.parametrize("d0", [1.0, 0.05, 7.5])
+def test_effective_distance_is_max_of_distance_and_reference(d0):
+    # the clamp compares d0 > d: the floats of max(d, d0), nan, equality and -0.0 included
+    params = ChannelParams(ref_distance_d0=d0)
+    near = math.nextafter(d0, 0.0), math.nextafter(d0, math.inf)
+    for d in (math.nan, d0, *near, 0.0, -0.0, 0.5 * d0, 3.0 * d0, math.inf):
+        assert effective_distance(d, params).hex() == max(d, d0).hex(), d
+
+
 def test_distance_corrected_power_50mw():
     value = distance_corrected_power(0.05, DEFAULTS)
     assert value == pytest.approx(LINK_BUDGET_50MW, rel=1e-12)

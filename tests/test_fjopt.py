@@ -560,6 +560,51 @@ def test_scalar_pick_matches_sort_and_first_max(alpha, noise_e):
         assert ties > 60
 
 
+def min_max_clamped_power(geom, roots):
+    """optimize_fj_power's pick over ``roots``, each clamped by ``min(max(root, 0.0), p_max)``."""
+    ratio = coefficients(geom)[2]
+    best_p, best_v = 0.0, ratio[2] / ratio[4]
+    for p in [*sorted(min(max(root, 0.0), geom.p_max) for root in roots), geom.p_max]:
+        num, den = _ratio_terms(ratio, p)
+        if (v := num / den) > best_v:
+            best_p, best_v = p, v
+    return best_p
+
+
+def test_comparison_clamp_returns_the_power_of_min_and_max(monkeypatch):
+    # optimize_fj_power clamps its roots by comparisons; on 100,000 random geometries its
+    # power equals, by float.hex, the pick over the min / max clamp of the same roots: the
+    # quadratic's own roots in a third of them, in the rest two of -0.0, 0.0, p_max, the
+    # floats next to 0 and p_max, inside and beyond the interval, infinities and nan
+    rng = np.random.default_rng(27)
+    n = 100_000
+    d = rng.uniform(1.0, 170.0, (4, n)).tolist()
+    alphas = rng.choice([2.0, 3.0, 2.418], n).tolist()
+    p_max = np.where(rng.random(n) < 0.1, 0.0, P_50MW * rng.uniform(1.0, 2.0, n)).tolist()
+    picks, draws = rng.integers(0, 12, (2, n)).tolist(), rng.random((2, n)).tolist()
+    roots = []
+    monkeypatch.setattr(fjopt, "derivative_numerator_roots", lambda quad: list(roots))
+    kinds = Counter()
+    for k in range(n):
+        geom = FjArgs(d[0][k], d[1][k], d[2][k], d[3][k], alphas[k], 1e-10, 1e-10, P_50MW, p_max[k])
+        top = geom.p_max
+        special = [
+            -0.0, 0.0, top, math.nextafter(top, math.inf), math.nextafter(top, -math.inf), math.nextafter(0.0, -1.0),
+            math.nextafter(0.0, 1.0), 2.0 * top + 1.0, -1.0, math.inf, -math.inf, math.nan,
+        ]
+        if k % 3 == 0:
+            roots[:] = derivative_numerator_roots(coefficients(geom)[1])
+        else:
+            roots[:] = [special[picks[0][k]], special[picks[1][k]]] if draws[0][k] < 0.8 else [special[picks[0][k]]]
+            if draws[1][k] < 0.3:
+                roots.append(top * draws[1][k] / 0.3)  # an interior root beside the special one
+        got, expected = optimize_fj_power(*geom), min_max_clamped_power(geom, roots)
+        assert got.hex() == expected.hex(), (geom, roots)
+        kinds[(got == 0.0, got == top)] += 1
+    # zero, p_max and interior powers all occur
+    assert min(kinds[(True, False)], kinds[(False, True)], kinds[(False, False)]) > 1000, kinds
+
+
 def test_candidate_list_shape_and_bounds():
     rng = np.random.default_rng(14)
     for _ in range(100):

@@ -2,7 +2,7 @@ import json
 import math
 import pickle
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from secrecysim import (
     Point2D,
     PolicyKind,
     Scenario,
+    SelectionResult,
     bundled_scenario_path,
     distance,
     distance_corrected_power,
@@ -25,6 +26,7 @@ from secrecysim import (
     monte_carlo,
     select,
     shannon_capacity,
+    sweep_eavesdropper,
 )
 from secrecysim.fjopt import optimize_fj_power
 
@@ -356,6 +358,85 @@ def test_select_calls_layer_names_through_the_module(policy, point, counts, jamm
     result = select(scenario, Point2D(*point), policy)
     assert [calls[name] for name in LAYER_NAMES] == counts
     assert (result.fj_power > 0.0) == jamming
+
+
+def lattice(scenario):
+    """The golden files' points: a 10 m lattice over 0..120 m, both APs and the station."""
+    points = [Point2D(10.0 * i, 10.0 * j) for j in range(13) for i in range(13)]
+    return points + [scenario.ap1.position, scenario.ap2.position, scenario.sta_m]
+
+
+# per bundled scenario and policy, over its 172 lattice points: the calls of distance,
+# effective_distance, shannon_capacity and optimize_fj_power, then the jamming points
+PLAIN_CALLS = {"normal": ([172, 172, 172, 0], 0), "smart": ([344, 344, 344, 0], 0)}
+TRACED_CALLS = {
+    "scenario1": {**PLAIN_CALLS, "smart_fj": ([344, 344, 630, 172], 143)},
+    "scenario2": {**PLAIN_CALLS, "smart_fj": ([344, 344, 560, 172], 108)},
+    "scenario3": {**PLAIN_CALLS, "smart_fj": ([344, 344, 438, 172], 47)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CALLS))
+def test_traced_layers_see_a_pinned_number_of_calls(name, monkeypatch):
+    # the benchmark's channel.calls and fjopt.optimize_fj_power_calls count calls through
+    # these names of secrecysim.policy: inlining a layer into select would hide its calls
+    traced = ("distance", "effective_distance", "shannon_capacity", "optimize_fj_power")
+    calls = dict.fromkeys(traced, 0)
+    for layer in traced:
+        def counted(*args, _layer=layer, _original=getattr(policy_module, layer)):
+            calls[_layer] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(policy_module, layer, counted)
+    scenario = load_scenario(bundled_scenario_path(name)).scenario
+    for policy in PolicyKind:
+        calls.update(dict.fromkeys(traced, 0))
+        jamming = sum(select(scenario, q, policy).fj_power > 0.0 for q in lattice(scenario))
+        assert ([calls[layer] for layer in traced], jamming) == TRACED_CALLS[name][policy.value]
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_select_results_cannot_be_told_from_constructed_ones(name):
+    # select builds its results without SelectionResult's __init__; nothing a caller
+    # can do with one may tell it from the constructor's
+    scenario = load_scenario(bundled_scenario_path(name)).scenario
+    names = [f.name for f in fields(SelectionResult)]
+    assert names == ["chosen_ap", "cap_legit", "cap_eve", "secrecy", "fj_power"]
+    for policy in PolicyKind:
+        for q in lattice(scenario):
+            got = select(scenario, q, policy)
+            built = SelectionResult(*(getattr(got, field) for field in names))
+            assert type(got) is SelectionResult and got == built and hash(got) == hash(built)
+            assert repr(got) == repr(built) and list(vars(got)) == list(vars(built)) == names
+            assert [type(v) for v in vars(got).values()] == [int, float, float, float, float]
+            assert replace(got, secrecy=0.0) == replace(built, secrecy=0.0)
+            copy = pickle.loads(pickle.dumps(got))
+            assert copy == built and list(vars(copy)) == names
+    with pytest.raises(FrozenInstanceError):
+        got.chosen_ap = 1
+    with pytest.raises(FrozenInstanceError):
+        del got.fj_power
+    with pytest.raises(ValueError, match="chosen_ap"):
+        SelectionResult(3, 1.0, 0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="fj_power"):
+        SelectionResult(1, 1.0, 0.5, 0.5, -1.0)
+    with pytest.raises(ValueError, match="fj_power"):
+        replace(got, fj_power=-1.0)
+
+
+def test_retained_cells_hold_results_like_constructed_ones():
+    # the grid engine's cells come from the same helper as select's results
+    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
+    cfg = SweepConfig(grid_k=12, cell_origin=Point2D(5.0, 5.0), cell_step=10.0)
+    for policy in PolicyKind:
+        summary = sweep_eavesdropper(scenario, replace(cfg, policy=policy))
+        assert len(summary.grid) == 144
+        for cell in summary.grid:
+            got = cell.selection
+            built = SelectionResult(*vars(got).values())
+            assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+            assert [type(v) for v in vars(got).values()] == [int, float, float, float, float]
+            assert pickle.loads(pickle.dumps(cell)) == cell
 
 
 def log_uniform(low_exp, high_exp):
