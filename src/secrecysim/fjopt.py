@@ -192,26 +192,22 @@ def _ratio_terms_into(ratio, p_j, num, den, lead):
     return num, den
 
 
-def _clamped_roots(quad, p_max, floats, flags) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_roots(quad, p_max, floats) -> tuple[np.ndarray, np.ndarray]:
     """Per lane of the 1-d arrays ``quad`` and ``p_max``: the roots ``q/a`` and ``c/q`` of
-    :func:`derivative_numerator_roots`, clamped to ``[0, p_max]``; a root that function does not
-    return is 0 here. Three buffers come from ``floats`` and two from ``flags``; the roots hold
-    two of them, and the others go back."""
+    :func:`derivative_numerator_roots`, clamped to ``[0, p_max]`` by ``fmax``, then ``fmin``. Every lane
+    divides. A root that function returns is the same quotient here; one it does not (a negative
+    discriminant, ``a == 0`` or ``q == 0``) is nan, which ``fmax`` maps to 0, or +-inf, clamped to 0 or
+    ``p_max``. :func:`_best_power` picks the same power: a 0 candidate, ``-0.0`` included, never beats the
+    start at ``p = 0`` under its strict ``>``, and an early ``p_max`` has the final one's ratio bits.
+    Three buffers come from ``floats``; the roots hold two of them, and the other goes back."""
     a, b, c = quad
     root1, q, root2 = (floats.pop() for _ in range(3))
-    real, nonzero = flags.pop(), flags.pop()
-    # a lane with a negative discriminant gets a nan q, which its mask drops
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         disc = np.subtract(np.multiply(b, b, out=root1), np.multiply(np.multiply(4.0, a, out=q), c, out=q), out=root1)
-        np.greater_equal(disc, 0.0, out=real)
         np.divide(np.negative(np.add(b, np.copysign(np.sqrt(disc, out=q), b, out=q), out=q), out=q), 2.0, out=q)
         for root, num, den in (root1, q, a), (root2, c, q):
-            np.bitwise_and(real, np.not_equal(den, 0.0, out=nonzero), out=nonzero)
-            np.copyto(root, 0.0)
-            np.divide(num, den, out=root, where=nonzero)
-            np.clip(root, 0.0, p_max, out=root)
+            np.fmin(np.fmax(np.divide(num, den, out=root), 0.0, out=root), p_max, out=root)
     floats.append(q)
-    flags += real, nonzero
     return root1, root2
 
 
@@ -222,11 +218,11 @@ def _best_power(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, p_max, floats
     The array statement of the closed form: :func:`_coefficients_into`, :func:`_clamped_roots` and
     :func:`_ratio_terms_into` repeat the scalar statement's operations in its order, and the pick is
     the same rule on correctly rounded quotients, so the returned power equals the scalar one lane by
-    lane. A root the scalar finder does not return is 0 here, whose ratio never beats the one at 0.
-    Buffers shaped like the arguments come from the lists ``floats`` (at most eight) and ``flags``
-    (two, bool) and go back, the array arguments included, all but the result."""
+    lane; :func:`_clamped_roots` says why its extra candidates change nothing. Buffers shaped like the
+    arguments come from the lists ``floats`` (at most eight) and ``flags`` (one, bool) and go back, the
+    array arguments included, all but the result."""
     quad, ratio = _coefficients_into(dim_a, die_a, djm_a, dje_a, noise_m, noise_e, p_i, floats)
-    root1, root2 = _clamped_roots(quad, p_max, floats, flags)
+    root1, root2 = _clamped_roots(quad, p_max, floats)
     floats += quad
     best_p, best_v, num, den, lead, low = (floats.pop() for _ in range(6))
     better = flags.pop()

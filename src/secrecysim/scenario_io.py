@@ -140,9 +140,8 @@ def load_scenario(path) -> LoadedScenario:
     try:
         policy = PolicyKind(echo["policy"])
     except ValueError:
-        raise ScenarioValidationError(
-            f"policy must be one of 'normal', 'smart', 'smart_fj', got {echo['policy']!r}"
-        ) from None
+        names = ", ".join(repr(p.value) for p in PolicyKind)
+        raise ScenarioValidationError(f"policy must be one of {names}, got {echo['policy']!r}") from None
     echo["policy"] = policy.value
 
     mc = None

@@ -191,13 +191,13 @@ def best_power(geom: FjArgs) -> np.ndarray:
     a = geom.alpha
     powers = [np.asarray(d, dtype=float) ** a for d in (geom.d_im, geom.d_ie, geom.d_jm, geom.d_je)]
     p_i, p_max = np.array(geom.p_i, dtype=float), np.array(geom.p_max, dtype=float)
-    floats, flags = buffers(p_max, 8), buffers(p_max, 2, bool)
+    floats, flags = buffers(p_max, 8), buffers(p_max, 1, bool)
     return _best_power(*powers, geom.noise_m, geom.noise_e, p_i, p_max, floats, flags)
 
 
 def clamped_roots(quad, p_max) -> tuple[np.ndarray, np.ndarray]:
     """``fjopt._clamped_roots`` of the 1-d arrays ``quad = (a, b, c)`` and ``p_max``, on fresh buffers."""
-    return _clamped_roots(quad, p_max, buffers(p_max, 3), buffers(p_max, 2, bool))
+    return _clamped_roots(quad, p_max, buffers(p_max, 3))
 
 
 def log2_ratio(ratio, p_j: float) -> float:

@@ -38,9 +38,8 @@ PER_SAMPLE = {
     PolicyKind.NORMAL_WIFI: {"copyto": 3, "multiply": 2, "subtract": 1},
     PolicyKind.SMART_AP: {"copyto": 8, "greater_equal": 1, "multiply": 2, "subtract": 2},
     PolicyKind.SMART_AP_FJ: {
-        "add": 24, "bitwise_and": 2, "clip": 2, "copysign": 1, "copyto": 34, "divide": 9, "greater": 3,
-        "greater_equal": 1, "less": 1, "log2": 2, "maximum": 1, "minimum": 1, "multiply": 54, "negative": 1,
-        "not_equal": 2, "sqrt": 1, "subtract": 6,
+        "add": 24, "copysign": 1, "copyto": 32, "divide": 9, "fmax": 2, "fmin": 2, "greater": 3, "less": 1,
+        "log2": 2, "maximum": 1, "minimum": 1, "multiply": 54, "negative": 1, "sqrt": 1, "subtract": 6,
     },
     # the exact sums' extraction passes: on this sample (scenario1, seed 5, index 4) each of the five arrays
     # summed, the three secrecy arrays and smart's and smart_fj's eavesdropper capacities, takes two passes;
@@ -55,12 +54,12 @@ PER_SAMPLE = {
 PER_SAMPLE_LANES = {
     PolicyKind.NORMAL_WIFI: 129_600,
     PolicyKind.SMART_AP: 374_400,
-    PolicyKind.SMART_AP_FJ: 5_558_400,
+    PolicyKind.SMART_AP_FJ: 5_385_600,
     "metrics": 1_814_400,
 }
-# a chunk's calls besides its samples' own: its workspace's 23 float, 3 int and 3 bool buffers, as many as
+# a chunk's calls besides its samples' own: its workspace's 23 float, 3 int and 2 bool buffers, as many as
 # a sample holds at once, made in its first sample; normal's two eavesdropper sums come with its arguments
-PER_CHUNK = {"empty_like": 29}
+PER_CHUNK = {"empty_like": 28}
 # sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
 EVE_TERMS = {
     "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,

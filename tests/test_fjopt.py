@@ -516,6 +516,12 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
     lanes = FjArgs(d_im ** alpha, d_ie ** alpha, d_jm ** alpha, d_je ** alpha, 1.0, 1e-10, noise_e, p_i, p_max)
 
     _, quad, ratio = coefficients(lanes)
+    # the lanes whose roots the scalar finder drops and the array clamps map to an endpoint:
+    # a negative discriminant, a == 0 (the symmetric lanes) and, at equal noises, q == 0 as well
+    a, b, c = quad
+    disc = b * b - 4.0 * a * c
+    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)) / 2.0
+    assert np.count_nonzero(disc < 0.0) > 300 and np.count_nonzero(a == 0.0) >= 300
     cands = np.sort(np.stack((np.zeros_like(p_max), p_max, *clamped_roots(quad, p_max))), axis=0)
     num, den = _ratio_terms(ratio, cands)
     values = num / den
@@ -532,6 +538,7 @@ def test_array_pick_matches_sort_and_first_argmax(alpha, noise_e):
         assert np.count_nonzero(got[ties]) == 0 and not np.any(np.signbit(got[ties | (p_max == 0.0)]))
     if noise_e == 1e-10:
         assert np.count_nonzero(ties) > 200
+        assert np.count_nonzero((q == 0.0) & (disc >= 0.0)) >= 300
 
 
 @pytest.mark.parametrize("alpha, noise_e", [(2.0, 1e-10), (3.0, 1e-10), (2.418, 1e-9), (3.1, 1e-11)])

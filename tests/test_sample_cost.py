@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ROWS = [
     "scenario", "n", "workers", "ms_per_sample", "minor_faults_per_sample", "system_ms_per_sample",
     "user_ms_per_sample", "split_samples", "evaluate_grid_ms_per_sample", "metrics_ms_per_sample",
-    "tracemalloc_peak_kb", "ru_maxrss_mb", "ru_maxrss_children_mb",
+    "workspace_float", "workspace_int", "workspace_bool", "workspace_mb", "tracemalloc_peak_kb", "ru_maxrss_mb",
+    "ru_maxrss_children_mb",
 ]
 
 

@@ -19,7 +19,9 @@ reduction (``sweep._metrics``, the exact sums). Wrappers installed by this
 script time each step of the engine's generator and each ``_metrics`` call
 with ``time.perf_counter``; the split is per sample of the chunk that runs in
 this process, since a forked worker's timers stay in the worker. The program
-itself carries no timer.
+itself carries no timer. A third wrapper keeps the workspace that
+``sweep._workspace`` makes for that chunk, and the script prints its buffers
+per dtype and their size in MB (2**20 bytes).
 
 Run it as its own command, in a fresh interpreter, never after other work in
 the same process. glibc's malloc returns the free top of its heap to the
@@ -49,8 +51,9 @@ from secrecysim import bundled_scenario_path, load_scenario, monte_carlo, sweep 
 def split_timers(spent: dict):
     """Wrap ``sweep._evaluate_grid`` and ``sweep._metrics`` so that they add their seconds to ``spent``
     under ``"evaluate_grid"`` and ``"metrics"``, and count the engine's calls, one per sample, under
-    ``"samples"``; returns a function that puts the unwrapped two back."""
-    evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
+    ``"samples"``; wrap ``sweep._workspace`` so that ``spent["workspace"]`` keeps the last workspace
+    made in this process. Returns a function that puts the unwrapped three back."""
+    evaluate_grid, metrics, workspace = sweep._evaluate_grid, sweep._metrics, sweep._workspace
 
     def timed_grid(*args):
         spent["samples"] += 1
@@ -70,10 +73,14 @@ def split_timers(spent: dict):
         finally:
             spent["metrics"] += time.perf_counter() - start
 
-    def restore():
-        sweep._evaluate_grid, sweep._metrics = evaluate_grid, metrics
+    def kept_workspace(like):
+        spent["workspace"] = workspace(like)
+        return spent["workspace"]
 
-    sweep._evaluate_grid, sweep._metrics = timed_grid, timed_metrics
+    def restore():
+        sweep._evaluate_grid, sweep._metrics, sweep._workspace = evaluate_grid, metrics, workspace
+
+    sweep._evaluate_grid, sweep._metrics, sweep._workspace = timed_grid, timed_metrics, kept_workspace
     return restore
 
 
@@ -103,6 +110,10 @@ def main(argv=None) -> int:
     faults, system, user = (b - a for a, b in zip(before, after))
     restore()
 
+    # the float64, int64 and bool buffers the chunk in this process made, as many as a sample holds at once
+    made = [buffers.made for buffers in spent["workspace"]]
+    workspace_mb = sum(a.nbytes for arrays in made for a in arrays) / 2.0 ** 20
+
     tracemalloc.start()
     start_traced = tracemalloc.get_traced_memory()[0]
     run()
@@ -120,6 +131,10 @@ def main(argv=None) -> int:
         ("split_samples", spent["samples"], ""),
         ("evaluate_grid_ms_per_sample", f"{1e3 * spent['evaluate_grid'] / spent['samples']:.3f}", "ms"),
         ("metrics_ms_per_sample", f"{1e3 * spent['metrics'] / spent['samples']:.3f}", "ms"),
+        ("workspace_float", len(made[0]), ""),
+        ("workspace_int", len(made[1]), ""),
+        ("workspace_bool", len(made[2]), ""),
+        ("workspace_mb", f"{workspace_mb:.2f}", "MB"),
         ("tracemalloc_peak_kb", f"{peak / 1024.0:.1f}", "KB"),
         ("ru_maxrss_mb", f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}", "MB"),
         ("ru_maxrss_children_mb", f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0:.2f}", "MB"),
