@@ -1,6 +1,7 @@
 """Command-line entry points: grid sweeps to CSV/JSON and policy comparisons."""
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -98,53 +99,31 @@ def _metrics_dict(m: PolicyMeans) -> dict:
     return {f.name: getattr(m, f.name) for f in fields(PolicyMeans)}
 
 
-class _OutputSet:
-    """Writes and tracks the files and directories one command creates, so failures leave
-    nothing behind; a directory that existed before stays, and so does a file not replaced.
+def _quietly(step) -> None:
+    """One undo step of a failed run; an ``OSError``, from a file not there or a directory not empty, is ignored."""
+    with contextlib.suppress(OSError):
+        step()
 
-    Used as a context manager, it removes them on any exception, an
-    interrupt included, and lets the exception propagate.
-    """
 
-    def __init__(self):
-        self.paths: list[Path] = []
-        self.dirs: list[Path] = []
-
-    def write(self, writer, path: Path, *args) -> None:
-        # the temp file first, should the write be cut short; the target once it is replaced
-        self.paths.append(temp_path(path))
-        writer(path, *args)
-        self.paths.append(path)
-
-    def mkdir(self, path: Path) -> Path:
-        # recorded before creating, so a mkdir that fails half-way is undone too
-        self.dirs.extend(d for d in (path, *path.parents) if not d.exists())
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def discard_all(self) -> None:
-        # rmdir removes only empty directories
-        for remove in [path.unlink for path in self.paths] + [path.rmdir for path in self.dirs]:
-            try:
-                remove()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "_OutputSet":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self.discard_all()
+def _write(undo: contextlib.ExitStack, writer, path: Path, *args) -> None:
+    # the temp file first, should the write be cut short; the target once it is replaced
+    undo.callback(_quietly, temp_path(path).unlink)
+    writer(path, *args)
+    undo.callback(_quietly, path.unlink)
 
 
 def _run_sweep(args) -> int:
-    with _OutputSet() as outputs:
+    # on any exception, an interrupt included, undo removes what the run wrote and the directories it made
+    with contextlib.ExitStack() as undo:
         scenario_path, _ = _resolve_scenario(args.scenario)
         loaded = load_scenario(scenario_path)
         choice = args.policy or loaded.sweep.policy.value
         selected = list(ALL_POLICIES) if choice == "all" else [PolicyKind(choice)]
-        out_dir = outputs.mkdir(Path(args.out_dir))
+        out_dir = Path(args.out_dir)
+        # registered before creating, outermost first, so a mkdir that fails half-way is undone too
+        for new_dir in reversed([d for d in (out_dir, *out_dir.parents) if not d.exists()]):
+            undo.callback(_quietly, new_dir.rmdir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         mc = _monte_carlo(loaded, args, loaded.monte_carlo)
 
         for policy, summary in _sweeps(loaded.scenario, loaded.sweep, selected).items():
@@ -159,7 +138,7 @@ def _run_sweep(args) -> int:
                 "fj_power_dbm": _dbm_column(fj_watt),
             }
             for kind, values in columns.items():
-                outputs.write(write_heatmap, out_dir / f"{name}_{kind}.csv", cells.x, cells.y, values)
+                _write(undo, write_heatmap, out_dir / f"{name}_{kind}.csv", cells.x, cells.y, values)
             document = {
                 "tool_version": __version__,
                 "policy": name,
@@ -169,34 +148,36 @@ def _run_sweep(args) -> int:
             if mc is not None:
                 means = _metrics_dict(mc.means[policy])
                 document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed, "means": means}
-            outputs.write(write_summary, out_dir / f"{name}_summary.json", document)
+            _write(undo, write_summary, out_dir / f"{name}_summary.json", document)
+        undo.pop_all()
         return 0
 
 
 def _run_compare(args) -> int:
-    with _OutputSet() as outputs:
-        rows = []
-        for entry in args.scenario:
-            scenario_path, label = _resolve_scenario(entry)
-            loaded = load_scenario(scenario_path)
-            # compare ignores the scenario file's monte_carlo block
-            mc = _monte_carlo(loaded, args, None)
-            means = mc.means if mc else _sweeps(loaded.scenario, loaded.sweep, ALL_POLICIES)
-            metrics = {p.value: _metrics_dict(means[p]) for p in ALL_POLICIES}
-            rows.append({"scenario": label, "metrics": metrics})
-        document = {
-            "tool_version": __version__,
-            "mode": "monte_carlo" if mc else "sweep",
-            "policies": [p.value for p in ALL_POLICIES],
-            "rows": rows,
-        }
-        if mc:
-            document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed}
-        if args.out is not None:
-            outputs.write(write_summary, Path(args.out), document)
-        else:
-            print(json.dumps(document, indent=2))
-        return 0
+    rows = []
+    for entry in args.scenario:
+        scenario_path, label = _resolve_scenario(entry)
+        loaded = load_scenario(scenario_path)
+        # compare ignores the scenario file's monte_carlo block
+        mc = _monte_carlo(loaded, args, None)
+        means = mc.means if mc else _sweeps(loaded.scenario, loaded.sweep, ALL_POLICIES)
+        metrics = {p.value: _metrics_dict(means[p]) for p in ALL_POLICIES}
+        rows.append({"scenario": label, "metrics": metrics})
+    document = {
+        "tool_version": __version__,
+        "mode": "monte_carlo" if mc else "sweep",
+        "policies": [p.value for p in ALL_POLICIES],
+        "rows": rows,
+    }
+    if mc:
+        document["monte_carlo"] = {"n": mc.n_samples, "seed": mc.seed}
+    if args.out is None:
+        print(json.dumps(document, indent=2))
+    else:
+        with contextlib.ExitStack() as undo:
+            _write(undo, write_summary, Path(args.out), document)
+            undo.pop_all()
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

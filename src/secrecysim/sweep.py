@@ -20,7 +20,7 @@ import operator
 import os
 import pickle
 import signal
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -452,14 +452,14 @@ def monte_carlo(
     workers = min(workers, n, cpus)
     eve = _eve_terms(scenario_template, cfg)
     # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
-    normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+    normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e, positive=False)[0] for *_, c_e in eve[2]]
     # one contiguous chunk per worker, in sample order; forked workers inherit the terms and sums
     chunks = [range(i * n // workers, (i + 1) * n // workers) for i in range(workers)]
     records = _run_chunks(lambda chunk: _run_chunk(scenario_template, eve, normal_eve, seed, chunk), chunks)
 
     means = {}
     for policy in ALL_POLICIES:
-        # one column per metric, in sample order
-        columns = zip(*(astuple(record.metrics[policy]) for record in records))
+        # one column per metric, in field order and sample order
+        columns = zip(*(vars(record.metrics[policy]).values() for record in records))
         means[policy] = PolicyMeans(*(math.fsum(column) / n for column in columns))
     return MonteCarloSummary(n_samples=n, seed=seed, means=means, samples=tuple(records))

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -321,6 +322,28 @@ def test_sweep_failure_removes_leftover_temp_files(small_scenario, tmp_path, mon
     rc = main(["sweep", "--scenario", str(small_scenario), "--out-dir", str(out)])
     assert rc == 1
     assert not out.exists()
+
+
+
+def test_sweep_out_dir_failing_half_way_leaves_no_directory(small_scenario, tmp_path, capsys):
+    # mkdir makes new, then fails on a name longer than the file system allows
+    out = tmp_path / "new" / ("x" * 300)
+    rc = main(["sweep", "--scenario", str(small_scenario), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENAMETOOLONG}]")
+    assert not (tmp_path / "new").exists()
+
+
+def test_sweep_failure_removes_a_file_the_run_replaced(small_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "normal_secrecy.csv").write_text("previous")
+    # normal's files are written, the previous one replaced, before smart_fj's association fails
+    (out / "smart_fj_association.csv").mkdir()
+    rc = main(["sweep", "--scenario", str(small_scenario), "--policy", "all", "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert [p.name for p in out.iterdir()] == ["smart_fj_association.csv"]
 
 
 FAULTS = {"oserror": OSError("disk full"), "interrupt": KeyboardInterrupt()}
