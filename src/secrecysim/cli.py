@@ -25,6 +25,7 @@ from . import __version__
 from .channel import transmit_power_from_corrected
 from .policy import PolicyKind
 from .scenario_io import (
+    _BLOCK_ROWS,
     BUNDLED_SCENARIOS,
     LoadedScenario,
     McSettings,
@@ -74,11 +75,13 @@ def _thread_count(flag: str | None) -> int:
 
 
 def _dbm_column(p_watt: np.ndarray) -> np.ndarray:
-    """:func:`watt_to_dbm` of every lane; the lanes it maps to ``-inf``
-    (``p <= 0``) skip the call, and ``nan`` still goes through it."""
+    """:func:`watt_to_dbm` of every lane of a 1-D column, a block of lanes at a
+    time; the lanes it maps to ``-inf`` (``p <= 0``) skip the call, and ``nan``
+    still goes through it."""
     dbm = np.full(p_watt.shape, -np.inf)
-    live = ~(p_watt <= 0.0)
-    dbm[live] = [watt_to_dbm(p) for p in p_watt[live].tolist()]
+    live = np.flatnonzero(~(p_watt <= 0.0))
+    for lanes in np.split(live, range(_BLOCK_ROWS, len(live), _BLOCK_ROWS)):
+        dbm[lanes] = [watt_to_dbm(p) for p in p_watt[lanes].tolist()]
     return dbm
 
 

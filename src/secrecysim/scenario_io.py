@@ -23,6 +23,8 @@ from .policy import PolicyKind, Scenario
 from .sweep import SweepConfig
 
 BUNDLED_SCENARIOS = ("scenario1", "scenario2", "scenario3")
+# rows of text formatted at a time, so a column's Python floats never all exist at once
+_BLOCK_ROWS = 1024
 
 
 class ScenarioValidationError(ValueError):
@@ -196,16 +198,19 @@ def write_heatmap(path, x, y, values) -> None:
     rows = np.column_stack([np.asarray(column, dtype=float) for column in (x, y, values)])
     if rows.ndim != 2 or rows.shape[1] != 3:  # column_stack itself refuses unequal lengths
         raise ValueError(f"x, y and values must be 1-D columns, got rows of shape {rows.shape}")
-    template = _row_template(rows[:, :2].tobytes())
-    _write_atomic(path, "x,y,value\n" + template % tuple(rows[:, 2].tolist()))
+    values = rows[:, 2]
+    blocks = zip(_row_template(rows[:, :2].tobytes()), range(0, len(values), _BLOCK_ROWS))
+    _write_atomic(path, "x,y,value\n" + "".join(t % tuple(values[i : i + _BLOCK_ROWS].tolist()) for t, i in blocks))
 
 
 @functools.lru_cache(maxsize=1)
-def _row_template(xy: bytes) -> str:
-    """Heatmap rows with x, y written and ``%.9g`` left for the value; keyed
-    by the exact bits of the pairs, as ``-0.0`` and ``nan`` defeat ``==``."""
-    pairs = np.frombuffer(xy).tolist()
-    return ("%.9g,%.9g,%%.9g\n" * (len(pairs) // 2)) % tuple(pairs)
+def _row_template(xy: bytes) -> tuple[str, ...]:
+    """Heatmap rows with x, y written and ``%.9g`` left for the value, one
+    template per block of rows; keyed by the exact bits of the pairs, as
+    ``-0.0`` and ``nan`` defeat ``==``."""
+    pairs = np.frombuffer(xy)
+    blocks = (pairs[i : i + 2 * _BLOCK_ROWS].tolist() for i in range(0, len(pairs), 2 * _BLOCK_ROWS))
+    return tuple(("%.9g,%.9g,%%.9g\n" * (len(block) // 2)) % tuple(block) for block in blocks)
 
 
 def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

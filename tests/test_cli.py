@@ -564,12 +564,28 @@ def test_sweep_summary_key_order(monte_carlo_n, small_scenario, tmp_path):
         assert list(document) == expected
 
 
+def blocks_of_live_lanes():
+    """A column of more than two blocks of live lanes (``p > 0`` or ``nan``); the
+    zeros and negatives between them shift those blocks off the blocks of rows,
+    and ``nan``, ``inf`` and ``5e-324`` sit on each side of their edges."""
+    block = 1024  # the CLI's block of rows
+    powers = np.linspace(1e-4, 2.0, 4 * block)
+    powers[1::3] = 0.0
+    powers[2::7] = -1e-3
+    live = np.flatnonzero(powers > 0.0)
+    assert len(live) > 2 * block
+    for k, lane in enumerate([block - 1, block, 2 * block - 1, 2 * block, len(live) - 1]):
+        powers[live[lane]] = (math.nan, math.inf, 5e-324)[k % 3]
+    return powers
+
+
 def test_dbm_column_matches_scalar_watt_to_dbm():
-    powers = np.array(
+    specials = np.array(
         [0.0, -0.0, -1e-3, -math.inf, math.nan, math.inf, 5e-324, 1e-3, 0.05, 0.1234, 2.0, 0.0]
     )
-    got = cli._dbm_column(powers)
-    assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
+    for powers in (specials, blocks_of_live_lanes()):
+        got = cli._dbm_column(powers)
+        assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
 
 
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):

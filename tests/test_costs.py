@@ -16,6 +16,7 @@ in ``EVE_TERMS``.
 
 The grid-engine passes of whole runs are counted too: the calls of the
 eavesdropper terms and of the array jamming optimizer per command-line run.
+So is the memory the command line's text takes above the grid arrays.
 """
 
 import os
@@ -28,7 +29,8 @@ import numpy as np
 import pytest
 
 from secrecysim import PolicyKind, bundled_scenario_path, load_scenario, sweep_eavesdropper
-from secrecysim import sweep
+from secrecysim import cli, scenario_io, sweep
+from secrecysim.channel import transmit_power_from_corrected
 from secrecysim.cli import main
 
 # numpy calls per step of one sample on a bundled scenario: the three policy
@@ -305,3 +307,38 @@ def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
         tracemalloc.stop()
     assert peak <= 256 * 1024  # two 14,400-cell float arrays are 225 KB
 
+
+@pytest.fixture(scope="module")
+def smart_fj_columns():
+    """scenario1's smart_fj grid arrays, its jamming powers in watts, and its secrecy column as the CLI writes it."""
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    cells = sweep._sweeps(loaded.scenario, loaded.sweep, [PolicyKind.SMART_AP_FJ])[PolicyKind.SMART_AP_FJ].arrays
+    fj_watt = transmit_power_from_corrected(cells.fj_power, loaded.scenario.params)
+    return cells, fj_watt, np.where(cells.secrecy < 0.0, 0.0, cells.secrecy)
+
+
+def traced_peak(call, *args) -> int:
+    """The ``tracemalloc`` peak of one call, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_dbm_column_takes_at_most_three_grid_arrays(smart_fj_columns):
+    # the result, the live lanes' indices and one block of Python floats; all 12,881
+    # live lanes as Python floats at once take more than 900 KB
+    _, fj_watt, _ = smart_fj_columns
+    assert np.count_nonzero(fj_watt > 0.0) == 12_881
+    assert traced_peak(cli._dbm_column, fj_watt) <= 3 * 14_400 * 8  # three 14,400-cell float arrays
+
+
+def test_a_cold_heatmap_write_takes_at_most_1600_kb(smart_fj_columns, tmp_path):
+    # the rows, the template cache's key and templates, the text twice over, and one
+    # block of Python floats; all 28,800 coordinates as Python floats at once take 2,100 KB
+    cells, _, secrecy = smart_fj_columns
+    scenario_io._row_template.cache_clear()
+    assert traced_peak(scenario_io.write_heatmap, tmp_path / "secrecy.csv", cells.x, cells.y, secrecy) <= 1600 * 1024

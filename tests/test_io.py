@@ -468,6 +468,16 @@ def per_value_lines(x, y, values):
     return "x,y,value\n" + rows
 
 
+def block_edge_columns():
+    """2,500 rows, two full blocks of 1,024 and a partial one, with a special
+    float in x, y and values on each side of every block edge and in the last row."""
+    x, y, values = (np.arange(2500) * step for step in (0.5, 1.25, 0.1))
+    specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324]
+    for k, row in enumerate([1023, 1024, 2047, 2048, 2499]):
+        x[row], y[row], values[row] = (specials[(k + shift) % 5] for shift in range(3))
+    return x, y, values
+
+
 @pytest.mark.parametrize(
     "x, y, values",
     [
@@ -484,8 +494,9 @@ def per_value_lines(x, y, values):
         ([1, 2, 3], [4, 5, 6], [1, 2.5, -3]),
         ([], [], []),
         (np.array([]), np.array([]), np.array([])),
+        block_edge_columns(),
     ],
-    ids=["special-floats", "int64-values", "python-lists", "empty-lists", "empty-arrays"],
+    ids=["special-floats", "int64-values", "python-lists", "empty-lists", "empty-arrays", "block-edges"],
 )
 def test_heatmap_matches_per_value_formatting(tmp_path, x, y, values):
     path = tmp_path / "map.csv"
