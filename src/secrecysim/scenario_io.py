@@ -7,7 +7,7 @@ fixed row order; summaries are JSON with a stable key order, so every
 file byte-round-trips through its own reader.
 """
 
-import functools
+import itertools
 import json
 import math
 import os
@@ -177,11 +177,12 @@ def temp_path(path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def _write_atomic(path, text: str) -> None:
-    """Write through :func:`temp_path`, so ``path`` is never partly written."""
+def _write_atomic(path, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to :func:`temp_path`, then replace ``path``, never partly written."""
     tmp = temp_path(path)
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
+        with tmp.open("w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -195,22 +196,27 @@ def write_heatmap(path, x, y, values) -> None:
     Each number is converted to a float and written with 9 significant
     digits (``-0``, ``inf``, ``-inf`` and ``nan`` as Python prints them).
     """
-    rows = np.column_stack([np.asarray(column, dtype=float) for column in (x, y, values)])
-    if rows.ndim != 2 or rows.shape[1] != 3:  # column_stack itself refuses unequal lengths
-        raise ValueError(f"x, y and values must be 1-D columns, got rows of shape {rows.shape}")
-    values = rows[:, 2]
-    blocks = zip(_row_template(rows[:, :2].tobytes()), range(0, len(values), _BLOCK_ROWS))
-    _write_atomic(path, "x,y,value\n" + "".join(t % tuple(values[i : i + _BLOCK_ROWS].tolist()) for t, i in blocks))
+    x, y, values = (np.asarray(column, dtype=float) for column in (x, y, values))
+    if not x.ndim == y.ndim == values.ndim == 1 or not x.size == y.size == values.size:
+        raise ValueError(f"x, y and values must be 1-D columns of one length, got {x.shape}, {y.shape}, {values.shape}")
+    blocks = zip(_row_template(x, y), range(0, len(values), _BLOCK_ROWS))
+    rows = (t % tuple(values[i : i + _BLOCK_ROWS].tolist()) for t, i in blocks)
+    _write_atomic(path, itertools.chain(["x,y,value\n"], rows))  # one block of text at a time
 
 
-@functools.lru_cache(maxsize=1)
-def _row_template(xy: bytes) -> tuple[str, ...]:
-    """Heatmap rows with x, y written and ``%.9g`` left for the value, one
-    template per block of rows; keyed by the exact bits of the pairs, as
-    ``-0.0`` and ``nan`` defeat ``==``."""
-    pairs = np.frombuffer(xy)
-    blocks = (pairs[i : i + 2 * _BLOCK_ROWS].tolist() for i in range(0, len(pairs), 2 * _BLOCK_ROWS))
-    return tuple(("%.9g,%.9g,%%.9g\n" * (len(block) // 2)) % tuple(block) for block in blocks)
+_templates = [np.empty(0, np.int64), np.empty(0, np.int64), ()]
+
+
+def _row_template(x: np.ndarray, y: np.ndarray) -> tuple[str, ...]:
+    """Heatmap rows with x, y written and ``%.9g`` left for the value, one template per block of rows; kept in
+    ``_templates`` with the last coordinates' bits, which find them again, as ``-0.0`` and ``nan`` defeat ``==``."""
+    bits = x.view(np.int64), y.view(np.int64)
+    if not all(map(np.array_equal, bits, _templates)):
+        steps = range(0, len(x), _BLOCK_ROWS)
+        blocks = (np.column_stack((x[i : i + _BLOCK_ROWS], y[i : i + _BLOCK_ROWS])).ravel().tolist() for i in steps)
+        templates = tuple(("%.9g,%.9g,%%.9g\n" * (len(block) // 2)) % tuple(block) for block in blocks)
+        _templates[:] = *(a.copy() for a in bits), templates
+    return _templates[2]
 
 
 def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,7 +233,7 @@ def read_heatmap(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def write_summary(path, document: dict) -> None:
     """Serialize a summary document as JSON with a stable key order."""
-    _write_atomic(path, json.dumps(document, indent=2) + "\n")
+    _write_atomic(path, [json.dumps(document, indent=2) + "\n"])
 
 
 def read_summary(path) -> dict:

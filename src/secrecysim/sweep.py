@@ -4,12 +4,12 @@ The sweep evaluates policies at every cell of a square grid with a
 vectorized engine that states :func:`secrecysim.policy.select`'s rules in
 its order (``select`` stays the reference and the test oracle): ``normal``,
 then ``smart``, then ``smart_fj``, which lets the idle AP jam. Terms that
-do not depend on the station are computed once per sweep or Monte Carlo run;
+do not depend on the station are computed once per sweep block or Monte Carlo run;
 the station's come from the helper that ``select``'s ``Scenario`` uses.
 The jamming power comes from :func:`secrecysim.fjopt._best_power` on powers of the distances
-computed once; ``sweep --policy all`` and ``compare`` take the three policies from one pass per scenario.
-Every array of a pass is a buffer of a workspace made once per sweep and once per Monte Carlo chunk, so a
-Monte Carlo sample after a chunk's first allocates no grid array.
+computed once; ``sweep --policy all`` and ``compare`` take the three policies from one pass per block.
+A sweep runs the engine on blocks of cells, holding its results and one block's scratch; Monte Carlo runs whole-grid
+passes into a workspace made once per chunk, so a sample after a chunk's first allocates no grid array.
 Aggregates use exact, correctly rounded summation, so results are
 independent of evaluation order and of the number of Monte Carlo workers.
 Monte Carlo stations are numpy's ``default_rng([seed, index])`` draws, computed in Python integers.
@@ -29,6 +29,8 @@ from .fjopt import _best_power
 from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _result, _station_terms
 
 ALL_POLICIES = tuple(PolicyKind)
+# the most cells of one grid-engine pass of a sweep
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -134,14 +136,18 @@ def grid_coordinates(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid_x.ravel(), grid_y.ravel()
 
 
-def _eve_terms(scenario: Scenario, cfg: SweepConfig) -> tuple:
-    """The per-cell terms that do not depend on the station: the cell coordinates and, per AP, the
-    clamped distance to the powers alpha and -alpha, the signal and the eavesdropper capacity. Cells,
-    on the map or off it, where the jamming closed form leaves the float range are refused first."""
+def _grid_cells(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grid_coordinates`, once cells where the jamming closed form leaves the float range are refused."""
     lo, span = cfg.cell_origin, cfg.cell_step * (cfg.grid_k - 1)
     _check_reach(scenario, [(x, y) for x in (lo.x, lo.x + span) for y in (lo.y, lo.y + span)])
+    return grid_coordinates(cfg)
+
+
+def _eve_terms(scenario: Scenario, cfg: SweepConfig, cells=None) -> tuple:
+    """The terms of ``cells`` ``(x, y)``, else of ``cfg``'s :func:`_grid_cells`, that do not depend on the station: the
+    coordinates and, per AP, the clamped distance to the powers alpha and -alpha, signal and eavesdropper capacity."""
     par = scenario.params
-    x, y = grid_coordinates(cfg)
+    x, y = _grid_cells(scenario, cfg) if cells is None else cells
     aps = []
     for ap, (_, _, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
         d_e = np.maximum(np.sqrt((x - ap.position.x) ** 2 + (y - ap.position.y) ** 2), par.ref_distance_d0)
@@ -168,8 +174,15 @@ class _Buffers(list):
 
 def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
     """The float64, int64 and bool buffers of grid-engine passes over cells like ``like``, made as the first
-    pass needs them, in the process that runs it: as many as a pass holds at once, 2.9 MB at 120 x 120 cells."""
+    pass needs them, in the process that runs it: as many as a pass holds at once, 2.3 MB at 120 x 120 cells."""
     return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
+
+
+def _hand_back(work, policy: PolicyKind, ev: GridArrays) -> None:
+    """Give normal's arrays ``ev`` back to ``work``'s free buffers: no later step of the engine reads them."""
+    if policy is PolicyKind.NORMAL_WIFI:
+        work[1].append(ev.chosen)
+        work[0].extend((ev.cap_legit, ev.cap_eve, ev.secrecy, ev.fj_power))
 
 
 def _pick(out: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:
@@ -309,22 +322,30 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
 
 
 def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False) -> dict[PolicyKind, SweepSummary]:
-    """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order, from
-    one pass that stops after the last of them: only a pass that includes smart_fj runs the jamming optimizer."""
-    eve = _eve_terms(scenario, cfg)
-    # every array returned is a buffer of its own; the workspace's scratch is freed on return
-    summaries, work = {}, _workspace(eve[0])
-    floats, ints, _ = work
-    for policy, ev in _evaluate_grid(scenario, scenario.sta_m, eve, work):
-        if policy in policies:
-            means = _metrics(ev, work)
-            summaries[policy] = SweepSummary(**vars(means), arrays=ev, grid=_cells(ev) if retain_cells else ())
-        elif policy is PolicyKind.NORMAL_WIFI:
-            # no later step reads normal's arrays: the next steps may take their buffers
-            ints.append(ev.chosen)
-            floats += ev.cap_legit, ev.cap_eve, ev.secrecy, ev.fj_power
-        if summaries.keys() >= set(policies):
-            return summaries
+    """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order: one pass per
+    block of at most ``_BLOCK_CELLS`` cells, each stopped after the last of ``policies``, fills each policy's arrays;
+    a cell's result does not depend on its block. Only passes that include smart_fj run the jamming optimizer."""
+    (x, y), order = _grid_cells(scenario, cfg), sorted(set(policies), key=ALL_POLICIES.index)
+    n, blocks = x.size, -(-x.size // _BLOCK_CELLS)  # as even as can be, the first as large as any: 4 of 3,600 at K=120
+    grids = {p: GridArrays(x, y, np.empty(n, np.int64), *(np.empty(n) for _ in range(4))) for p in order}
+    work = _workspace(x[: -(-n // blocks)])
+    for cells in (slice(-(-i * n // blocks), -(-(i + 1) * n // blocks)) for i in range(blocks)):
+        eve = _eve_terms(scenario, cfg, (x[cells], y[cells]))
+        for buffers in work:
+            buffers[:] = [buffer[: eve[0].size] for buffer in buffers.made]  # all free, cut to this block
+        for policy, ev in _evaluate_grid(scenario, scenario.sta_m, eve, work):
+            if policy in grids:
+                for whole, part in list(zip(vars(grids[policy]).values(), vars(ev).values()))[2:]:
+                    whole[cells] = part
+            _hand_back(work, policy, ev)
+            if policy is order[-1]:
+                break
+        del eve, ev  # before the next block's terms, or the means' scratch, are made
+    work = _workspace(x)  # the means' scratch, a whole grid's
+    return {
+        policy: SweepSummary(**vars(_metrics(ev, work)), arrays=ev, grid=_cells(ev) if retain_cells else ())
+        for policy, ev in grids.items()
+    }
 
 
 def sweep_eavesdropper(scenario: Scenario, cfg: SweepConfig, retain_cells: bool = True) -> SweepSummary:
@@ -376,9 +397,12 @@ def _run_chunk(scenario: Scenario, eve, normal_eve, seed: int, indices: range) -
         sta_m = Point2D(*_station_draw(seed, index, scenario.map_extent))
         for buffers in work:
             buffers[:] = buffers.made  # all free again: the first sample made them, the others make none
-        grids = dict(_evaluate_grid(scenario, sta_m, eve, work))
-        eve_sums = {PolicyKind.NORMAL_WIFI: normal_eve[grids[PolicyKind.NORMAL_WIFI].chosen[0] - 1]}
-        records.append(SampleRecord(sta_m, {p: _metrics(ev, work, eve_sums.get(p)) for p, ev in grids.items()}))
+        metrics = {}
+        for policy, ev in _evaluate_grid(scenario, sta_m, eve, work):
+            eve_sum = normal_eve[ev.chosen[0] - 1] if policy is PolicyKind.NORMAL_WIFI else None
+            metrics[policy] = _metrics(ev, work, eve_sum)
+            _hand_back(work, policy, ev)
+        records.append(SampleRecord(sta_m, metrics))
     return records
 
 

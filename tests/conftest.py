@@ -157,6 +157,43 @@ def failing_chunks(monkeypatch):
     return fail
 
 
+class CutShort:
+    """A text file open for writing whose write number ``after`` (from 0) writes half its text and
+    raises ``fault``; the writes before it go through whole."""
+
+    def __init__(self, handle, fault, after):
+        self.handle, self.fault, self.after = handle, fault, after
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def write(self, text):
+        if self.after == 0:
+            self.handle.write(text[: len(text) // 2])
+            raise self.fault
+        self.after -= 1
+        return self.handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def cut_short_writes(monkeypatch, fault, after=0):
+    """Open every file that ``Path.open`` opens for writing as a :class:`CutShort` one: the
+    writers of ``scenario_io`` write their text through ``Path.open``, so the fault hits them there."""
+    real_open = Path.open
+
+    def cut_short_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return CutShort(handle, fault, after) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", cut_short_open)
+
+
 class FjArgs(NamedTuple):
     """The arguments of ``fjopt.optimize_fj_power``, in its order: distances
     clamped to the reference distance (m), noise powers (W) and corrected

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from secrecysim import cli
 from secrecysim.cli import main
 from secrecysim.scenario_io import temp_path
 
-from conftest import UNDERFLOW_DOCUMENT, run_fresh
+from conftest import UNDERFLOW_DOCUMENT, cut_short_writes, run_fresh
 
 SMALL = {
     "channel": {
@@ -350,15 +349,9 @@ FAULTS = {"oserror": OSError("disk full"), "interrupt": KeyboardInterrupt()}
 
 
 def main_cut_short(argv, fault, monkeypatch, capsys):
-    """``main(argv)`` while every ``Path.write_text`` writes half its text and raises ``fault``."""
-    real_write_text = Path.write_text
-
-    def cut_short(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise fault
-
+    """``main(argv)`` while the first write to a file opened for writing writes half its text and raises ``fault``."""
     with monkeypatch.context() as patched:
-        patched.setattr(Path, "write_text", cut_short)
+        cut_short_writes(patched, fault)
         if isinstance(fault, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
                 main(argv)

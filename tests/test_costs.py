@@ -15,8 +15,9 @@ The eavesdropper terms themselves are counted from counted cell coordinates,
 in ``EVE_TERMS``.
 
 The grid-engine passes of whole runs are counted too: the calls of the
-eavesdropper terms and of the array jamming optimizer per command-line run.
-So is the memory the command line's text takes above the grid arrays.
+eavesdropper terms and of the array jamming optimizer per command-line run,
+one per block of cells of a sweep. So is the memory a sweep takes above its
+result arrays, and the memory the command line's text takes above the grid arrays.
 """
 
 import os
@@ -34,8 +35,9 @@ from secrecysim.channel import transmit_power_from_corrected
 from secrecysim.cli import main
 
 # numpy calls per step of one sample on a bundled scenario: the three policy
-# steps of ``_evaluate_grid``, then the three ``_metrics`` together. Every call
-# writes into the chunk's workspace (``out=`` or ``np.copyto``); none makes a grid array
+# steps of ``_evaluate_grid``, then the three ``_metrics``, each run after its step,
+# together. Every call writes into the chunk's workspace (``out=`` or ``np.copyto``);
+# none makes a grid array
 PER_SAMPLE = {
     PolicyKind.NORMAL_WIFI: {"copyto": 3, "multiply": 2, "subtract": 1},
     PolicyKind.SMART_AP: {"copyto": 8, "greater_equal": 1, "multiply": 2, "subtract": 2},
@@ -59,24 +61,27 @@ PER_SAMPLE_LANES = {
     PolicyKind.SMART_AP_FJ: 5_385_600,
     "metrics": 1_814_400,
 }
-# a chunk's calls besides its samples' own: its workspace's 23 float, 3 int and 2 bool buffers, as many as
-# a sample holds at once, made in its first sample; normal's two eavesdropper sums come with its arguments
-PER_CHUNK = {"empty_like": 28}
+# a chunk's calls besides its samples' own: its workspace's 19 float, 2 int and 2 bool buffers, as many as
+# a sample holds at once (normal's five go back before smart's step), made in its first sample; normal's two
+# eavesdropper sums come with its arguments
+PER_CHUNK = {"empty_like": 23}
 # sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
 EVE_TERMS = {
     "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,
 }
 EVE_TERMS_LANES = 403_200
-# calls of sweep._eve_terms and sweep._best_power per command-line run on bundled scenarios:
-# one grid-engine pass per scenario, stopped before the optimizer when smart_fj is not asked for
+# calls of sweep._eve_terms and sweep._best_power per command-line run on bundled scenarios: a sweep
+# runs one grid-engine pass per block of cells, 4 blocks on a bundled scenario's 14,400, each pass
+# stopped before the optimizer when smart_fj is not asked for
 SCENARIOS = ["--scenario", "scenario1", "--scenario", "scenario2", "--scenario", "scenario3"]
 PASSES_PER_RUN = [
-    (["sweep", "--scenario", "scenario1", "--policy", "all"], 1, 1),
-    (["compare", *SCENARIOS], 3, 3),
-    (["sweep", "--scenario", "scenario1", "--policy", "normal"], 1, 0),
-    (["sweep", "--scenario", "scenario1", "--policy", "smart"], 1, 0),
-    # one set of terms for Monte Carlo and one for the sweep; one optimizer call per sample and one for the sweep
-    (["sweep", "--scenario", "scenario1", "--policy", "all", "--monte-carlo-n", "2", "--threads", "1"], 2, 3),
+    (["sweep", "--scenario", "scenario1", "--policy", "all"], 4, 4),
+    (["compare", *SCENARIOS], 12, 12),
+    (["sweep", "--scenario", "scenario1", "--policy", "normal"], 4, 0),
+    (["sweep", "--scenario", "scenario1", "--policy", "smart"], 4, 0),
+    # one set of whole-grid terms for Monte Carlo and one per block for the sweep; one optimizer call
+    # per sample and one per block of the sweep
+    (["sweep", "--scenario", "scenario1", "--policy", "all", "--monte-carlo-n", "2", "--threads", "1"], 5, 6),
 ]
 
 
@@ -158,7 +163,8 @@ def count_sample():
     evaluate_grid, metrics = sweep._evaluate_grid, sweep._metrics
 
     def counted_grid(scenario, sta_m, eve, work):
-        # each sample's counts replace the one before's
+        # each sample's counts replace the one before's; the ``_metrics`` call the chunk makes
+        # between two steps is counted by counted_metrics, not in the step after it
         steps.pop("metrics", None)
         lanes.pop("metrics", None)
         before = snapshot()
@@ -264,10 +270,13 @@ def test_grid_engine_passes_per_cli_run_are_pinned(argv, eve_terms, best_power, 
 def test_a_single_policy_sweep_builds_only_its_own_cells(policy, monkeypatch):
     loaded = load_scenario(bundled_scenario_path("scenario1"))
     calls = counting(monkeypatch, "_eve_terms", "_best_power", "_metrics", "_cells")
-    summary = sweep_eavesdropper(loaded.scenario, replace(loaded.sweep, grid_k=4, policy=policy), retain_cells=True)
-    assert len(summary.grid) == 16
     jams = int(policy is PolicyKind.SMART_AP_FJ)
-    assert calls == Counter(_eve_terms=1, _best_power=jams, _metrics=1, _cells=1)
+    # 4 x 4 cells take one block; 65 x 65 = 4,225 take two of at most 4,096
+    for k, blocks in (4, 1), (65, 2):
+        calls.clear()
+        cfg = replace(loaded.sweep, grid_k=k, policy=policy)
+        assert len(sweep_eavesdropper(loaded.scenario, cfg, retain_cells=True).grid) == k * k
+        assert calls == Counter(_eve_terms=blocks, _best_power=blocks * jams, _metrics=1, _cells=1)
 
 
 @pytest.mark.parametrize("n, workers", [(1, 1), (3, 1), (3, 2)])
@@ -336,9 +345,24 @@ def test_dbm_column_takes_at_most_three_grid_arrays(smart_fj_columns):
     assert traced_peak(cli._dbm_column, fj_watt) <= 3 * 14_400 * 8  # three 14,400-cell float arrays
 
 
-def test_a_cold_heatmap_write_takes_at_most_1600_kb(smart_fj_columns, tmp_path):
-    # the rows, the template cache's key and templates, the text twice over, and one
-    # block of Python floats; all 28,800 coordinates as Python floats at once take 2,100 KB
+def test_a_sweep_of_every_policy_takes_at_most_3200_kb():
+    # the 15 result arrays and the cells' coordinates take 1,913 KB; the rest is one block's scratch
+    # and terms. A pass over the whole grid at once takes 4,100 KB
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    assert traced_peak(sweep._sweeps, loaded.scenario, loaded.sweep, list(PolicyKind)) <= 3200 * 1024
+
+
+def test_a_cold_heatmap_write_takes_at_most_600_kb(smart_fj_columns, tmp_path):
+    # the template cache's coordinates and templates, and one block of text and Python floats at a time;
+    # all 28,800 coordinates as Python floats at once take 2,100 KB, the whole text 460 KB
     cells, _, secrecy = smart_fj_columns
-    scenario_io._row_template.cache_clear()
-    assert traced_peak(scenario_io.write_heatmap, tmp_path / "secrecy.csv", cells.x, cells.y, secrecy) <= 1600 * 1024
+    scenario_io.write_heatmap(tmp_path / "other.csv", [0.0], [0.0], [0.0])  # other coordinates: the cache misses
+    assert traced_peak(scenario_io.write_heatmap, tmp_path / "secrecy.csv", cells.x, cells.y, secrecy) <= 600 * 1024
+
+
+def test_a_warm_heatmap_write_takes_at_most_150_kb(smart_fj_columns, tmp_path):
+    # the cached templates serve the same coordinates again: one block of text and Python floats at a time
+    cells, _, secrecy = smart_fj_columns
+    scenario_io.write_heatmap(tmp_path / "cold.csv", cells.x, cells.y, secrecy)
+    assert traced_peak(scenario_io.write_heatmap, tmp_path / "warm.csv", cells.x, cells.y, secrecy) <= 150 * 1024
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()

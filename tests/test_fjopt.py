@@ -347,7 +347,8 @@ def test_scalar_and_array_finders_give_the_same_candidates():
 
 def engine_lanes(scenario, cfg):
     """The arguments the grid engine gives the array optimizer for ``scenario``'s station on ``cfg``'s cells,
-    copied before it overwrites them: the four distances to the power alpha, the noises, ``p_i`` and ``p_max``."""
+    copied before it overwrites them and joined over the sweep's blocks of cells: the four distances to the
+    power alpha, the noises, ``p_i`` and ``p_max``."""
     captured, best_power = [], sweep._best_power
 
     def capture(*args):
@@ -357,7 +358,8 @@ def engine_lanes(scenario, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "_best_power", capture)
         sweep_eavesdropper(scenario, replace(cfg, policy=PolicyKind.SMART_AP_FJ), retain_cells=False)
-    return captured[0]
+    # every block passes the same noises
+    return [np.concatenate(blocks) if isinstance(blocks[0], np.ndarray) else blocks[0] for blocks in zip(*captured)]
 
 
 def mismatched_lanes(lanes) -> list[int]:

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from secrecysim import (
 )
 from secrecysim.sweep import grid_coordinates
 
-from conftest import assert_close
+from conftest import assert_close, cut_short_writes
 
 MINIMAL = {
     "channel": {
@@ -559,13 +558,7 @@ def test_failed_write_leaves_no_partial_target_or_temp(tmp_path, monkeypatch, wr
     target = tmp_path / "out.txt"
     if existing:
         target.write_text("previous")
-    real_write_text = Path.write_text
-
-    def cut_short(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise fault
-
-    monkeypatch.setattr(Path, "write_text", cut_short)
+    cut_short_writes(monkeypatch, fault)
     with pytest.raises(type(fault)):
         WRITERS[writer](target)
     monkeypatch.undo()
@@ -575,3 +568,17 @@ def test_failed_write_leaves_no_partial_target_or_temp(tmp_path, monkeypatch, wr
     # a write that completes replaces the target in full
     WRITERS[writer](target)
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("fault", [OSError("disk full"), KeyboardInterrupt()], ids=["oserror", "interrupt"])
+def test_a_heatmap_write_cut_short_after_its_first_block_leaves_the_previous_file(tmp_path, monkeypatch, fault):
+    # the header and the first block of rows reach the temp file whole; the second block fails half-way
+    target = tmp_path / "out.csv"
+    target.write_text("previous")
+    x, y, values = block_edge_columns()
+    cut_short_writes(monkeypatch, fault, after=2)
+    with pytest.raises(type(fault)):
+        write_heatmap(target, x, y, values)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "previous"

@@ -1,8 +1,9 @@
 import errno
+import itertools
 import math
 import os
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,36 @@ def test_sweep_results_share_no_memory_and_own_their_buffers():
     assert len(arrays) == 15
     assert [(i, j) for i, a in enumerate(arrays) for j, b in enumerate(arrays[:i]) if np.shares_memory(a, b)] == []
     assert all(a.base is None for a in arrays)
+
+
+def hex_fields(arrays) -> list[list[str]]:
+    return [[float(v).hex() for v in a.tolist()] for a in vars(arrays).values()]
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 65, 121])
+@pytest.mark.parametrize("alpha", [2.0, 2.418])
+def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
+    # 1 and 49 cells take one short block, 4,096 exactly one; 4,225 take 2,113 + 2,112 and 14,641
+    # take 3,661 + 3 x 3,660, lengths that are not multiples of 8 and blocks that start mid-vector
+    assert sweep_module._BLOCK_CELLS == 64 * 64
+    scenario = build_scenario((80.0, 20.0), noise_e=1e-9, alpha=alpha)
+    cfg = small_cfg(k=k, step=120.0 / k)
+    eve = sweep_module._eve_terms(scenario, cfg)
+    work = sweep_module._workspace(eve[0])
+    whole = {}
+    for policy, ev in sweep_module._evaluate_grid(scenario, scenario.sta_m, eve, work):
+        means = [float(v).hex() for v in vars(sweep_module._metrics(ev, work)).values()]
+        whole[policy] = ev, hex_fields(ev), means
+    for policies in (p for size in range(1, 4) for p in itertools.combinations(ALL_POLICIES, size)):
+        # the cells are made from the arrays: retained once, for every policy
+        retain = policies == ALL_POLICIES
+        summaries = sweep_module._sweeps(scenario, cfg, policies, retain_cells=retain)
+        assert list(summaries) == list(policies)
+        for policy, summary in summaries.items():
+            ev, arrays, means = whole[policy]
+            assert hex_fields(summary.arrays) == arrays
+            assert [getattr(summary, f.name).hex() for f in fields(PolicyMeans)] == means
+            assert summary.grid == (sweep_module._cells(ev) if retain else ())
 
 
 @pytest.mark.parametrize("noise_e, alpha", [(1e-10, 2.0), (1e-9, 2.418)])
