@@ -1,19 +1,28 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from secrecysim import (
     ApConfig,
     ChannelParams,
     Point2D,
     Scenario,
+    ScenarioValidationError,
+    bundled_scenario_path,
+    distance,
     distance_corrected_power,
+    effective_distance,
+    load_scenario,
 )
 from secrecysim import sweep
 from secrecysim.fjopt import _best_power, _clamped_roots, _coefficients, _ratio_terms
@@ -266,12 +275,33 @@ def random_fj_geometry(
     )
 
 
-def direct_secrecy_curve(geom: FjArgs, powers: np.ndarray) -> np.ndarray:
-    """Secrecy per Hz over an array of jamming powers, composed directly
-    from the two SINRs; shares no code with the closed-form optimizer."""
+def direct_sinrs(geom: FjArgs, powers):
+    """The station's and the eavesdropper's SINR at the jamming power or array of
+    powers ``powers``; shares no code with the closed-form optimizer."""
     a = geom.alpha
     sinr_m = geom.p_i * geom.d_im ** -a / (powers * geom.d_jm ** -a + geom.noise_m)
     sinr_e = geom.p_i * geom.d_ie ** -a / (powers * geom.d_je ** -a + geom.noise_e)
+    return sinr_m, sinr_e
+
+
+def direct_ratio(geom: FjArgs, p):
+    """The objective ratio ``(1 + SINR_m) / (1 + SINR_e)`` at ``p``, composed directly from the two SINRs."""
+    sinr_m, sinr_e = direct_sinrs(geom, p)
+    return (1.0 + sinr_m) / (1.0 + sinr_e)
+
+
+def ratio_denominator(geom: FjArgs, p):
+    """The denominator polynomial of the objective ratio at ``p``, grouped as a product:
+    the derivative of the ratio is the closed form's quadratic over its square."""
+    dim_a, die_a, djm_a, dje_a = (d ** geom.alpha for d in (geom.d_im, geom.d_ie, geom.d_jm, geom.d_je))
+    n_m, n_e = geom.noise_m, geom.noise_e
+    return (p * dim_a + n_m * dim_a * djm_a) * (p * die_a + n_e * die_a * dje_a + geom.p_i * dje_a)
+
+
+def direct_secrecy_curve(geom: FjArgs, powers: np.ndarray) -> np.ndarray:
+    """Secrecy per Hz over an array of jamming powers, composed directly
+    from the two SINRs; shares no code with the closed-form optimizer."""
+    sinr_m, sinr_e = direct_sinrs(geom, powers)
     return np.log2(1.0 + sinr_m) - np.log2(1.0 + sinr_e)
 
 
@@ -290,5 +320,180 @@ def assert_close(actual, expected, rel=1e-12, abs_floor=0.0, label=""):
     )
 
 
-def dbm(power_watt: float) -> float:
-    return 10.0 * math.log10(power_watt * 1000.0)
+def hexed(value):
+    """``value`` with every float in it as its ``float.hex``, so that ``==`` compares bits:
+    ``-0.0`` differs from ``0.0`` and a nan equals a nan. Arrays, lists, tuples and
+    dataclasses become lists, dicts keep their keys, other values stay."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return hexed(value.tolist())
+    if dataclasses.is_dataclass(value):
+        return [hexed(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hexed(item) for item in value]
+    return value
+
+
+def log_uniform(low_exp, high_exp):
+    """Floats ``10**e``, with ``e`` drawn from ``[low_exp, high_exp]``."""
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
+
+
+# a place on the standard 120 m map
+place = st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0))
+
+
+@st.composite
+def drawn_scenarios(draw, caps):
+    """Scenarios on a 120 m map with the two APs at distinct places and the station
+    anywhere, tx powers over 10**[-3, 0] W, each cap the power times a draw of ``caps``,
+    noises over 10**[-12, -8] W and alpha in [2, 4]."""
+    ap1 = draw(place)
+    ap2 = draw(place.filter(lambda p: p != ap1))
+    sta_m = draw(place)
+    powers = [draw(log_uniform(-3.0, 0.0)) for _ in range(2)]
+    aps = [ApConfig(Point2D(*at), tx, tx * draw(caps)) for at, tx in zip((ap1, ap2), powers)]
+    noise_m, noise_e = (draw(log_uniform(-12.0, -8.0)) for _ in range(2))
+    params = ChannelParams(pathloss_alpha=draw(st.floats(2.0, 4.0)), noise_m=noise_m, noise_e=noise_e)
+    return Scenario(*aps, Point2D(*sta_m), params, 120.0)
+
+
+def document(places, powers, channel, grid=None):
+    """A ``smart_fj`` scenario document as the loader reads it: the APs at ``places[0]`` and
+    ``places[1]`` with ``powers`` as their ``(tx, cap)`` pairs (W), the station at ``places[2]``,
+    the ``channel`` section and, when given, the ``grid`` section."""
+    aps = [{"x": x, "y": y, "tx_power_watt": tx, "tx_power_max_watt": cap} for (x, y), (tx, cap) in zip(places, powers)]
+    doc = {"channel": channel, "aps": aps, "sta_m": dict(zip("xy", places[2])), "policy": "smart_fj"}
+    return doc if grid is None else {**doc, "grid": grid}
+
+
+@st.composite
+def loadable_documents(draw):
+    """A scenario document the loader accepts and an eavesdropper position;
+    the station and the eavesdropper may sit on an AP (the distance clamp),
+    and caps may equal tx."""
+    ap1 = draw(place)
+    ap2 = draw(place.filter(lambda p: p != ap1))
+    sta_m = draw(st.sampled_from([ap1, ap2]) | place)
+    sta_e = draw(st.sampled_from([ap1, ap2, sta_m]) | place)
+    powers = []
+    for _ in range(2):
+        tx = draw(log_uniform(-6.0, 2.0))
+        powers.append((tx, tx * draw(st.sampled_from([1.0]) | st.floats(1.0, 100.0))))
+    channel = {
+        "center_freq_hz": draw(log_uniform(6.0, 11.0)),
+        "ref_distance_m": draw(log_uniform(-3.0, 1.0)),
+        "alpha": draw(st.floats(1.0, 6.0)),
+        "noise_m_watt": draw(log_uniform(-16.0, -6.0)),
+        "noise_e_watt": draw(log_uniform(-16.0, -6.0)),
+    }
+    return document((ap1, ap2, sta_m), powers, channel), Point2D(*sta_e)
+
+
+def accepted(doc) -> bool:
+    """Whether ``Scenario`` accepts ``doc``, built as the loader builds it."""
+    ch, sta, grid = doc["channel"], doc["sta_m"], doc["grid"]
+    keys = ("center_freq_hz", "ref_distance_m", "alpha", "noise_m_watt", "noise_e_watt")
+    try:
+        ap1, ap2 = (ApConfig(Point2D(ap["x"], ap["y"]), ap["tx_power_watt"], ap["tx_power_max_watt"]) for ap in doc["aps"])
+        Scenario(ap1, ap2, Point2D(sta["x"], sta["y"]), ChannelParams(1.0, *map(ch.get, keys)), grid["k"] * grid["step_m"])
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def extreme_documents(draw):
+    """Scenario documents over the whole float range: powers, noises and
+    frequencies over hundreds of decades, maps from micrometres to 1e6 m.
+
+    Such draws are mostly refused, so two in three are pulled toward a safe
+    scenario (10 mW, 2.4 GHz, 1e-10 W noise, alpha 2): the logs of the powers,
+    the frequency and the noises, and alpha, move the fraction ``t`` of the way
+    from it to the draw, with ``t`` at the largest that ``Scenario`` accepts
+    (found by bisection) or below it."""
+    scale = draw(log_uniform(-7.0, 6.0))
+    where = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(lambda p: (p[0] * scale, p[1] * scale))
+    ap1 = draw(where)
+    ap2 = draw(where.filter(lambda p: p != ap1))
+    sta = draw(where)
+    grid = {"k": draw(st.integers(1, 4)), "step_m": scale * draw(st.floats(0.01, 1.0))}
+    d0 = draw(log_uniform(-6.0, 3.0))
+    # (safe log10 or alpha, drawn log10 or alpha) per magnitude
+    tx = [(-2.0, draw(st.floats(-300.0, 300.0))) for _ in range(2)]
+    caps = [draw(st.floats(1.0, 100.0)) for _ in range(2)]
+    f0 = (math.log10(2.4e9), draw(st.floats(-200.0, 12.0)))
+    alpha = (2.0, draw(st.floats(1.0, 400.0)))
+    noises = [(-10.0, draw(st.floats(-300.0, 300.0))) for _ in range(2)]
+
+    def pulled(t):
+        def at(pair, log=True):
+            value = pair[1] if t == 1.0 else pair[0] + t * (pair[1] - pair[0])
+            return 10.0 ** value if log else value
+
+        channel = {
+            "center_freq_hz": at(f0), "ref_distance_m": d0, "alpha": at(alpha, log=False),
+            "noise_m_watt": at(noises[0]), "noise_e_watt": at(noises[1]),
+        }
+        return document((ap1, ap2, sta), [(at(p), at(p) * cap) for p, cap in zip(tx, caps)], channel, grid)
+
+    pull = draw(st.sampled_from(["none", "edge", "inside"]))
+    if pull == "none" or accepted(pulled(1.0)):
+        return pulled(1.0)
+    low, high = 0.0, 1.0
+    for _ in range(40):
+        middle = (low + high) / 2
+        low, high = (middle, high) if accepted(pulled(middle)) else (low, middle)
+    return pulled(low if pull == "edge" else low * draw(st.floats(0.0, 1.0)))
+
+
+def bundled_document(name, **channel):
+    """A fresh copy of the bundled scenario document ``name``, its channel keys updated by ``channel``."""
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    doc["channel"].update(channel)
+    return doc
+
+
+def write_document(directory, doc, name="scenario.json"):
+    """Write the scenario document ``doc`` as JSON to ``directory / name``; returns that path."""
+    path = directory / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def load_document(doc, **channel):
+    """``load_scenario`` of the scenario document ``doc`` with its channel keys updated by
+    ``channel``, through a temporary file; None when the loader refuses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_document(Path(tmp), {**doc, "channel": {**doc["channel"], **channel}})
+        try:
+            return load_scenario(path)
+        except ScenarioValidationError:
+            return None
+
+
+def closed_form_values(loaded):
+    """Every AP order at every grid cell, with the station at its own place and
+    at the corners of the Monte Carlo square: ``_coefficients`` from the grid engine's
+    eavesdropper terms, the roots' ``b*b`` and ``4*a*c`` and the ratio terms at ``p_max``."""
+    scenario, par = loaded.scenario, loaded.scenario.params
+    _, _, aps = sweep._eve_terms(scenario, loaded.sweep)
+    extent = scenario.map_extent
+    stations = [scenario.sta_m] + [Point2D(x, y) for x in (0.0, extent) for y in (0.0, extent)]
+    values = []
+    for sta in stations:
+        links = [
+            (effective_distance(distance(ap.position, sta), par) ** par.pathloss_alpha, d_a, ap)
+            for ap, (d_a, *_) in zip((scenario.ap1, scenario.ap2), aps)
+        ]
+        for (dim_a, die_a, ap_i), (djm_a, dje_a, ap_j) in (links, links[::-1]):
+            p_i = np.full(die_a.shape, distance_corrected_power(ap_i.tx_power, par))
+            p_max = np.full(die_a.shape, distance_corrected_power(ap_j.tx_power_max, par))
+            dim_a, djm_a = np.full(die_a.shape, dim_a), np.full(die_a.shape, djm_a)
+            caps, (a, b, c), ratio = _coefficients(dim_a, die_a, djm_a, dje_a, par.noise_m, par.noise_e, p_i)
+            values += [*caps, *ratio, a, b, c, b * b, 4.0 * a * c]
+            values += _ratio_terms(ratio, p_max)
+    return values

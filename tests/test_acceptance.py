@@ -5,7 +5,6 @@ report. The randomized criteria use fixed seeds so every run checks the
 same instances.
 """
 
-import json
 import subprocess
 import sys
 import time
@@ -25,7 +24,16 @@ from secrecysim import (
 )
 from secrecysim.fjopt import optimize_fj_power
 
-from conftest import build_scenario, coefficients, grid_search_best, log2_ratio, random_fj_geometry
+from conftest import (
+    build_scenario,
+    coefficients,
+    direct_ratio,
+    grid_search_best,
+    log2_ratio,
+    random_fj_geometry,
+    ratio_denominator,
+    write_document,
+)
 
 SCENARIOS = {
     "scenario1": (20.0, 100.0),
@@ -101,21 +109,6 @@ def test_criterion_1_closed_form_matches_dense_grid_search():
     )
 
 
-def _direct_ratio(geom, p):
-    a = geom.alpha
-    sinr_m = geom.p_i * geom.d_im ** -a / (p * geom.d_jm ** -a + geom.noise_m)
-    sinr_e = geom.p_i * geom.d_ie ** -a / (p * geom.d_je ** -a + geom.noise_e)
-    return (1.0 + sinr_m) / (1.0 + sinr_e)
-
-
-def _denominator(geom, p):
-    a = geom.alpha
-    dim_a, die_a = geom.d_im ** a, geom.d_ie ** a
-    djm_a, dje_a = geom.d_jm ** a, geom.d_je ** a
-    n_m, n_e = geom.noise_m, geom.noise_e
-    return (p * dim_a + n_m * dim_a * djm_a) * (p * die_a + n_e * die_a * dje_a + geom.p_i * dje_a)
-
-
 def test_criterion_2_coefficients_match_derivative_and_exact_algebra():
     # numeric: the analytic derivative reproduces central differences of
     # the directly-composed ratio to 1e-6 relative at 100 random points
@@ -126,8 +119,8 @@ def test_criterion_2_coefficients_match_derivative_and_exact_algebra():
         _, (quad_a, quad_b, quad_c), _ = coefficients(geom)
         p = float(rng.uniform(0.0, geom.p_max))
         h = max(p, geom.p_max * 1e-3) * 1e-5
-        numeric = (_direct_ratio(geom, p + h) - _direct_ratio(geom, p - h)) / (2.0 * h)
-        analytic = (quad_a * p * p + quad_b * p + quad_c) / _denominator(geom, p) ** 2
+        numeric = (direct_ratio(geom, p + h) - direct_ratio(geom, p - h)) / (2.0 * h)
+        analytic = (quad_a * p * p + quad_b * p + quad_c) / ratio_denominator(geom, p) ** 2
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic))
         worst = max(worst, rel)
         assert rel <= 1e-6
@@ -250,8 +243,7 @@ def test_criterion_8_determinism_across_worker_counts(tmp_path):
         "grid": {"k": 120, "step_m": 1.0},
         "policy": "smart_fj",
     }
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(scenario_doc))
+    config = write_document(tmp_path, scenario_doc)
     trees = {}
     for label, threads in (("a", "1"), ("b", "2")):
         out = tmp_path / label

@@ -24,7 +24,7 @@ from secrecysim import cli
 from secrecysim.cli import main
 from secrecysim.scenario_io import temp_path
 
-from conftest import UNDERFLOW_DOCUMENT, cut_short_writes, run_fresh
+from conftest import UNDERFLOW_DOCUMENT, bundled_document, cut_short_writes, hexed, run_fresh, write_document
 
 SMALL = {
     "channel": {
@@ -49,9 +49,7 @@ HEATMAP_KINDS = ("secrecy", "eve_capacity", "association", "fj_power_dbm")
 
 @pytest.fixture
 def small_scenario(tmp_path):
-    path = tmp_path / "small.json"
-    path.write_text(json.dumps(SMALL))
-    return path
+    return write_document(tmp_path, SMALL, "small.json")
 
 
 def tree_bytes(root):
@@ -136,8 +134,7 @@ def test_sweep_monte_carlo_identical_across_thread_counts(small_scenario, tmp_pa
 def test_sweep_honors_scenario_file_monte_carlo_block(tmp_path):
     doc = json.loads(json.dumps(SMALL))
     doc["monte_carlo"] = {"enabled": True, "n": 3, "seed": 11}
-    path = tmp_path / "mc.json"
-    path.write_text(json.dumps(doc))
+    path = write_document(tmp_path, doc, "mc.json")
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", str(path), "--out-dir", str(out)]) == 0
     document = read_summary(out / "smart_fj_summary.json")
@@ -146,10 +143,9 @@ def test_sweep_honors_scenario_file_monte_carlo_block(tmp_path):
 
 
 def test_sweep_invalid_scenario_fails_cleanly(tmp_path, capsys):
-    path = tmp_path / "bad.json"
     doc = json.loads(json.dumps(SMALL))
     doc["channel"]["fading"] = 3.0
-    path.write_text(json.dumps(doc))
+    path = write_document(tmp_path, doc, "bad.json")
     out = tmp_path / "out"
     rc = main(["sweep", "--scenario", str(path), "--out-dir", str(out)])
     assert rc == 1
@@ -181,21 +177,15 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
     assert not out.exists()
 
 
-def scenario1_with(**channel):
-    doc = json.loads(bundled_scenario_path("scenario1").read_text())
-    doc["channel"].update(channel)
-    return doc
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "doc, key",
     [
-        (scenario1_with(center_freq_hz=1e-200), "channel.center_freq_hz"),
-        (scenario1_with(noise_e_watt=1e-320), "noise_e_watt"),
-        (scenario1_with(alpha=400.0, ref_distance_m=10.0), "alpha"),
-        (scenario1_with(alpha=20.0), "channel.alpha"),
-        (scenario1_with(alpha=30.0), "channel.alpha"),
+        (bundled_document("scenario1", center_freq_hz=1e-200), "channel.center_freq_hz"),
+        (bundled_document("scenario1", noise_e_watt=1e-320), "noise_e_watt"),
+        (bundled_document("scenario1", alpha=400.0, ref_distance_m=10.0), "alpha"),
+        (bundled_document("scenario1", alpha=20.0), "channel.alpha"),
+        (bundled_document("scenario1", alpha=30.0), "channel.alpha"),
         (UNDERFLOW_DOCUMENT, "channel.noise_m_watt"),
     ],
     ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30", "underflow"],
@@ -203,8 +193,7 @@ def scenario1_with(**channel):
 def test_sweep_refuses_derived_numbers_that_are_not_finite(doc, key, tmp_path, capsys):
     # each loads key by key, but once gave NaN summaries, overflow or
     # divide-by-zero warnings or a traceback; any warning fails this test
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path = write_document(tmp_path, doc, "bad.json")
     out = tmp_path / "out"
     rc = main(["sweep", "--scenario", str(path), "--policy", "all", "--out-dir", str(out)])
     err = capsys.readouterr().err
@@ -227,8 +216,7 @@ def test_grid_too_large_to_allocate_fails_cleanly(command, tmp_path, capsys):
     # refuses this size before it touches any memory
     doc = json.loads(json.dumps(SMALL))
     doc["grid"] = {"k": 1000000000000000000, "step_m": 1e-12}
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
+    path = write_document(tmp_path, doc, "huge.json")
     out = tmp_path / "out"
     rc = main([command[0], "--scenario", str(path), *command[1:], str(out)])
     assert rc == 1
@@ -267,8 +255,7 @@ def test_sweep_heatmaps_match_per_cell_oracle(which, tmp_path):
     else:
         doc = json.loads(json.dumps(SMALL))
         doc["channel"]["noise_e_watt"] = 10 * doc["channel"]["noise_m_watt"]
-        path = tmp_path / "noisy.json"
-        path.write_text(json.dumps(doc))
+        path = write_document(tmp_path, doc, "noisy.json")
         scenario = str(path)
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", scenario, "--policy", "all", "--out-dir", str(out)]) == 0
@@ -384,9 +371,7 @@ def test_compare_three_scenarios_orders_policies(tmp_path):
     for idx, sta in enumerate([(20.0, 100.0), (80.0, 20.0), (60.0, 38.0)], start=1):
         doc = json.loads(json.dumps(SMALL))
         doc["sta_m"] = {"x": sta[0], "y": sta[1]}
-        path = tmp_path / f"s{idx}.json"
-        path.write_text(json.dumps(doc))
-        paths.append(path)
+        paths.append(write_document(tmp_path, doc, f"s{idx}.json"))
     out = tmp_path / "table.json"
     args = ["compare"]
     for path in paths:
@@ -578,7 +563,7 @@ def test_dbm_column_matches_scalar_watt_to_dbm():
     )
     for powers in (specials, blocks_of_live_lanes()):
         got = cli._dbm_column(powers)
-        assert [float(v).hex() for v in got] == [watt_to_dbm(p).hex() for p in powers.tolist()]
+        assert hexed(got) == hexed([watt_to_dbm(p) for p in powers.tolist()])
 
 
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):

@@ -34,6 +34,8 @@ from secrecysim import cli, scenario_io, sweep
 from secrecysim.channel import transmit_power_from_corrected
 from secrecysim.cli import main
 
+from conftest import hexed
+
 # numpy calls per step of one sample on a bundled scenario: the three policy
 # steps of ``_evaluate_grid``, then the three ``_metrics``, each run after its step,
 # together. Every call writes into the chunk's workspace (``out=`` or ``np.copyto``);
@@ -197,16 +199,9 @@ def counted_sample():
     return count_sample()
 
 
-def metric_hex(records):
-    return [
-        (r.sta_m.x.hex(), r.sta_m.y.hex(), [[float(v).hex() for v in vars(m).values()] for m in r.metrics.values()])
-        for r in records
-    ]
-
-
 def test_counted_run_equals_a_plain_run(counted_sample):
     *_, records, plain = counted_sample
-    assert metric_hex(records) == metric_hex(plain)
+    assert hexed(records) == hexed(plain)
 
 
 def test_numpy_calls_per_sample_are_pinned(counted_sample):

@@ -17,7 +17,7 @@ from secrecysim import (
 )
 from secrecysim.sweep import grid_coordinates
 
-from conftest import assert_close, cut_short_writes
+from conftest import assert_close, cut_short_writes, write_document
 
 MINIMAL = {
     "channel": {
@@ -34,12 +34,6 @@ MINIMAL = {
     "sta_m": {"x": 20.0, "y": 100.0},
     "policy": "smart_fj",
 }
-
-
-def write_config(tmp_path, doc, name="scenario.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def test_bundled_scenario1_loads():
@@ -68,7 +62,7 @@ def test_bundled_unknown_name_rejected():
 
 
 def test_defaults_bandwidth_and_grid(tmp_path):
-    loaded = load_scenario(write_config(tmp_path, MINIMAL))
+    loaded = load_scenario(write_document(tmp_path, MINIMAL))
     assert loaded.scenario.params.bandwidth_w == 1.0
     assert loaded.sweep.grid_k == 120
     assert loaded.sweep.cell_step == 1.0
@@ -79,28 +73,28 @@ def test_zero_tx_power_rejected(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["aps"][0]["tx_power_watt"] = 0.0
     with pytest.raises(ScenarioValidationError, match="tx_power must be positive"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_unknown_key_rejected_top_level(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["fading"] = {"model": "rayleigh"}
     with pytest.raises(ScenarioValidationError, match="fading"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_unknown_key_rejected_in_channel(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["channel"]["fading"] = 1.0
     with pytest.raises(ScenarioValidationError, match="fading"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_missing_required_key_named(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     del doc["channel"]["alpha"]
     with pytest.raises(ScenarioValidationError, match="alpha"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_missing_file_raises_os_error(tmp_path):
@@ -119,27 +113,27 @@ def test_policy_name_validated(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["policy"] = "stealth"
     with pytest.raises(ScenarioValidationError, match="stealth"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_aps_must_be_exactly_two(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["aps"] = doc["aps"][:1]
     with pytest.raises(ScenarioValidationError, match="exactly 2"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_boolean_is_not_a_number(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["channel"]["alpha"] = True
     with pytest.raises(ScenarioValidationError, match="alpha"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_monte_carlo_section(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["monte_carlo"] = {"enabled": True, "n": 50, "seed": 7}
-    loaded = load_scenario(write_config(tmp_path, doc))
+    loaded = load_scenario(write_document(tmp_path, doc))
     assert loaded.monte_carlo.enabled is True
     assert loaded.monte_carlo.n == 50
     assert loaded.monte_carlo.seed == 7
@@ -156,13 +150,13 @@ def test_monte_carlo_section_validated(tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["monte_carlo"] = bad
         with pytest.raises(ScenarioValidationError):
-            load_scenario(write_config(tmp_path, doc))
+            load_scenario(write_document(tmp_path, doc))
 
 
 def test_grid_partial_defaults(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["grid"] = {"k": 40}
-    loaded = load_scenario(write_config(tmp_path, doc))
+    loaded = load_scenario(write_document(tmp_path, doc))
     assert loaded.sweep.grid_k == 40
     assert loaded.sweep.cell_step == 1.0
     assert loaded.scenario.map_extent == 40.0
@@ -174,7 +168,7 @@ def test_grid_partial_defaults(tmp_path):
 def test_grid_cells_sit_at_step_multiples_on_the_map(tmp_path, k, step, first, last):
     doc = json.loads(json.dumps(MINIMAL))
     doc["grid"] = {"k": k, "step_m": step}
-    loaded = load_scenario(write_config(tmp_path, doc))
+    loaded = load_scenario(write_document(tmp_path, doc))
     assert loaded.scenario.map_extent == last
     for axis in grid_coordinates(loaded.sweep):
         assert (axis.min(), axis.max()) == (first, last)
@@ -242,12 +236,12 @@ SHUFFLED_ECHO = """{
 
 
 def test_echo_is_normalized(tmp_path):
-    loaded = load_scenario(write_config(tmp_path, MINIMAL))
+    loaded = load_scenario(write_document(tmp_path, MINIMAL))
     assert loaded.echo["channel"]["bandwidth_hz"] == 1.0
     assert loaded.echo["grid"] == {"k": 120, "step_m": 1.0}
     assert loaded.echo["policy"] == "smart_fj"
     # floats as floats, keys in the documented order, defaults present
-    loaded = load_scenario(write_config(tmp_path, SHUFFLED))
+    loaded = load_scenario(write_document(tmp_path, SHUFFLED))
     assert loaded.echo == json.loads(SHUFFLED_ECHO)
     path = tmp_path / "echo.json"
     write_summary(path, loaded.echo)
@@ -361,7 +355,7 @@ SINGLE_FAULTS = single_faults()
 @pytest.mark.parametrize("path, key, value, message", SINGLE_FAULTS, ids=[fault_id(c) for c in SINGLE_FAULTS])
 def test_single_fault_message(tmp_path, path, key, value, message):
     with pytest.raises(ScenarioValidationError) as info:
-        load_scenario(write_config(tmp_path, with_fault(path, key, value)))
+        load_scenario(write_document(tmp_path, with_fault(path, key, value)))
     assert type(info.value) is ScenarioValidationError
     assert str(info.value) == message
 
@@ -396,7 +390,7 @@ def test_grid_extent_must_be_finite(tmp_path, grid):
     doc = json.loads(json.dumps(FULL))
     doc["grid"] = grid
     with pytest.raises(ScenarioValidationError, match="grid"):
-        load_scenario(write_config(tmp_path, doc))
+        load_scenario(write_document(tmp_path, doc))
 
 
 def test_heatmap_write_format(tmp_path):
@@ -533,8 +527,10 @@ def test_heatmap_row_template_follows_the_coordinates(tmp_path):
         # 2-D columns would stack to more than three values per row
         (*np.meshgrid([1.0, 2.0], [1.0, 2.0]), [[0.5, 0.5], [0.5, 0.5]]),
         ([1.0, 2.0], [1.0, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
+        # a 0-d cell is no column
+        (1.0, 1.0, 0.5),
     ],
-    ids=["short-values", "short-y", "short-x", "2d-grid", "2d-values"],
+    ids=["short-values", "short-y", "short-x", "2d-grid", "2d-values", "0d-scalars"],
 )
 def test_heatmap_unequal_columns_raise_value_error(tmp_path, x, y, values):
     write_heatmap(tmp_path / "warm.csv", [1.0, 2.0], [1.0, 1.0], [0.5, 0.5])

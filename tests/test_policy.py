@@ -1,13 +1,10 @@
-import json
 import math
 import pickle
-import tempfile
 from dataclasses import FrozenInstanceError, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import secrecysim.policy as policy_module
 from secrecysim import (
@@ -30,7 +27,7 @@ from secrecysim import (
 )
 from secrecysim.fjopt import optimize_fj_power
 
-from conftest import build_scenario
+from conftest import build_scenario, hexed, load_document, loadable_documents
 
 
 def random_scenario(rng):
@@ -287,13 +284,12 @@ def test_secrecy_can_be_negative_before_truncation():
     assert result.secrecy < 0.0
 
 
-def select_hex(scenario, sta_e):
-    """Every policy's selection at ``sta_e``, each float as ``float.hex``."""
-    results = (select(scenario, sta_e, policy) for policy in PolicyKind)
-    return [(r.chosen_ap, *(v.hex() for v in (r.cap_legit, r.cap_eve, r.secrecy, r.fj_power))) for r in results]
-
-
 EAVESDROPPERS = [Point2D(60.0, 60.0), Point2D(1.0, 1.0), Point2D(40.0, 60.0), Point2D(110.0, 20.0), Point2D(30.0, 90.0)]
+
+
+def selections(scenario):
+    """Every policy's selection at each of the ``EAVESDROPPERS``, each float as ``float.hex``."""
+    return hexed([select(scenario, sta_e, policy) for sta_e in EAVESDROPPERS for policy in PolicyKind])
 
 
 def test_stored_station_terms_follow_the_station():
@@ -303,20 +299,20 @@ def test_stored_station_terms_follow_the_station():
     for q in (Point2D(5.0, 7.0), base.ap2.position, Point2D(60.0, 60.0), Point2D(119.0, 3.0), Point2D(60.5, 20.0)):
         moved = replace(base, sta_m=q)
         fresh = Scenario(base.ap1, base.ap2, q, base.params, base.map_extent)
-        assert [select_hex(moved, e) for e in EAVESDROPPERS] == [select_hex(fresh, e) for e in EAVESDROPPERS]
-        assert [select_hex(moved, e) for e in EAVESDROPPERS] != [select_hex(base, e) for e in EAVESDROPPERS]
+        assert selections(moved) == selections(fresh)
+        assert selections(moved) != selections(base)
 
 
 def test_pickled_scenario_selects_and_samples_alike():
     # the process pool pickles the Scenario with its stored terms
     scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
     copy = pickle.loads(pickle.dumps(scenario))
-    assert [select_hex(copy, e) for e in EAVESDROPPERS] == [select_hex(scenario, e) for e in EAVESDROPPERS]
+    assert selections(copy) == selections(scenario)
     cfg = SweepConfig(grid_k=12, cell_origin=Point2D(10.0, 10.0), cell_step=10.0)
     pooled = monte_carlo(copy, cfg, n=4, seed=3, workers=2).means
     alone = monte_carlo(scenario, cfg, n=4, seed=3, workers=1).means
     for policy in PolicyKind:
-        assert [v.hex() for v in vars(pooled[policy]).values()] == [v.hex() for v in vars(alone[policy]).values()]
+        assert hexed(pooled[policy]) == hexed(alone[policy])
 
 
 def test_stored_station_terms_are_not_fields():
@@ -439,49 +435,15 @@ def test_retained_cells_hold_results_like_constructed_ones():
             assert pickle.loads(pickle.dumps(cell)) == cell
 
 
-def log_uniform(low_exp, high_exp):
-    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
-
-
-coordinate = st.floats(0.0, 120.0)
-point = st.tuples(coordinate, coordinate)
-
-
-@st.composite
-def loadable_documents(draw):
-    """A scenario document the loader accepts and an eavesdropper position;
-    the station and the eavesdropper may sit on an AP (the distance clamp),
-    and caps may equal tx."""
-    ap1 = draw(point)
-    ap2 = draw(point.filter(lambda p: p != ap1))
-    sta_m = draw(st.sampled_from([ap1, ap2]) | point)
-    sta_e = draw(st.sampled_from([ap1, ap2, sta_m]) | point)
-    aps = []
-    for x, y in (ap1, ap2):
-        tx = draw(log_uniform(-6.0, 2.0))
-        cap = tx * draw(st.sampled_from([1.0]) | st.floats(1.0, 100.0))
-        aps.append({"x": x, "y": y, "tx_power_watt": tx, "tx_power_max_watt": cap})
-    channel = {
-        "center_freq_hz": draw(log_uniform(6.0, 11.0)),
-        "ref_distance_m": draw(log_uniform(-3.0, 1.0)),
-        "alpha": draw(st.floats(1.0, 6.0)),
-        "noise_m_watt": draw(log_uniform(-16.0, -6.0)),
-        "noise_e_watt": draw(log_uniform(-16.0, -6.0)),
-    }
-    doc = {"channel": channel, "aps": aps, "sta_m": dict(zip("xy", sta_m)), "policy": "smart_fj"}
-    return doc, Point2D(*sta_e)
-
-
 @settings(max_examples=200, deadline=None)
 @given(loadable_documents())
 def test_select_passes_the_optimizer_only_valid_values(drawn):
     # what the optimizer no longer checks per call must hold at its one
     # scalar call site for every scenario the loader accepts
     doc, sta_e = drawn
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(doc))
-        scenario = load_scenario(path).scenario
+    loaded = load_document(doc)
+    assert loaded is not None, doc
+    scenario = loaded.scenario
     calls = []
 
     def recorder(*args):

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from secrecysim import (
     ApConfig,
@@ -26,7 +26,7 @@ from secrecysim import (
 from secrecysim import sweep as sweep_module
 from secrecysim.sweep import ALL_POLICIES, PolicyMeans, _exact_sums, grid_coordinates
 
-from conftest import FjArgs, best_power, build_scenario
+from conftest import FjArgs, best_power, build_scenario, drawn_scenarios, hexed
 
 
 def small_cfg(policy=PolicyKind.SMART_AP_FJ, k=25, step=4.0):
@@ -184,24 +184,11 @@ def test_smart_fj_never_beats_the_joint_choice(seed):
         assert np.max(gap) > 0.01
 
 
-def decades(low, high):
-    return st.floats(low, high).map(lambda e: 10.0 ** e)
-
-
 @settings(max_examples=40, deadline=None)
-@given(
-    places=st.lists(st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)), min_size=3, max_size=3),
-    tx=st.tuples(decades(-3.0, 0.0), decades(-3.0, 0.0)),
-    noises=st.tuples(decades(-12.0, -8.0), decades(-12.0, -8.0)),
-    alpha=st.floats(2.0, 4.0),
-)
-def test_smart_fj_equals_the_joint_choice_when_each_cap_is_its_power(places, tx, noises, alpha):
+@given(drawn_scenarios(caps=st.just(1.0)))
+def test_smart_fj_equals_the_joint_choice_when_each_cap_is_its_power(scenario):
     # select's docstring proves it: with caps equal to the tx powers, serving by
     # the other AP, with its best jamming, never beats select-then-jam
-    ap1, ap2, sta_m = (Point2D(*place) for place in places)
-    assume(ap1 != ap2)
-    params = ChannelParams(pathloss_alpha=alpha, noise_m=noises[0], noise_e=noises[1])
-    scenario = Scenario(ApConfig(ap1, tx[0], tx[0]), ApConfig(ap2, tx[1], tx[1]), sta_m, params, 120.0)
     cfg = SweepConfig(grid_k=30, cell_step=4.0)
     sequential = sweep_eavesdropper(scenario, cfg, retain_cells=False).arrays.secrecy
     assert np.max(np.abs(joint_fj_secrecy(scenario, cfg) - sequential)) <= 1e-9
@@ -242,10 +229,6 @@ def test_sweep_results_share_no_memory_and_own_their_buffers():
     assert all(a.base is None for a in arrays)
 
 
-def hex_fields(arrays) -> list[list[str]]:
-    return [[float(v).hex() for v in a.tolist()] for a in vars(arrays).values()]
-
-
 @pytest.mark.parametrize("k", [1, 7, 64, 65, 121])
 @pytest.mark.parametrize("alpha", [2.0, 2.418])
 def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
@@ -258,8 +241,7 @@ def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
     work = sweep_module._workspace(eve[0])
     whole = {}
     for policy, ev in sweep_module._evaluate_grid(scenario, scenario.sta_m, eve, work):
-        means = [float(v).hex() for v in vars(sweep_module._metrics(ev, work)).values()]
-        whole[policy] = ev, hex_fields(ev), means
+        whole[policy] = ev, hexed(ev), hexed(sweep_module._metrics(ev, work))
     for policies in (p for size in range(1, 4) for p in itertools.combinations(ALL_POLICIES, size)):
         # the cells are made from the arrays: retained once, for every policy
         retain = policies == ALL_POLICIES
@@ -267,8 +249,8 @@ def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
         assert list(summaries) == list(policies)
         for policy, summary in summaries.items():
             ev, arrays, means = whole[policy]
-            assert hex_fields(summary.arrays) == arrays
-            assert [getattr(summary, f.name).hex() for f in fields(PolicyMeans)] == means
+            assert hexed(summary.arrays) == arrays
+            assert hexed([getattr(summary, f.name) for f in fields(PolicyMeans)]) == means
             assert summary.grid == (sweep_module._cells(ev) if retain else ())
 
 
@@ -292,10 +274,7 @@ def test_one_chunk_of_four_samples_equals_four_chunks_of_one(noise_e, alpha, mon
     normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
 
     def records(indices):
-        return [
-            (r.sta_m, [[float(v).hex() for v in vars(m).values()] for m in r.metrics.values()])
-            for r in sweep_module._run_chunk(scenario, eve, normal_eve, 8, indices)
-        ]
+        return hexed(sweep_module._run_chunk(scenario, eve, normal_eve, 8, indices))
 
     assert records(range(0, 4)) == [record for i in range(4) for record in records(range(i, i + 1))]
 
@@ -383,9 +362,7 @@ def test_monte_carlo_samples_match_per_policy_sweeps(workers):
                 coverage_ratio=int(np.count_nonzero(ev.secrecy > 0.0)) / size,
             )
             got = sample.metrics[policy]
-            assert [float(v).hex() for v in vars(got).values()] == [
-                float(v).hex() for v in vars(expected).values()
-            ], (index, policy)
+            assert hexed(got) == hexed(expected), (index, policy)
 
 
 def test_monte_carlo_starts_no_more_workers_than_samples(recording_pool, usable_cpus):
@@ -574,7 +551,7 @@ def test_monte_carlo_takes_a_numpy_integer_seed_as_that_int():
 def assert_draw_is_numpys(seed, index, extent):
     got = sweep_module._station_draw(seed, index, extent)
     expected = np.random.default_rng([seed, index]).uniform(0.0, extent, size=2)
-    assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+    assert hexed(got) == hexed(expected)
 
 
 @settings(max_examples=300, deadline=None)
