@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -236,15 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        args.threads = _thread_count(args.threads)
-        args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n, 1)
-        args.seed = _integer("--seed", args.seed, 0)
-        return args.func(args)
-    except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            args.threads = _thread_count(args.threads)
+            args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n, 1)
+            args.seed = _integer("--seed", args.seed, 0)
+            return args.func(args)
+        except (OSError, ValueError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        # run as a process, on sys.argv: what the run made moves out of every later collection, so the
+        # interpreter's exit does not search it for cycles; a caller that passes argv keeps collecting
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

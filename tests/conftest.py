@@ -79,12 +79,17 @@ def scenario1():
     return build_scenario(STA_SCENARIO_1)
 
 
-def run_fresh(script, *args):
-    """Run ``script`` with ``args`` in a new interpreter that imports secrecysim from this checkout."""
+def run_python(*args):
+    """Run ``python ARGS`` in a new interpreter that imports secrecysim from this checkout."""
     src = Path(sweep.__file__).resolve().parent.parent
     path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, env=env)
+
+
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a new interpreter that imports secrecysim from this checkout."""
+    return run_python("-c", script, *args)
 
 
 class ChunkLog:

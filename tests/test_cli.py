@@ -24,7 +24,9 @@ from secrecysim import cli
 from secrecysim.cli import main
 from secrecysim.scenario_io import temp_path
 
-from conftest import UNDERFLOW_DOCUMENT, bundled_document, cut_short_writes, hexed, run_fresh, write_document
+from conftest import (
+    UNDERFLOW_DOCUMENT, bundled_document, cut_short_writes, hexed, run_fresh, run_python, write_document,
+)
 
 SMALL = {
     "channel": {
@@ -621,6 +623,73 @@ def test_cli_loads_numpy_with_one_blas_thread_and_leaves_the_environment_as_it_w
             pytest.skip("no /proc/self/task to count this process's threads")
         # no idle OpenBLAS worker, whatever the core count
         assert threads == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--version"], 0),
+        (["sweep", "--scenario", "{scenario}", "--policy", "all", "--out-dir", "{out}"], 0),
+        (["sweep", "--scenario", "no_such_scenario", "--out-dir", "{out}"], 1),
+        (["sweep", "--no-such-flag"], 2),
+    ],
+    ids=["version", "sweep", "unknown-scenario", "bad-flag"],
+)
+def test_the_process_entry_point_keeps_its_streams_and_exit_codes(argv, code, small_scenario, tmp_path, capsys):
+    # python -m calls main() on sys.argv, which freezes what the run made as main returns; a
+    # caller's main(argv) does not, so both must print and exit alike
+    def filled(out):
+        return [arg.format(scenario=small_scenario, out=tmp_path / out) for arg in argv]
+
+    proc = run_python("-m", "secrecysim.cli", *filled("process"))
+    try:
+        in_process = main(filled("in_process"))
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, in_process) == (code, code), proc.stderr
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert proc.stderr.startswith({0: "", 1: "error: ", 2: "usage: secrecysim"}[code])
+    if argv[0] == "--version":
+        assert proc.stdout.startswith("secrecysim ")
+    if (tmp_path / "in_process").exists():
+        assert tree_bytes(tmp_path / "process") == tree_bytes(tmp_path / "in_process")
+        assert len(tree_bytes(tmp_path / "process")) == 15
+
+
+def test_a_process_run_of_main_leaves_its_exit_no_objects_to_collect(small_scenario, tmp_path):
+    script = (
+        "import gc, sys\n"
+        "import secrecysim.cli\n"
+        "sys.argv = ['secrecysim', 'sweep', '--scenario', sys.argv[1], '--policy', 'all', '--out-dir', sys.argv[2]]\n"
+        "code = secrecysim.cli.main()\n"
+        "print(code, gc.isenabled(), len(gc.get_objects()))\n"
+    )
+    proc = run_fresh(script, small_scenario, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    code, enabled, tracked = proc.stdout.split()
+    # about 21,900 objects are tracked at this point without the freeze
+    assert (code, enabled) == ("0", "True") and int(tracked) < 1000
+
+
+def test_main_called_with_arguments_never_freezes_the_collector(small_scenario, tmp_path):
+    # pytest, the benchmark's tracer and the golden tool call main(argv) many times in one process
+    script = (
+        "import gc, sys\n"
+        "import secrecysim.cli\n"
+        "main = secrecysim.cli.main\n"
+        "codes = [main(['sweep', '--scenario', sys.argv[1], '--policy', 'all', '--out-dir', sys.argv[2]]),\n"
+        "         main(['sweep', '--scenario', 'no_such_scenario', '--out-dir', sys.argv[2]])]\n"
+        "for argv in ['--version'], ['sweep', '--no-such-flag']:\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "print(codes, gc.get_freeze_count(), gc.isenabled())\n"
+    )
+    proc = run_fresh(script, small_scenario, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 0, 2] 0 True"
 
 
 def test_console_script_version():
