@@ -91,7 +91,7 @@ class SelectionResult:
             raise ValueError("fj_power must be nonnegative")
 
 
-_NORMAL, _SMART_FJ = PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP_FJ
+_NORMAL, _SMART, _SMART_FJ = PolicyKind.NORMAL_WIFI, PolicyKind.SMART_AP, PolicyKind.SMART_AP_FJ
 
 
 def _result(chosen, cap_m, cap_e, secrecy, fj_power) -> SelectionResult:
@@ -131,7 +131,7 @@ def _check_reach(scenario: Scenario, points=()) -> None:
 
 
 def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionResult:
-    """Evaluate one policy at one eavesdropper position.
+    """Evaluate one policy, a :class:`PolicyKind` (anything else raises ``ValueError``), at one eavesdropper position.
 
     The rules run in the order of the grid engine, ``sweep._evaluate_grid``: associate, then (``smart_fj`` only)
     let the idle AP jam. ``normal`` associates to the AP with the highest received power at the station, so the
@@ -156,6 +156,8 @@ def select(scenario: Scenario, sta_e: Point2D, policy: PolicyKind) -> SelectionR
     # the eavesdropper side, per call, of both APs (normal: the chosen one only):
     # the clamped distance, its power -alpha, the signal and the per-Hz capacity
     normal, eves = policy is _NORMAL, [None, None]
+    if not normal and policy is not _SMART and policy is not _SMART_FJ:
+        raise ValueError(f"policy must be a PolicyKind, got {policy!r}")
     for k in (chosen - 1,) if normal else (0, 1):
         d_e = effective_distance(distance((scenario.ap1, scenario.ap2)[k].position, sta_e), par)
         g_e = d_e ** -alpha

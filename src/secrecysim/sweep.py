@@ -33,6 +33,13 @@ ALL_POLICIES = tuple(PolicyKind)
 _BLOCK_CELLS = 4096
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``operator.index(value)``, refused unless ``value`` is an integer (int, bool, numpy's) of at least ``least``."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid layout and policy for one eavesdropper sweep.
@@ -48,9 +55,9 @@ class SweepConfig:
     policy: PolicyKind = PolicyKind.SMART_AP_FJ
 
     def __post_init__(self):
-        # an integer is what operator.index accepts: int, bool, numpy's integers
-        if not hasattr(type(self.grid_k), "__index__") or self.grid_k < 1:
-            raise ValueError("grid_k must be an integer >= 1")
+        _integer("grid_k", self.grid_k, 1)
+        if not isinstance(self.policy, PolicyKind):
+            raise ValueError(f"policy must be a PolicyKind, got {self.policy!r}")
         if not 0 < self.cell_step < math.inf:
             raise ValueError(f"cell_step must be {'positive' if self.cell_step <= 0 else 'finite'}")
 
@@ -143,11 +150,11 @@ def _grid_cells(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, np.nd
     return grid_coordinates(cfg)
 
 
-def _eve_terms(scenario: Scenario, cfg: SweepConfig, cells=None) -> tuple:
-    """The terms of ``cells`` ``(x, y)``, else of ``cfg``'s :func:`_grid_cells`, that do not depend on the station: the
-    coordinates and, per AP, the clamped distance to the powers alpha and -alpha, signal and eavesdropper capacity."""
+def _eve_terms(scenario: Scenario, cells) -> tuple:
+    """The terms of the cells ``(x, y)`` that do not depend on the station: the coordinates and, per AP,
+    the clamped distance to the powers alpha and -alpha, signal and eavesdropper capacity."""
     par = scenario.params
-    x, y = _grid_cells(scenario, cfg) if cells is None else cells
+    x, y = cells
     aps = []
     for ap, (_, _, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
         d_e = np.maximum(np.sqrt((x - ap.position.x) ** 2 + (y - ap.position.y) ** 2), par.ref_distance_d0)
@@ -178,13 +185,6 @@ def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
     return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
 
 
-def _hand_back(work, policy: PolicyKind, ev: GridArrays) -> None:
-    """Give normal's arrays ``ev`` back to ``work``'s free buffers: no later step of the engine reads them."""
-    if policy is PolicyKind.NORMAL_WIFI:
-        work[1].append(ev.chosen)
-        work[0].extend((ev.cap_legit, ev.cap_eve, ev.secrecy, ev.fj_power))
-
-
 def _pick(out: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:
     """``np.where(mask, a, b)`` written into ``out``, which is returned."""
     np.copyto(out, b)
@@ -195,21 +195,21 @@ def _pick(out: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:
 def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     """The array twin of policy.select: yield ``(policy, GridArrays)`` for
     ``normal``, ``smart`` and ``smart_fj`` in turn, with the station at ``sta_m``,
-    over the grid whose :func:`_eve_terms` are ``eve``. A step runs only when its
+    over the cells whose :func:`_eve_terms` are ``eve``. A step runs only when its
     item is asked for; ``smart_fj`` starts from ``smart``'s association.
 
-    Every array comes from ``work``, a :func:`_workspace`'s free buffers: each step takes its
-    results' buffers from them for good and puts its scratch back before it yields."""
+    Every array comes from ``work``, a :func:`_workspace` whose buffers the pass frees first, cut to these cells; each
+    step takes its results from them and puts its scratch back before it yields, and smart's takes normal's results
+    back. So normal's arrays are valid until the next item is asked for, smart's and smart_fj's until the next pass."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
     floats, ints, flags = work
     x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)) = eve
+    for buffers in work:
+        buffers[:] = [buffer[: x.size] for buffer in buffers.made]
     ((d1m, _, p1, cap1, _, c1m), (d2m, _, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
-    def results():
-        return ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
-
-    chosen, cap_m, cap_e, secrecy, fj_power = results()
+    chosen, cap_m, cap_e, secrecy, fj_power = ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
     c_m, c_e = (c1m, c1e) if choice == 1 else (c2m, c2e)
     np.copyto(chosen, choice)
     np.copyto(cap_m, w * c_m)
@@ -218,7 +218,9 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     np.copyto(fj_power, 0.0)
     yield PolicyKind.NORMAL_WIFI, GridArrays(x, y, chosen, cap_m, cap_e, secrecy, fj_power)
 
-    chosen, cap_m, cap_e, secrecy, fj_power = results()
+    ints.append(chosen)
+    floats += cap_m, cap_e, secrecy, fj_power
+    chosen, cap_m, cap_e, secrecy, fj_power = ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
     # per Hz: AP 1's secrecy difference in secrecy, AP 2's in diff, then the chosen AP's in diff
     pick1, diff = flags.pop(), floats.pop()
     np.greater_equal(np.subtract(c1m, c1e, out=secrecy), np.subtract(c2m, c2e, out=diff), out=pick1)
@@ -330,14 +332,11 @@ def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool =
     grids = {p: GridArrays(x, y, np.empty(n, np.int64), *(np.empty(n) for _ in range(4))) for p in order}
     work = _workspace(x[: -(-n // blocks)])
     for cells in (slice(-(-i * n // blocks), -(-(i + 1) * n // blocks)) for i in range(blocks)):
-        eve = _eve_terms(scenario, cfg, (x[cells], y[cells]))
-        for buffers in work:
-            buffers[:] = [buffer[: eve[0].size] for buffer in buffers.made]  # all free, cut to this block
+        eve = _eve_terms(scenario, (x[cells], y[cells]))
         for policy, ev in _evaluate_grid(scenario, scenario.sta_m, eve, work):
             if policy in grids:
                 for whole, part in list(zip(vars(grids[policy]).values(), vars(ev).values()))[2:]:
                     whole[cells] = part
-            _hand_back(work, policy, ev)
             if policy is order[-1]:
                 break
         del eve, ev  # before the next block's terms, or the means' scratch, are made
@@ -395,13 +394,10 @@ def _run_chunk(scenario: Scenario, eve, normal_eve, seed: int, indices: range) -
     for index in indices:
         # per-sample draw keyed by (seed, index): order- and worker-independent
         sta_m = Point2D(*_station_draw(seed, index, scenario.map_extent))
-        for buffers in work:
-            buffers[:] = buffers.made  # all free again: the first sample made them, the others make none
         metrics = {}
         for policy, ev in _evaluate_grid(scenario, sta_m, eve, work):
             eve_sum = normal_eve[ev.chosen[0] - 1] if policy is PolicyKind.NORMAL_WIFI else None
             metrics[policy] = _metrics(ev, work, eve_sum)
-            _hand_back(work, policy, ev)
         records.append(SampleRecord(sta_m, metrics))
     return records
 
@@ -462,19 +458,10 @@ def monte_carlo(
     Sample ``i``'s station is the PCG64 draw of ``SeedSequence([seed, i])``,
     equal to numpy's ``default_rng`` (:func:`_station_draw`).
     """
-    for name, value in ("n", n), ("seed", seed), ("workers", workers):
-        if not hasattr(type(value), "__index__"):
-            raise ValueError(f"{name} must be an integer")
-    n, seed, workers = map(operator.index, (n, seed, workers))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    n, seed, workers = (_integer(*arg) for arg in (("n", n, 1), ("seed", seed, 0), ("workers", workers, 1)))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, n, cpus)
-    eve = _eve_terms(scenario_template, cfg)
+    eve = _eve_terms(scenario_template, _grid_cells(scenario_template, cfg))
     # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
     normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e, positive=False)[0] for *_, c_e in eve[2]]
     # one contiguous chunk per worker, in sample order; forked workers inherit the terms and sums

@@ -485,7 +485,7 @@ def closed_form_values(loaded):
     at the corners of the Monte Carlo square: ``_coefficients`` from the grid engine's
     eavesdropper terms, the roots' ``b*b`` and ``4*a*c`` and the ratio terms at ``p_max``."""
     scenario, par = loaded.scenario, loaded.scenario.params
-    _, _, aps = sweep._eve_terms(scenario, loaded.sweep)
+    _, _, aps = sweep._eve_terms(scenario, sweep._grid_cells(scenario, loaded.sweep))
     extent = scenario.map_extent
     stations = [scenario.sta_m] + [Point2D(x, y) for x in (0.0, extent) for y in (0.0, extent)]
     values = []

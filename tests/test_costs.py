@@ -156,7 +156,7 @@ def count_sample():
     per step of the second, the chunk's other counts (the calls of the first sample that the
     second does not make), the records and the records of a plain run."""
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    eve = sweep._eve_terms(loaded.scenario, sweep._grid_cells(loaded.scenario, loaded.sweep))
     # normal's eavesdropper sums as monte_carlo computes them, once per call
     normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
     plain = sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(3, 5))
@@ -223,13 +223,12 @@ def test_a_sample_makes_no_bincount(counted_sample):
     assert all("bincount" not in calls for calls in steps.values())
 
 
-def test_numpy_calls_of_the_eavesdropper_terms_are_pinned(monkeypatch):
+def test_numpy_calls_of_the_eavesdropper_terms_are_pinned():
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    plain = sweep._eve_terms(loaded.scenario, loaded.sweep)
-    grid_coordinates = sweep.grid_coordinates
-    monkeypatch.setattr(sweep, "grid_coordinates", lambda cfg: counted_terms(grid_coordinates(cfg)))
+    cells = sweep._grid_cells(loaded.scenario, loaded.sweep)
+    plain = sweep._eve_terms(loaded.scenario, cells)
     before = snapshot()
-    counted = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    counted = sweep._eve_terms(loaded.scenario, counted_terms(cells))
     assert since(before) == (EVE_TERMS, EVE_TERMS_LANES)
 
     def arrays(eve):
@@ -291,7 +290,7 @@ def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
     # every grid array of a sample is a buffer of the chunk's workspace; what a sample still
     # allocates (the exact sums' lists of pass sums, records) stays below two 14,400-cell arrays
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    eve = sweep._eve_terms(loaded.scenario, loaded.sweep)
+    eve = sweep._eve_terms(loaded.scenario, sweep._grid_cells(loaded.scenario, loaded.sweep))
     normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
     draw, start = sweep._station_draw, []
 

@@ -413,16 +413,20 @@ def test_heatmap_write_format(tmp_path):
 def test_heatmap_round_trip(tmp_path):
     path = tmp_path / "map.csv"
     rng = np.random.default_rng(1)
-    x = np.tile(np.arange(1.0, 13.0), 12)
-    y = np.repeat(np.arange(1.0, 13.0), 12)
-    v = rng.normal(size=144)
-    write_heatmap(path, x, y, v)
-    first = path.read_bytes()
-    rx, ry, rv = read_heatmap(path)
-    write_heatmap(path, rx, ry, rv)
-    assert path.read_bytes() == first
-    # values survive to 9 significant digits
-    np.testing.assert_allclose(rv, v, rtol=1e-8)
+    # 12 x 12 cells, then none: the header alone
+    for k in 12, 0:
+        x = np.tile(np.arange(1.0, k + 1.0), k)
+        y = np.repeat(np.arange(1.0, k + 1.0), k)
+        v = rng.normal(size=k * k)
+        write_heatmap(path, x, y, v)
+        first = path.read_bytes()
+        assert first.split(b"\n", 1)[0] == b"x,y,value" and first.count(b"\n") == k * k + 1 and first.endswith(b"\n")
+        rx, ry, rv = read_heatmap(path)
+        assert [(a.dtype, a.size) for a in (rx, ry, rv)] == [(np.float64, k * k)] * 3
+        write_heatmap(path, rx, ry, rv)
+        assert path.read_bytes() == first
+        # values survive to 9 significant digits
+        np.testing.assert_allclose(rv, v, rtol=1e-8)
 
 
 def test_heatmap_reader_rejects_other_files(tmp_path):

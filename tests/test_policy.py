@@ -197,6 +197,15 @@ def test_selection_is_deterministic():
         assert select(scenario, sta_e, policy) == select(scenario, sta_e, policy)
 
 
+@pytest.mark.parametrize("policy", ["normal", "smart", "smart_fj", None, 1])
+def test_a_policy_that_is_not_a_policy_kind_is_refused(policy):
+    # a value or name of a PolicyKind is not one: select would run it as smart, and a sweep would fail in the engine
+    with pytest.raises(ValueError, match="^policy must be a PolicyKind, got "):
+        select(build_scenario(sta_m=(20.0, 100.0)), Point2D(77.3, 12.9), policy)
+    with pytest.raises(ValueError, match="^policy must be a PolicyKind, got "):
+        SweepConfig(policy=policy)
+
+
 def test_bandwidth_changes_no_choice_and_no_fj_power():
     rng = np.random.default_rng(47)
     for _ in range(50):

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import signal
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -237,21 +238,22 @@ def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
     assert sweep_module._BLOCK_CELLS == 64 * 64
     scenario = build_scenario((80.0, 20.0), noise_e=1e-9, alpha=alpha)
     cfg = small_cfg(k=k, step=120.0 / k)
-    eve = sweep_module._eve_terms(scenario, cfg)
+    eve = sweep_module._eve_terms(scenario, sweep_module._grid_cells(scenario, cfg))
     work = sweep_module._workspace(eve[0])
     whole = {}
     for policy, ev in sweep_module._evaluate_grid(scenario, scenario.sta_m, eve, work):
-        whole[policy] = ev, hexed(ev), hexed(sweep_module._metrics(ev, work))
+        # normal's arrays go back to the workspace when smart's step is asked for: read them now
+        whole[policy] = sweep_module._cells(ev), hexed(ev), hexed(sweep_module._metrics(ev, work))
     for policies in (p for size in range(1, 4) for p in itertools.combinations(ALL_POLICIES, size)):
         # the cells are made from the arrays: retained once, for every policy
         retain = policies == ALL_POLICIES
         summaries = sweep_module._sweeps(scenario, cfg, policies, retain_cells=retain)
         assert list(summaries) == list(policies)
         for policy, summary in summaries.items():
-            ev, arrays, means = whole[policy]
+            cells, arrays, means = whole[policy]
             assert hexed(summary.arrays) == arrays
             assert hexed([getattr(summary, f.name) for f in fields(PolicyMeans)]) == means
-            assert summary.grid == (sweep_module._cells(ev) if retain else ())
+            assert summary.grid == (cells if retain else ())
 
 
 @pytest.mark.parametrize("noise_e, alpha", [(1e-10, 2.0), (1e-9, 2.418)])
@@ -270,13 +272,41 @@ def test_one_chunk_of_four_samples_equals_four_chunks_of_one(noise_e, alpha, mon
     monkeypatch.setattr(sweep_module._Buffers, "pop", poisoned)
     scenario = build_scenario((20.0, 100.0), noise_e=noise_e, alpha=alpha)
     cfg = small_cfg(k=30, step=4.0)
-    eve = sweep_module._eve_terms(scenario, cfg)
+    eve = sweep_module._eve_terms(scenario, sweep_module._grid_cells(scenario, cfg))
     normal_eve = [_exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
 
     def records(indices):
         return hexed(sweep_module._run_chunk(scenario, eve, normal_eve, 8, indices))
 
     assert records(range(0, 4)) == [record for i in range(4) for record in records(range(i, i + 1))]
+
+
+def test_a_pass_frees_its_workspace_and_cuts_it_to_its_cells(monkeypatch):
+    # a chunk's samples and a sweep's blocks run pass after pass on one workspace: a second whole-grid
+    # pass makes no buffer, and a pass over fewer cells runs in the first buffers' heads
+    pop, made = sweep_module._Buffers.pop, Counter()
+
+    def counted(buffers):
+        made[np.dtype(buffers.dtype).name] += not buffers
+        return pop(buffers)
+
+    monkeypatch.setattr(sweep_module._Buffers, "pop", counted)
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    scenario, (x, y) = loaded.scenario, sweep_module._grid_cells(loaded.scenario, loaded.sweep)
+    whole, part = sweep_module._eve_terms(scenario, (x, y)), sweep_module._eve_terms(scenario, (x[:999], y[:999]))
+
+    def run(eve, work):
+        # each item and its means as it is yielded, with the means' scratch from the same workspace
+        steps = sweep_module._evaluate_grid(scenario, scenario.sta_m, eve, work)
+        return [hexed((ev, sweep_module._metrics(ev, work))) for _, ev in steps]
+
+    work = sweep_module._workspace(x)
+    first = run(whole, work)
+    assert run(whole, work) == first
+    assert made == {"float64": 19, "int64": 2, "bool": 2}
+    cut = run(part, work)
+    assert made == {"float64": 19, "int64": 2, "bool": 2}
+    assert cut == run(part, sweep_module._workspace(part[0]))
 
 
 def test_mirror_symmetry_of_the_standard_layout():
@@ -524,20 +554,16 @@ def test_monte_carlo_seed_changes_draws():
     assert [s.sta_m for s in a.samples] != [s.sta_m for s in b.samples]
 
 
-def test_monte_carlo_validates_arguments():
-    scenario = build_scenario((20.0, 100.0))
-    with pytest.raises(ValueError):
-        monte_carlo(scenario, small_cfg(), n=0, seed=1)
-    with pytest.raises(ValueError):
-        monte_carlo(scenario, small_cfg(), n=1, seed=-1)
-
-
-@pytest.mark.parametrize("name, value", [("n", 2.5), ("seed", 1.5), ("workers", 1.5)])
-def test_monte_carlo_refuses_a_non_integer_count_seed_or_worker_count(name, value):
-    scenario = load_scenario(bundled_scenario_path("scenario1")).scenario
-    args = {"n": 2, "seed": 1, "workers": 1, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-        monte_carlo(scenario, SweepConfig(grid_k=6, cell_step=20.0), **args)
+@pytest.mark.parametrize(
+    "name, least", [("grid_k", 1), ("n", 1), ("seed", 0), ("workers", 1)], ids=["grid_k", "n", "seed", "workers"]
+)
+@pytest.mark.parametrize("kind", ["non_integer", "below_least"])
+def test_integer_arguments_follow_one_rule(name, least, kind):
+    # grid_k=2.5 would give 3 x 3 cells on a box 1.5 steps wide
+    value = least + 1.5 if kind == "non_integer" else least - 1
+    scenario, args = build_scenario((20.0, 100.0)), {"n": 2, "seed": 1, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}$"):
+        SweepConfig(grid_k=value) if name == "grid_k" else monte_carlo(scenario, small_cfg(k=2, step=60.0), **args)
 
 
 def test_monte_carlo_takes_a_numpy_integer_seed_as_that_int():
@@ -569,12 +595,6 @@ def test_station_draw_equals_numpys_default_rng_at_word_boundaries():
                 assert_draw_is_numpys(seed, index, extent)
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_monte_carlo_refuses_a_worker_count_below_one(workers):
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        monte_carlo(build_scenario((20.0, 100.0)), small_cfg(), n=2, seed=1, workers=workers)
-
-
 @pytest.mark.filterwarnings("error")
 def test_cells_off_the_map_are_refused_before_they_overflow():
     # scenario1 at alpha 16.86 is accepted on its 120 m map, but cells near
@@ -596,16 +616,11 @@ def test_cells_off_the_map_are_refused_before_they_overflow():
 
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig(grid_k=0)
-    with pytest.raises(ValueError):
         SweepConfig(cell_step=0.0)
     # a nan step would sweep nan cells, and an inf one is no step either
     for step in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="cell_step must be finite"):
             SweepConfig(cell_step=step)
-    # 2.5 would give 3 x 3 cells on a box 1.5 steps wide
-    with pytest.raises(ValueError, match="grid_k must be an integer"):
-        SweepConfig(grid_k=2.5)
     assert SweepConfig(grid_k=np.int64(3)).grid_k == 3
 
 
@@ -781,10 +796,10 @@ def test_split_sums_of_normal_and_subnormal_lanes_finish_in_passes(monkeypatch):
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
 def test_split_sums_of_every_array_a_monte_carlo_sample_sums(name):
     loaded = load_scenario(bundled_scenario_path(name))
-    eve = sweep_module._eve_terms(loaded.scenario, loaded.sweep)
+    eve = sweep_module._eve_terms(loaded.scenario, sweep_module._grid_cells(loaded.scenario, loaded.sweep))
     sta_m = Point2D(*sweep_module._station_draw(5, 4, loaded.scenario.map_extent))
-    grids = dict(sweep_module._evaluate_grid(loaded.scenario, sta_m, eve, sweep_module._workspace(eve[0])))
-    for ev in grids.values():
+    # each item as it is yielded: normal's arrays are smart's buffers once smart's step is asked for
+    for _, ev in sweep_module._evaluate_grid(loaded.scenario, sta_m, eve, sweep_module._workspace(eve[0])):
         for array in ev.secrecy, ev.cap_eve:
             assert split_sums_outcome(array) == fsums_outcome(array.tolist())
             # with a workspace's buffers: the eavesdropper sum alone, and the mask of positive lanes
