@@ -38,7 +38,7 @@ from .scenario_io import (
     write_heatmap,
     write_summary,
 )
-from .sweep import ALL_POLICIES, PolicyMeans, _sweeps, monte_carlo
+from .sweep import ALL_POLICIES, PolicyMeans, _integer, _sweeps, monte_carlo
 from .sweep import sweep_eavesdropper  # noqa: F401, the benchmark's tracer swaps this name
 
 
@@ -54,25 +54,13 @@ def _resolve_scenario(name_or_path: str) -> tuple[Path, str]:
     )
 
 
-def _integer(source: str, text: str | None, minimum: int) -> int | None:
-    """``text`` as an int ``>= minimum``, None when absent; errors name ``source``."""
+def _count(name: str, text: str | None, least: int) -> int | None:
+    """``text`` as an int by :func:`sweep._integer`'s rule, whose message names ``name``; None when absent."""
     if text is None:
         return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{source} must be an integer, got {text!r}") from None
-    if value < minimum:
-        raise ValueError(f"{source} must be >= {minimum}, got {text!r}")
-    return value
-
-
-def _thread_count(flag: str | None) -> int:
-    """Worker count from ``--threads``, else ``SECRECY_SIM_THREADS``, else 1."""
-    source, text = "--threads", flag
-    if text is None:
-        source, text = "SECRECY_SIM_THREADS", os.environ.get("SECRECY_SIM_THREADS") or "1"
-    return _integer(source, text, 1)
+    with contextlib.suppress(ValueError):
+        text = int(text)
+    return _integer(name, text, least)
 
 
 def _dbm_column(p_watt: np.ndarray) -> np.ndarray:
@@ -240,9 +228,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            args.threads = _thread_count(args.threads)
-            args.monte_carlo_n = _integer("--monte-carlo-n", args.monte_carlo_n, 1)
-            args.seed = _integer("--seed", args.seed, 0)
+            threads = ("--threads", args.threads)
+            if args.threads is None:  # then SECRECY_SIM_THREADS, else 1
+                threads = "SECRECY_SIM_THREADS", os.environ.get("SECRECY_SIM_THREADS") or "1"
+            args.threads = _count(*threads, 1)
+            args.monte_carlo_n = _count("--monte-carlo-n", args.monte_carlo_n, 1)
+            args.seed = _count("--seed", args.seed, 0)
             return args.func(args)
         except (OSError, ValueError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -64,9 +64,13 @@ class Scenario:
                 "the largest SINR, aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of "
                 "channel.noise_m_watt and noise_e_watt, must be finite"
             )
+        # so that the sum a mean takes over up to 2**63 cells or samples stays finite
+        if not par.bandwidth_w * math.log2(1.0 + sinr) < 2.0**960:
+            raise ValueError("channel.bandwidth_hz times the largest capacity per Hz must be below 2**960")
+        # before the station's terms: it refuses positions so far apart that a distance's square overflows
+        _check_reach(self)
         # not a field: replace() recomputes it for a new station, pickle carries it
         object.__setattr__(self, "_station", _station_terms(self, self.sta_m))
-        _check_reach(self)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def _check_reach(scenario: Scenario, points=()) -> None:
     ends = ((0.0, 0.0), (0.0, e), (e, 0.0), (e, e), (sta.x, sta.y), *points)
     d = max(math.hypot(x - ap.position.x, y - ap.position.y) for ap in (scenario.ap1, scenario.ap2) for x, y in ends)
     # each AP's corrected cap is at least its corrected power
-    p = max(p_max for _, _, _, p_max, _, _ in scenario._station[0])
+    p = max(channel.distance_corrected_power(ap.tx_power_max, par) for ap in (scenario.ap1, scenario.ap2))
     _check_float_range(p, par.noise_m, par.noise_e, par.pathloss_alpha, par.ref_distance_d0, d)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ApConfig, ChannelParams, Point2D
 from .policy import PolicyKind, Scenario
-from .sweep import SweepConfig
+from .sweep import SweepConfig, _integer
 
 BUNDLED_SCENARIOS = ("scenario1", "scenario2", "scenario3")
 # rows of text formatted at a time, so a column's Python floats never all exist at once
@@ -128,8 +128,10 @@ def load_scenario(path) -> LoadedScenario:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal of more digits than int() reads
         raise ScenarioValidationError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioValidationError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioValidationError("top level must be an object")
     echo = _section(doc, _SCENARIO, "scenario")
@@ -146,14 +148,8 @@ def load_scenario(path) -> LoadedScenario:
         raise ScenarioValidationError(f"policy must be one of {names}, got {echo['policy']!r}") from None
     echo["policy"] = policy.value
 
-    mc = None
     if "monte_carlo" in echo:
         echo["monte_carlo"] = _section(echo["monte_carlo"], _MONTE_CARLO, "monte_carlo")
-        mc = McSettings(*echo["monte_carlo"].values())
-        if mc.n < 1:
-            raise ScenarioValidationError("monte_carlo.n must be >= 1")
-        if mc.seed < 0:
-            raise ScenarioValidationError("monte_carlo.seed must be nonnegative")
 
     grid_k, step_m = echo["grid"].values()
     if abs(grid_k) > sys.float_info.max or not math.isfinite(grid_k * step_m):
@@ -166,6 +162,10 @@ def load_scenario(path) -> LoadedScenario:
         params = ChannelParams(*echo["channel"].values())
         scenario = Scenario(ap1, ap2, Point2D(*echo["sta_m"].values()), params, grid_k * step_m)
         sweep = SweepConfig(grid_k=grid_k, cell_origin=Point2D(step_m, step_m), cell_step=step_m, policy=policy)
+        mc = None
+        if "monte_carlo" in echo:
+            enabled, n, seed = echo["monte_carlo"].values()
+            mc = McSettings(enabled, _integer("monte_carlo.n", n, 1), _integer("monte_carlo.seed", seed, 0))
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
     return LoadedScenario(scenario=scenario, sweep=sweep, monte_carlo=mc, echo=echo)

@@ -34,10 +34,14 @@ _BLOCK_CELLS = 4096
 
 
 def _integer(name: str, value, least: int) -> int:
-    """``operator.index(value)``, refused unless ``value`` is an integer (int, bool, numpy's) of at least ``least``."""
-    if not hasattr(type(value), "__index__") or operator.index(value) < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
-    return operator.index(value)
+    """``operator.index(value)``, refused with one ``ValueError`` unless ``value`` is an integer (int, bool,
+    numpy's) of at least ``least``: everything ``operator.index`` refuses, numpy's other arrays included."""
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +203,8 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     item is asked for; ``smart_fj`` starts from ``smart``'s association.
 
     Every array comes from ``work``, a :func:`_workspace` whose buffers the pass frees first, cut to these cells; each
-    step takes its results from them and puts its scratch back before it yields, and smart's takes normal's results
-    back. So normal's arrays are valid until the next item is asked for, smart's and smart_fj's until the next pass."""
+    step takes its results from them and puts its scratch back before it yields, and smart's writes over normal's.
+    So normal's arrays are valid until the next item is asked for, smart's and smart_fj's until the next pass."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
     floats, ints, flags = work
@@ -218,9 +222,6 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     np.copyto(fj_power, 0.0)
     yield PolicyKind.NORMAL_WIFI, GridArrays(x, y, chosen, cap_m, cap_e, secrecy, fj_power)
 
-    ints.append(chosen)
-    floats += cap_m, cap_e, secrecy, fj_power
-    chosen, cap_m, cap_e, secrecy, fj_power = ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
     # per Hz: AP 1's secrecy difference in secrecy, AP 2's in diff, then the chosen AP's in diff
     pick1, diff = flags.pop(), floats.pop()
     np.greater_equal(np.subtract(c1m, c1e, out=secrecy), np.subtract(c2m, c2e, out=diff), out=pick1)

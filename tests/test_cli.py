@@ -1,15 +1,23 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
 import subprocess
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secrecysim import (
     ALL_POLICIES,
+    BUNDLED_SCENARIOS,
     PolicyKind,
     bundled_scenario_path,
     load_scenario,
@@ -502,9 +510,8 @@ def test_threads_must_be_positive_integer(env, flag, small_scenario, tmp_path, m
     if flag is not None:
         args += ["--threads", flag]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert ("--threads" if flag is not None else "SECRECY_SIM_THREADS") in err
+    name = "--threads" if flag is not None else "SECRECY_SIM_THREADS"
+    assert capsys.readouterr().err == f"error: {name} must be an integer >= 1\n"
     assert not out.exists()
 
 
@@ -520,10 +527,136 @@ def test_bad_integer_option_fails_cleanly(command, option, text, small_scenario,
     if option == "--seed":
         args += ["--monte-carlo-n", "2"]
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert option in err
+    least = 0 if option == "--seed" else 1
+    assert capsys.readouterr().err == f"error: {option} must be an integer >= {least}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_deeply_nested_scenario_fails_cleanly(command, tmp_path, capsys):
+    # json's decoder gives up on this depth with a RecursionError, not a JSONDecodeError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    out = tmp_path / "out"
+    args = [command, "--scenario", str(path)] + (["--out-dir", str(out)] if command == "sweep" else ["--out", str(out)])
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: not valid JSON: nested too deeply\n"
+    assert not out.exists()
+
+
+def key_paths(doc, path=()):
+    """The path of every key of a scenario document, its sections and list entries included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path + (key,))
+
+
+DROP, NESTED = object(), "@nested@"
+EXTREME_FLOATS = (sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324, 1e-300, 1e300, 0.0, -0.0)
+# the counts that set the work of a run, drawn so no grid exceeds 64 x 64 cells and no run takes 100 samples;
+# mutated, they may fall below their least
+GRID_K, FILE_N = st.integers(1, 64), st.integers(1, 3)
+MUTATED_COUNTS = {("grid", "k"): st.integers(-2, 64), ("monte_carlo", "n"): st.integers(-2, 3)}
+COUNTS = {
+    "--monte-carlo-n": st.integers(1, 3),
+    "--seed": st.integers(0, 2**70),
+    "--threads": st.integers(1, 2),
+    "SECRECY_SIM_THREADS": st.integers(1, 2),
+}
+# a count's text: integers near its least, unicode digits and texts int() refuses, 5,000 digits among them (more
+# than int() parses); any other count text is at most two digits
+COUNT_TEXTS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", " 2 ", "1_0", "+1", "-0", "1.0", "1e1", "0x1", "٣", "２", "nan", "\x00", "9" * 5000]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=2),
+)
+
+
+def mutate_key(draw, doc) -> str:
+    """Drop one key of ``doc``, retype it or set it to an extreme float; the document's JSON text."""
+    path = draw(st.sampled_from(list(key_paths(doc))))
+    values = [
+        st.just("1"), st.booleans(), st.just([1.0]), st.just({"x": 1.0}), st.none(), st.just(NESTED),
+        MUTATED_COUNTS.get(path[-2:], st.just(10**400)),
+        st.sampled_from(EXTREME_FLOATS),
+    ]
+    # without the grid or its k, the run would sweep the default 120 x 120 cells
+    if path not in (("grid",), ("grid", "k")):
+        values.append(st.just(DROP))
+    value, parent = draw(st.one_of(values)), doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    depth = draw(st.integers(1, 3000))
+    return json.dumps(doc).replace(f'"{NESTED}"', "[" * depth + "]" * depth)
+
+
+@st.composite
+def mutated_runs(draw):
+    """``(file bytes, {count: text})`` with one fault: one key of a bundled scenario document (with a grid of at
+    most 64 x 64 cells and maybe a Monte Carlo block), the file (cut short, invalid UTF-8 or nested too deeply)
+    or the text of one count option or of ``SECRECY_SIM_THREADS``; the counts not at fault are absent or valid."""
+    doc = bundled_document(draw(st.sampled_from(BUNDLED_SCENARIOS)))
+    k = draw(GRID_K)
+    doc["grid"] = {"k": k, "step_m": 120.0 / k}
+    if draw(st.booleans()):
+        n, seed = draw(FILE_N), draw(COUNTS["--seed"])
+        doc["monte_carlo"] = {"enabled": draw(st.booleans()), "n": n, "seed": seed}
+    counts = {name: str(draw(texts)) for name, texts in COUNTS.items() if draw(st.booleans())}
+    site = draw(st.sampled_from(["key", "truncated", "invalid_utf8", "nested", *COUNTS]))
+    text = (mutate_key(draw, doc) if site == "key" else json.dumps(doc)).encode()
+    cut = draw(st.integers(0, len(text)))
+    if site == "truncated":
+        text = text[:cut]
+    elif site == "invalid_utf8":
+        text = text[:cut] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + text[cut:]
+    elif site == "nested":
+        text = b"[" * draw(st.integers(1, 200_000))
+    elif site in COUNTS:
+        # an environment variable cannot hold a NUL
+        texts = COUNT_TEXTS.filter(lambda t: "\x00" not in t) if site == "SECRECY_SIM_THREADS" else COUNT_TEXTS
+        counts[site] = draw(texts)
+    return text, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    run=mutated_runs(),
+    command=st.sampled_from(["sweep", "compare"]),
+    policy=st.sampled_from([None, "normal", "smart", "smart_fj", "all"]),
+)
+def test_main_on_mutated_input_exits_cleanly(run, command, policy):
+    text, counts = run
+    env_threads = counts.pop("SECRECY_SIM_THREADS", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scenario.write_bytes(text)
+        out.mkdir()
+        argv = [command, "--scenario", str(scenario), *(f"{option}={value}" for option, value in counts.items())]
+        if command == "sweep":
+            argv += ["--out-dir", str(out / "run")] + ([f"--policy={policy}"] if policy else [])
+        else:
+            argv += ["--out", str(out / "table.json")]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+            os.environ.pop("SECRECY_SIM_THREADS", None)
+            if env_threads is not None:
+                os.environ["SECRECY_SIM_THREADS"] = env_threads
+            code = main(argv)
+        left = [p.name for p in out.rglob("*")]
+    err = err.getvalue()
+    assert code in (0, 1), err
+    if code == 0:
+        assert err == ""
+        assert not [name for name in left if name.endswith(".tmp")]
+    else:
+        # one line, so no traceback and no warning
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert left == []
 
 
 @pytest.mark.parametrize("monte_carlo_n", [None, "2"])

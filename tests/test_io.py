@@ -331,8 +331,8 @@ def single_faults():
         ("aps[2]", "tx_power_max_watt", (0,), "tx_power must not exceed tx_power_max"),
         ("grid", "k", (0, -3), "map_extent must be positive"),
         ("grid", "step_m", (0, -1.0), "map_extent must be positive"),
-        ("monte_carlo", "n", (0, -1), "monte_carlo.n must be >= 1"),
-        ("monte_carlo", "seed", (-1,), "monte_carlo.seed must be nonnegative"),
+        ("monte_carlo", "n", (0, -1), "monte_carlo.n must be an integer >= 1"),
+        ("monte_carlo", "seed", (-1,), "monte_carlo.seed must be an integer >= 0"),
     ]
     for where, key, values, message in ranges:
         cases += [(SECTIONS[where], key, value, message) for value in values]
@@ -391,6 +391,13 @@ def test_grid_extent_must_be_finite(tmp_path, grid):
     doc["grid"] = grid
     with pytest.raises(ScenarioValidationError, match="grid"):
         load_scenario(write_document(tmp_path, doc))
+
+
+def test_an_integer_literal_longer_than_int_reads_is_a_scenario_error(tmp_path):
+    # json.loads refuses more digits than sys.get_int_max_str_digits() with a plain ValueError
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(write_with_literal(tmp_path, SECTIONS["grid"], "k", "9" * 5000))
+    assert type(info.value) is ScenarioValidationError
 
 
 def test_heatmap_write_format(tmp_path):

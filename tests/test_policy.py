@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -271,8 +272,20 @@ def test_scenario_built_in_code_is_refused_like_a_file():
         (dict(noise_e=1e-320), "noise_e_watt"),  # the SINR at d0 overflows
         # d0**alpha is subnormal, so the power is finite, but d0**-alpha raises
         (dict(pathloss_alpha=1030.0, ref_distance_d0=0.5, center_freq_f0=5e-144), "largest SINR"),
+        # each factor is finite, the power 9.0e78 and d0**-alpha 316, and only the product overflows: divided
+        # instead, or times the noise, it is finite, and the map's closed form is in range
+        (
+            dict(center_freq_f0=1e-33, ref_distance_d0=0.1, pathloss_alpha=2.5, noise_m=1e-45, noise_e=1e-228),
+            "largest SINR",
+        ),
+        # the capacities of 14,400 cells summed past the float range; at the largest float each overflowed
+        (dict(bandwidth_w=1e305), "channel.bandwidth_hz times the largest capacity"),
+        (dict(bandwidth_w=sys.float_info.max), "channel.bandwidth_hz times the largest capacity"),
     ],
-    ids=["f0-tiny", "f0-huge", "alpha-400-d0-10", "subnormal-noise-e", "d0-to-minus-alpha"],
+    ids=[
+        "f0-tiny", "f0-huge", "alpha-400-d0-10", "subnormal-noise-e", "d0-to-minus-alpha", "product-overflows",
+        "bandwidth-sums-overflow", "bandwidth-overflows",
+    ],
 )
 def test_scenario_refuses_powers_and_sinr_that_are_not_finite(channel, key):
     ap = dict(tx_power=0.05, tx_power_max=0.05)
@@ -284,6 +297,18 @@ def test_scenario_refuses_powers_and_sinr_that_are_not_finite(channel, key):
             params=ChannelParams(**channel),
             map_extent=120.0,
         )
+
+
+def test_a_bandwidth_just_below_its_bound_sweeps_to_finite_means():
+    # scenario1's largest capacity is about 15.6 bit/s/Hz, so its bound is about 2**956 Hz
+    summary = sweep_eavesdropper(build_scenario(bandwidth=2.0**955), SweepConfig(), retain_cells=False)
+    assert math.isfinite(summary.avg_eve_capacity) and summary.avg_eve_capacity > 2.0**955
+
+
+def test_scenario_refuses_positions_whose_distance_squares_overflow():
+    # the station's distance squared its coordinate differences before the map's reach was checked
+    with pytest.raises(ValueError, match="channel.alpha overflows"):
+        build_scenario(ap2=(sys.float_info.max, 60.0))
 
 
 def test_secrecy_can_be_negative_before_truncation():

@@ -557,13 +557,27 @@ def test_monte_carlo_seed_changes_draws():
 @pytest.mark.parametrize(
     "name, least", [("grid_k", 1), ("n", 1), ("seed", 0), ("workers", 1)], ids=["grid_k", "n", "seed", "workers"]
 )
-@pytest.mark.parametrize("kind", ["non_integer", "below_least"])
+@pytest.mark.parametrize(
+    "kind", ["non_integer", "below_least", "numpy_float_scalar", "numpy_int_list", "digit_string", "none"]
+)
 def test_integer_arguments_follow_one_rule(name, least, kind):
-    # grid_k=2.5 would give 3 x 3 cells on a box 1.5 steps wide
-    value = least + 1.5 if kind == "non_integer" else least - 1
-    scenario, args = build_scenario((20.0, 100.0)), {"n": 2, "seed": 1, "workers": 1, name: value}
+    # grid_k=2.5 would give 3 x 3 cells on a box 1.5 steps wide; operator.index refuses the numpy arrays
+    # with a TypeError, which must come out as the rule's ValueError
+    value = {
+        "non_integer": least + 1.5, "below_least": least - 1, "numpy_float_scalar": np.array(2.0),
+        "numpy_int_list": np.array([3]), "digit_string": "3", "none": None,
+    }[kind]
+    scenario, args = build_scenario((20.0, 100.0)), {"n": 2, "seed": 1, "workers": 1}
+
+    def run(value):
+        if name == "grid_k":
+            return SweepConfig(grid_k=value)
+        return monte_carlo(scenario, small_cfg(k=2, step=60.0), **{**args, name: value})
+
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}$"):
-        SweepConfig(grid_k=value) if name == "grid_k" else monte_carlo(scenario, small_cfg(k=2, step=60.0), **args)
+        run(value)
+    # a numpy integer is an integer, its least included
+    run(np.int64(least))
 
 
 def test_monte_carlo_takes_a_numpy_integer_seed_as_that_int():
