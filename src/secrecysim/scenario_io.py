@@ -152,9 +152,11 @@ def load_scenario(path) -> LoadedScenario:
         echo["monte_carlo"] = _section(echo["monte_carlo"], _MONTE_CARLO, "monte_carlo")
 
     grid_k, step_m = echo["grid"].values()
-    if abs(grid_k) > sys.float_info.max or not math.isfinite(grid_k * step_m):
-        raise ScenarioValidationError("grid extent k * step_m must be finite")
     try:
+        if _integer("grid.k", grid_k, 1) > sys.float_info.max or not math.isfinite(grid_k * step_m):
+            raise ValueError("grid extent k * step_m must be finite")
+        if not step_m > 0:
+            raise ValueError("grid.step_m must be positive")
         ap1, ap2 = (
             ApConfig(Point2D(x, y), tx_power, tx_power_max)
             for x, y, tx_power, tx_power_max in (ap.values() for ap in echo["aps"])

@@ -156,15 +156,14 @@ def _grid_cells(scenario: Scenario, cfg: SweepConfig) -> tuple[np.ndarray, np.nd
 
 def _eve_terms(scenario: Scenario, cells) -> tuple:
     """The terms of the cells ``(x, y)`` that do not depend on the station: the coordinates and, per AP,
-    the clamped distance to the powers alpha and -alpha, signal and eavesdropper capacity."""
+    the clamped distance to the powers alpha and -alpha and the eavesdropper capacity."""
     par = scenario.params
     x, y = cells
     aps = []
     for ap, (_, _, p, _, _, _) in zip((scenario.ap1, scenario.ap2), scenario._station[0]):
         d_e = np.maximum(np.sqrt((x - ap.position.x) ** 2 + (y - ap.position.y) ** 2), par.ref_distance_d0)
         d_a, d_n = d_e ** par.pathloss_alpha, d_e ** -par.pathloss_alpha
-        s_e = p * d_n
-        aps.append((d_a, d_n, s_e, np.log2(1.0 + s_e / par.noise_e)))
+        aps.append((d_a, d_n, np.log2(1.0 + p * d_n / par.noise_e)))
     return x, y, aps
 
 
@@ -184,9 +183,9 @@ class _Buffers(list):
 
 
 def _workspace(like: np.ndarray) -> tuple[_Buffers, _Buffers, _Buffers]:
-    """The float64, int64 and bool buffers of grid-engine passes over cells like ``like``, made as the first
-    pass needs them, in the process that runs it: as many as a pass holds at once, 2.3 MB at 120 x 120 cells."""
-    return _Buffers(like, np.float64), _Buffers(like, np.int64), _Buffers(like, np.bool_)
+    """The float64, int8 (an AP's number) and bool buffers of grid-engine passes over cells like ``like``, made as the
+    first pass needs them, in the process that runs it: as many as a pass holds at once, 2.0 MB at 120 x 120 cells."""
+    return _Buffers(like, np.float64), _Buffers(like, np.int8), _Buffers(like, np.bool_)
 
 
 def _pick(out: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:
@@ -203,14 +202,15 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     item is asked for; ``smart_fj`` starts from ``smart``'s association.
 
     Every array comes from ``work``, a :func:`_workspace` whose buffers the pass frees first, cut to these cells; each
-    step takes its results from them and puts its scratch back before it yields, and smart's writes over normal's.
-    So normal's arrays are valid until the next item is asked for, smart's and smart_fj's until the next pass."""
+    step takes its results from them and puts its scratch back before it yields. Smart's step writes over normal's
+    results, and smart_fj's shares smart's ``chosen`` and reuses its zero ``fj_power``: normal's and smart's arrays
+    are valid until the next item is asked for, smart_fj's until the next pass. ``x``, ``y`` are ``eve``'s, or None."""
     par = scenario.params
     alpha, w = par.pathloss_alpha, par.bandwidth_w
     floats, ints, flags = work
-    x, y, ((d1e_a, d1e_n, s1e, c1e), (d2e_a, d2e_n, s2e, c2e)) = eve
+    x, y, ((d1e_a, d1e_n, c1e), (d2e_a, d2e_n, c2e)) = eve
     for buffers in work:
-        buffers[:] = [buffer[: x.size] for buffer in buffers.made]
+        buffers[:] = [buffer[: c1e.size] for buffer in buffers.made]
     ((d1m, _, p1, cap1, _, c1m), (d2m, _, p2, cap2, _, c2m)), choice = _station_terms(scenario, sta_m)
 
     chosen, cap_m, cap_e, secrecy, fj_power = ints.pop(), floats.pop(), floats.pop(), floats.pop(), floats.pop()
@@ -233,6 +233,7 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
     np.copyto(fj_power, 0.0)
     yield PolicyKind.SMART_AP, GridArrays(x, y, chosen, cap_m, cap_e, secrecy, fj_power)
 
+    floats.append(fj_power)  # smart's zeros, which no later step reads
     # the station's distances to the powers alpha and -alpha from numpy's kernel, as the cells'
     (d1m_a, d2m_a), (d1m_n, d2m_n) = np.array((d1m, d2m)) ** alpha, np.array((d1m, d2m)) ** -alpha
     dim_a, die_a, djm_a, dje_a, p_i, p_max = (floats.pop() for _ in range(6))
@@ -241,25 +242,22 @@ def _evaluate_grid(scenario: Scenario, sta_m: Point2D, eve, work):
         _pick(dje_a, pick1, d2e_a, d1e_a), par.noise_m, par.noise_e, _pick(p_i, pick1, p1, p2),
         _pick(p_max, pick1, cap2, cap1), floats, flags,
     )
-    # per Hz: log2(1 + signal / (p_opt * gain + noise)) at the station and at the eavesdropper, then their difference
+    # per Hz at the station and at the eavesdropper: log2(1 + signal / (p_opt * gain + noise)), the signal the chosen
+    # AP's power times its d**-alpha and the gain the other's d**-alpha; then their difference
     cap_m_fj, cap_e_fj, jam = floats.pop(), floats.pop(), floats.pop()
-    for cap, signal, gain, noise in (
-        (cap_m_fj, (p1 * d1m_n, p2 * d2m_n), (d2m_n, d1m_n), par.noise_m),
-        (cap_e_fj, (s1e, s2e), (d2e_n, d1e_n), par.noise_e),
-    ):
-        np.add(np.multiply(p_opt, _pick(jam, pick1, *gain), out=jam), noise, out=jam)
-        np.log2(np.add(1.0, np.divide(_pick(cap, pick1, *signal), jam, out=cap), out=cap), out=cap)
+    for cap, (d1_n, d2_n), noise in (cap_m_fj, (d1m_n, d2m_n), par.noise_m), (cap_e_fj, (d1e_n, d2e_n), par.noise_e):
+        np.add(np.multiply(p_opt, _pick(jam, pick1, d2_n, d1_n), out=jam), noise, out=jam)
+        np.multiply(p1, d1_n, out=np.multiply(p2, d2_n, out=cap), where=pick1)
+        np.log2(np.add(1.0, np.divide(cap, jam, out=cap), out=cap), out=cap)
     secrecy_fj = np.subtract(cap_m_fj, cap_e_fj, out=jam)
     # same guard as the scalar path: never fall below the no-jamming result
     worse = np.less(secrecy_fj, diff, out=flags.pop())
     for fj, no_fj in (cap_m_fj, cap_m), (cap_e_fj, cap_e), (secrecy_fj, secrecy):
         np.copyto(np.multiply(w, fj, out=fj), no_fj, where=worse)
     np.copyto(p_opt, 0.0, where=worse)
-    chosen_fj = ints.pop()
-    np.copyto(chosen_fj, chosen)
     floats.append(diff)
     flags += pick1, worse
-    yield PolicyKind.SMART_AP_FJ, GridArrays(x, y, chosen_fj, cap_m_fj, cap_e_fj, secrecy_fj, p_opt)
+    yield PolicyKind.SMART_AP_FJ, GridArrays(x, y, chosen, cap_m_fj, cap_e_fj, secrecy_fj, p_opt)
 
 
 def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[float, float]:
@@ -273,8 +271,9 @@ def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[flo
     ``q`` over all lanes and over the lanes ``a > 0``, keeps ``r - q`` as the rest and scales ``sigma`` by
     ``2**(M - 53)``. When the rest is all zero, ``fsum`` of the passes' sums is correctly rounded. Underflow
     does no harm: a sum or difference with a subnormal result is exact, so a pass at a subnormal ``sigma`` leaves
-    no rest, and a power of two times ``2**(M - 53)`` is exact or 0. ``fsum`` of the lists takes over for inf or
-    nan, an empty or all-zero array, ``max|a| >= 2**(1000 - M)`` (``sigma`` near overflow) and a zero sum (its sign).
+    no rest, and a power of two times ``2**(M - 53)`` is exact or 0. No ``q`` lane is -0.0, so a zero sum is +0.0, as
+    ``fsum`` gives for lanes not all zero. ``fsum`` of the lists runs only where no pass runs: inf or nan, an empty or
+    all-zero array (its zero's sign) and ``max|a| >= 2**(1000 - M)`` (``sigma`` near overflow).
     ``buffers``, two float64 arrays and a bool one shaped like ``a``, are overwritten, the bool one with
     ``a > 0``; without them fresh ones are made. ``positive=False`` skips the lanes ``a > 0``: the bool
     buffer is not written and the second sum is 0.0.
@@ -293,11 +292,7 @@ def _exact_sums(a: np.ndarray, buffers=None, positive: bool = True) -> tuple[flo
         if positive:
             parts.append(float(q.sum(where=mask)))
         if not r.any():
-            total, part = math.fsum(totals), math.fsum(parts)
-            return (
-                total if total else math.fsum(a.tolist()),
-                part if part or not positive else math.fsum(np.maximum(a, 0.0).tolist()),
-            )
+            return math.fsum(totals), math.fsum(parts)
         sigma *= 2.0 ** (m - 53)
     return math.fsum(a.tolist()), math.fsum(np.maximum(a, 0.0).tolist()) if positive else 0.0
 
@@ -391,7 +386,7 @@ def _run_chunk(scenario: Scenario, eve, normal_eve, seed: int, indices: range) -
     """The records of the samples ``indices``; ``normal_eve`` holds each AP's exact eavesdropper-capacity sum.
     One workspace, made here (after the fork in a worker), serves every sample: after the first, a sample allocates
     no grid array."""
-    work, records = _workspace(eve[0]), []
+    work, records = _workspace(eve[2][0][0]), []  # shaped like the cells' terms
     for index in indices:
         # per-sample draw keyed by (seed, index): order- and worker-independent
         sta_m = Point2D(*_station_draw(seed, index, scenario.map_extent))
@@ -462,7 +457,8 @@ def monte_carlo(
     n, seed, workers = (_integer(*arg) for arg in (("n", n, 1), ("seed", seed, 0), ("workers", workers, 1)))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, n, cpus)
-    eve = _eve_terms(scenario_template, _grid_cells(scenario_template, cfg))
+    # the samples need the cells' terms and count, not their coordinates
+    eve = (None, None, _eve_terms(scenario_template, _grid_cells(scenario_template, cfg))[2])
     # normal's eavesdropper capacity is one AP's over the whole grid, whatever the station
     normal_eve = [_exact_sums(scenario_template.params.bandwidth_w * c_e, positive=False)[0] for *_, c_e in eve[2]]
     # one contiguous chunk per worker, in sample order; forked workers inherit the terms and sums

@@ -29,12 +29,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from secrecysim import PolicyKind, bundled_scenario_path, load_scenario, sweep_eavesdropper
+from secrecysim import PolicyKind, SweepConfig, bundled_scenario_path, load_scenario, sweep_eavesdropper
 from secrecysim import cli, scenario_io, sweep
 from secrecysim.channel import transmit_power_from_corrected
 from secrecysim.cli import main
 
-from conftest import hexed
+from conftest import build_scenario, hexed
 
 # numpy calls per step of one sample on a bundled scenario: the three policy
 # steps of ``_evaluate_grid``, then the three ``_metrics``, each run after its step,
@@ -44,8 +44,8 @@ PER_SAMPLE = {
     PolicyKind.NORMAL_WIFI: {"copyto": 3, "multiply": 2, "subtract": 1},
     PolicyKind.SMART_AP: {"copyto": 8, "greater_equal": 1, "multiply": 2, "subtract": 2},
     PolicyKind.SMART_AP_FJ: {
-        "add": 24, "copysign": 1, "copyto": 32, "divide": 9, "fmax": 2, "fmin": 2, "greater": 3, "less": 1,
-        "log2": 2, "maximum": 1, "minimum": 1, "multiply": 54, "negative": 1, "sqrt": 1, "subtract": 6,
+        "add": 24, "copysign": 1, "copyto": 27, "divide": 9, "fmax": 2, "fmin": 2, "greater": 3, "less": 1,
+        "log2": 2, "maximum": 1, "minimum": 1, "multiply": 58, "negative": 1, "sqrt": 1, "subtract": 6,
     },
     # the exact sums' extraction passes: on this sample (scenario1, seed 5, index 4) each of the five arrays
     # summed, the three secrecy arrays and smart's and smart_fj's eavesdropper capacities, takes two passes;
@@ -60,13 +60,13 @@ PER_SAMPLE = {
 PER_SAMPLE_LANES = {
     PolicyKind.NORMAL_WIFI: 129_600,
     PolicyKind.SMART_AP: 374_400,
-    PolicyKind.SMART_AP_FJ: 5_385_600,
+    PolicyKind.SMART_AP_FJ: 5_356_800,
     "metrics": 1_814_400,
 }
-# a chunk's calls besides its samples' own: its workspace's 19 float, 2 int and 2 bool buffers, as many as
-# a sample holds at once (normal's five go back before smart's step), made in its first sample; normal's two
-# eavesdropper sums come with its arguments
-PER_CHUNK = {"empty_like": 23}
+# a chunk's calls besides its samples' own: its workspace's 18 float, 1 int8 and 2 bool buffers, as many as
+# a sample holds at once (smart's step writes over normal's results; smart_fj's shares smart's ``chosen`` and
+# reuses its zero jamming powers), made in its first sample; normal's two eavesdropper sums come with its arguments
+PER_CHUNK = {"empty_like": 21}
 # sweep._eve_terms' own calls, once per sweep or chunk, from counted cell coordinates on scenario1, and their lanes
 EVE_TERMS = {
     "add": 4, "divide": 2, "log2": 2, "maximum": 2, "multiply": 2, "power": 4, "sqrt": 2, "square": 4, "subtract": 4,
@@ -286,12 +286,11 @@ def test_monte_carlo_sums_normals_eavesdropper_capacity_once_per_call(n, workers
     assert calls == Counter(_eve_terms=1, _exact_sums=2 + 5 * n, _run_chunk=min(n, workers))
 
 
-def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
-    # every grid array of a sample is a buffer of the chunk's workspace; what a sample still
-    # allocates (the exact sums' lists of pass sums, records) stays below two 14,400-cell arrays
-    loaded = load_scenario(bundled_scenario_path("scenario1"))
-    eve = sweep._eve_terms(loaded.scenario, sweep._grid_cells(loaded.scenario, loaded.sweep))
-    normal_eve = [sweep._exact_sums(loaded.scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
+def warm_samples_peak(monkeypatch, scenario, cfg):
+    """The ``tracemalloc`` peak of samples 1 and 2 of a three-sample chunk on seed 5, above the traced
+    memory as sample 1 starts, and the chunk's records."""
+    eve = sweep._eve_terms(scenario, sweep._grid_cells(scenario, cfg))
+    normal_eve = [sweep._exact_sums(scenario.params.bandwidth_w * c_e)[0] for *_, c_e in eve[2]]
     draw, start = sweep._station_draw, []
 
     def measured_draw(seed, index, extent):
@@ -304,11 +303,44 @@ def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
     monkeypatch.setattr(sweep, "_station_draw", measured_draw)
     tracemalloc.start()
     try:
-        sweep._run_chunk(loaded.scenario, eve, normal_eve, 5, range(0, 3))
-        peak = tracemalloc.get_traced_memory()[1] - start[0]
+        records = sweep._run_chunk(scenario, eve, normal_eve, 5, range(0, 3))
+        return tracemalloc.get_traced_memory()[1] - start[0], records
     finally:
         tracemalloc.stop()
+
+
+def test_two_warm_samples_allocate_at_most_two_grid_arrays(monkeypatch):
+    # every grid array of a sample is a buffer of the chunk's workspace; what a sample still
+    # allocates (the exact sums' lists of pass sums, records) stays below two 14,400-cell arrays
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    peak, _ = warm_samples_peak(monkeypatch, loaded.scenario, loaded.sweep)
     assert peak <= 256 * 1024  # two 14,400-cell float arrays are 225 KB
+
+
+def test_two_warm_samples_that_cover_no_cell_allocate_at_most_two_grid_arrays(monkeypatch):
+    # eavesdroppers a million times more sensitive than the station: wherever it is drawn, normal and
+    # smart secure no cell, and the positive part of their secrecy sums to +0.0 in the exact sums'
+    # passes, not through a list of 14,400 Python floats (460 KB)
+    scenario = build_scenario(noise_e=1e-16)
+    peak, records = warm_samples_peak(monkeypatch, scenario, SweepConfig())
+    assert [record.metrics[PolicyKind.NORMAL_WIFI].coverage_ratio for record in records] == [0.0] * 3
+    assert [record.metrics[PolicyKind.SMART_AP].coverage_ratio for record in records] == [0.0] * 3
+    assert peak <= 256 * 1024
+
+
+def test_monte_carlo_samples_hold_no_cell_coordinates(monkeypatch):
+    # a chunk needs the cells' terms and their count; the coordinates, two grid arrays, are gone before it runs
+    loaded = load_scenario(bundled_scenario_path("scenario1"))
+    monkeypatch.delattr(os, "fork", raising=False)
+    run_chunk, coordinates = sweep._run_chunk, []
+
+    def recorded_chunk(scenario, eve, *args):
+        coordinates.append(eve[:2])
+        return run_chunk(scenario, eve, *args)
+
+    monkeypatch.setattr(sweep, "_run_chunk", recorded_chunk)
+    sweep.monte_carlo(loaded.scenario, replace(loaded.sweep, grid_k=8), 2, seed=1)
+    assert coordinates == [(None, None)]
 
 
 @pytest.fixture(scope="module")

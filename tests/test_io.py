@@ -329,8 +329,8 @@ def single_faults():
         ("aps[2]", "tx_power_watt", (0.0, -1), "tx_power must be positive"),
         ("aps[1]", "tx_power_max_watt", (0.01,), "tx_power must not exceed tx_power_max"),
         ("aps[2]", "tx_power_max_watt", (0,), "tx_power must not exceed tx_power_max"),
-        ("grid", "k", (0, -3), "map_extent must be positive"),
-        ("grid", "step_m", (0, -1.0), "map_extent must be positive"),
+        ("grid", "k", (0, -3), "grid.k must be an integer >= 1"),
+        ("grid", "step_m", (0, -1.0), "grid.step_m must be positive"),
         ("monte_carlo", "n", (0, -1), "monte_carlo.n must be an integer >= 1"),
         ("monte_carlo", "seed", (-1,), "monte_carlo.seed must be an integer >= 0"),
     ]

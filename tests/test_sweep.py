@@ -303,9 +303,9 @@ def test_a_pass_frees_its_workspace_and_cuts_it_to_its_cells(monkeypatch):
     work = sweep_module._workspace(x)
     first = run(whole, work)
     assert run(whole, work) == first
-    assert made == {"float64": 19, "int64": 2, "bool": 2}
+    assert made == {"float64": 18, "int8": 1, "bool": 2}
     cut = run(part, work)
-    assert made == {"float64": 19, "int64": 2, "bool": 2}
+    assert made == {"float64": 18, "int8": 1, "bool": 2}
     assert cut == run(part, sweep_module._workspace(part[0]))
 
 
@@ -729,7 +729,7 @@ def test_split_sums_match_fsum_of_values_and_of_positive_part(values, cancelling
     )
 )
 def test_split_sums_of_negative_zero_subnormal_and_single_lanes(values):
-    # all negative or all zero: the positive sum falls back to fsum and keeps its sign of zero
+    # all negative or all zero: the positive sum is +0.0, from the passes or, for an all-zero array, from fsum
     assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
 
 
@@ -805,6 +805,106 @@ def test_split_sums_of_normal_and_subnormal_lanes_finish_in_passes(monkeypatch):
             assert split_sums_outcome(array) == expected
         assert array.tolist() not in summed and np.maximum(array, 0.0).tolist() not in summed
         assert len(summed) == 2
+
+
+class ShortFsums:
+    """``math`` for ``sweep``, whose ``fsum`` refuses more than 64 values: the exact sums' pass sums
+    pass, the lanes of an array longer than 64 do not."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def fsum(values):
+        values = list(values)
+        assert len(values) <= 64, f"fsum of {len(values)} values"
+        return math.fsum(values)
+
+
+def passes_only_sums(array):
+    """Both of ``_exact_sums``' floats as hex, with ``sweep``'s ``fsum`` given only the passes' sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_module, "math", ShortFsums())
+        return tuple(total.hex() for total in _exact_sums(array))
+
+
+def no_positive_lane_arrays():
+    rng = np.random.default_rng(11)
+    negative = -(10.0 ** rng.uniform(-300.0, 290.0, 14_400))  # below 2**985, where the passes run
+    signed_zeros = rng.choice([0.0, -0.0], 14_400)
+    subnormal = -rng.uniform(0.0, TINY, 14_400)
+    # the secrecy of a sample whose eavesdroppers are a million times more sensitive than the station
+    scenario = build_scenario(noise_e=1e-16)
+    eve = sweep_module._eve_terms(scenario, sweep_module._grid_cells(scenario, SweepConfig()))
+    work = sweep_module._workspace(eve[0])
+    secrecy = next(sweep_module._evaluate_grid(scenario, scenario.sta_m, eve, work))[1].secrecy
+    return [
+        negative,
+        np.where(rng.random(14_400) < 0.5, negative, signed_zeros),
+        subnormal,
+        np.where(rng.random(14_400) < 0.99, signed_zeros, subnormal),
+        np.concatenate([signed_zeros[:-1], [-5e-324]]),
+        secrecy.copy(),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["negative", "with-zeros", "subnormal", "sparse", "one-lane", "sample"])
+def test_exact_sums_with_no_lane_above_zero_take_only_the_passes_sums(index):
+    # the positive part of lanes of which none is above 0 sums to +0.0 in the passes, as fsum of the lanes does
+    array = no_positive_lane_arrays()[index]
+    assert not (array > 0.0).any() and array.any()
+    assert passes_only_sums(array) == fsums_outcome(array.tolist())
+    assert passes_only_sums(array)[1] == "0x0.0p+0"
+
+
+def cancelling_arrays():
+    rng = np.random.default_rng(12)
+    normal = rng.choice([-1.0, 1.0], 7_200) * 10.0 ** rng.uniform(-300.0, 290.0, 7_200)
+    subnormal = rng.uniform(0.0, TINY, 7_200)
+    return [
+        rng.permutation(np.concatenate([normal, -normal])),
+        rng.permutation(np.concatenate([subnormal, -subnormal])),
+        rng.permutation(np.concatenate([normal[:3_600], subnormal[:3_600], -normal[:3_600], -subnormal[:3_600]])),
+        rng.permutation(np.concatenate([[1e290, -1e290], rng.choice([0.0, -0.0], 14_398)])),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["normal", "subnormal", "mixed", "two-lanes"])
+def test_exact_sums_of_lanes_that_cancel_take_only_the_passes_sums(index):
+    # an exact zero sum of lanes not all zero is +0.0, as fsum gives it
+    array = cancelling_arrays()[index]
+    assert passes_only_sums(array) == fsums_outcome(array.tolist())
+    assert passes_only_sums(array)[0] == "0x0.0p+0"
+
+
+magnitude = st.one_of(st.floats(min_value=5e-324, max_value=1e290), st.floats(min_value=5e-324, max_value=TINY))
+
+
+@given(
+    st.lists(st.one_of(magnitude.map(lambda v: -v), signed_zero), max_size=60),
+    magnitude,
+    st.integers(65, 600),
+    st.randoms(use_true_random=False),
+)
+def test_drawn_arrays_with_no_lane_above_zero_take_only_the_passes_sums(values, first, size, random):
+    # at least one lane below 0, repeated and shuffled to more lanes than fsum takes here
+    lanes = np.resize(np.array([-first, *values]), size)
+    random.shuffle(lanes)
+    assert passes_only_sums(lanes) == fsums_outcome(lanes.tolist())
+
+
+@given(
+    st.lists(st.tuples(magnitude, st.booleans()), min_size=1, max_size=60),
+    st.integers(0, 200),
+    st.randoms(use_true_random=False),
+)
+def test_drawn_lanes_that_cancel_take_only_the_passes_sums(values, zeros, random):
+    # each drawn value with its negation, and signed zeros, at least 65 lanes
+    signed = [v if positive else -v for v, positive in values]
+    padding = [random.choice([0.0, -0.0]) for _ in range(max(zeros, 65 - 2 * len(signed)))]
+    lanes = signed + [-v for v in signed] + padding
+    random.shuffle(lanes)
+    assert passes_only_sums(np.array(lanes)) == fsums_outcome(lanes)
 
 
 @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])

@@ -4,10 +4,11 @@ Usage::
 
     PYTHONPATH=src python tools/sample_cost.py [--scenario scenario1] [--n 32] [--workers 1]
 
-The script loads a bundled scenario and runs ``monte_carlo`` on it twice. The
-first run is measured with ``time.perf_counter`` and ``resource.getrusage``:
-milliseconds, minor page faults and system time per sample, summed over this
-process and the workers it forks and reaps. The second run is traced with
+The script loads a scenario, given as a file path or a bundled name as the
+command line takes it, and runs ``monte_carlo`` on it twice. The first run is
+measured with ``time.perf_counter`` and ``resource.getrusage``: milliseconds,
+minor page faults and system time per sample, summed over this process and the
+workers it forks and reaps. The second run is traced with
 ``tracemalloc``, which reports the peak of this process's traced memory above
 the traced memory at the call's start. ``ru_maxrss`` is printed at the end, for
 this process and for its largest reaped worker. Per-sample figures include the
@@ -19,9 +20,9 @@ reduction (``sweep._metrics``, the exact sums). Wrappers installed by this
 script time each step of the engine's generator and each ``_metrics`` call
 with ``time.perf_counter``; the split is per sample of the chunk that runs in
 this process, since a forked worker's timers stay in the worker. The engine's
-share includes each pass's reset, which frees the workspace's 23 buffers cut to
-the pass's cells: 3.5-6.7 us per pass on scenario1 (``timeit``, 2-core x86-64,
-Python 3.11, numpy 2.4), 0.2-0.4 % of a sample. The program
+share includes each pass's reset, which frees the workspace's 21 buffers cut to
+the pass's cells: 3.5-6.7 us per pass for 23 buffers on scenario1 (``timeit``,
+2-core x86-64, Python 3.11, numpy 2.4), 0.2-0.4 % of a sample. The program
 itself carries no timer. A third wrapper keeps the workspace that
 ``sweep._workspace`` makes for that chunk, and the script prints its buffers
 per dtype and their size in MB (2**20 bytes).
@@ -48,7 +49,8 @@ import tracemalloc
 # as the command line does: numpy's OpenBLAS threads would spin through the timed run
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from secrecysim import bundled_scenario_path, load_scenario, monte_carlo, sweep  # noqa: E402
+from secrecysim import load_scenario, monte_carlo, sweep  # noqa: E402
+from secrecysim.cli import _resolve_scenario  # noqa: E402
 
 
 def split_timers(spent: dict):
@@ -95,12 +97,12 @@ def usage() -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scenario", default="scenario1", help="bundled scenario name")
+    parser.add_argument("--scenario", default="scenario1", help="scenario file path, or a bundled name")
     parser.add_argument("--n", type=int, default=32, help="Monte Carlo samples")
     parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker processes")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    loaded = load_scenario(bundled_scenario_path(args.scenario))
+    loaded = load_scenario(_resolve_scenario(args.scenario)[0])
 
     def run():
         return monte_carlo(loaded.scenario, loaded.sweep, n=args.n, seed=args.seed, workers=args.workers)
