@@ -10,6 +10,12 @@ from dataclasses import dataclass
 SPEED_OF_LIGHT = 2.998e8  # m/s, fixed to four significant figures
 
 
+def _positive(name: str, value: float) -> None:
+    """Raise one ``ValueError`` naming ``name`` unless ``value`` is a finite number above 0; nan fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0")
+
+
 @dataclass(frozen=True)
 class Point2D:
     """A position on the map, in meters."""
@@ -52,16 +58,13 @@ class ChannelParams:
     noise_e: float = 1e-10
 
     def __post_init__(self):
-        if self.bandwidth_w <= 0:
-            raise ValueError("bandwidth_w must be positive")
-        if self.center_freq_f0 <= 0:
-            raise ValueError("center_freq_f0 must be positive")
-        if self.ref_distance_d0 <= 0:
-            raise ValueError("ref_distance_d0 must be positive")
-        if self.pathloss_alpha < 1:
-            raise ValueError("pathloss_alpha must be >= 1")
-        if self.noise_m <= 0 or self.noise_e <= 0:
-            raise ValueError("noise powers must be strictly positive")
+        # the scenario file's keys, which the refusals name
+        keys = "bandwidth_hz", "center_freq_hz", "ref_distance_m", "noise_m_watt", "noise_e_watt"
+        values = self.bandwidth_w, self.center_freq_f0, self.ref_distance_d0, self.noise_m, self.noise_e
+        for key, value in zip(keys, values):
+            _positive(f"channel.{key}", value)
+        if not 1.0 <= self.pathloss_alpha < math.inf:
+            raise ValueError("channel.alpha must be a finite number >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,9 @@ class ApConfig:
     tx_power_max: float
 
     def __post_init__(self):
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-        if self.tx_power > self.tx_power_max:
-            raise ValueError("tx_power must not exceed tx_power_max")
+        _positive("aps[].tx_power_watt", self.tx_power)
+        if not self.tx_power <= self.tx_power_max:
+            raise ValueError("aps[].tx_power_watt must be a finite number <= tx_power_max_watt")
 
 
 def distance(a: Point2D, b: Point2D) -> float:

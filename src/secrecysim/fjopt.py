@@ -87,7 +87,8 @@ def _check_float_range(p, noise_m, noise_e, alpha, d0, d) -> None:
     corrected cap, ``d`` the largest distance from an AP to a map corner or the station."""
     logs = math.log2(p), math.log2(max(noise_m, noise_e)), alpha * min(math.log2(max(d, d0)), 1024.0)
     if math.log2(20.0) + max(i * logs[0] + j * logs[1] + k * logs[2] for i, j, k in _CORNERS) >= 1023.0:
-        raise ValueError("channel.alpha overflows the jamming power's closed form on this map or its cells")
+        raise ValueError("channel.alpha, ref_distance_m, noise_m_watt, noise_e_watt and aps[].tx_power_max_watt "
+                         "overflow the jamming power's closed form on this map or its cells")
     n_m, n_e, q0 = math.log2(noise_m), math.log2(noise_e), alpha * math.log2(d0)
     if min(n_m, n_e, q0, n_m + n_e, n_m + n_e + 4.0 * q0) < -1021.0:
         raise ValueError("channel.noise_m_watt, noise_e_watt, ref_distance_m and alpha underflow the closed form")

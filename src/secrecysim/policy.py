@@ -41,32 +41,28 @@ class Scenario:
     def __post_init__(self):
         if self.ap1.position == self.ap2.position:
             raise ValueError("the two APs must not share a position")
-        if not 0 < self.map_extent < math.inf:
-            raise ValueError(f"map_extent must be {'positive' if self.map_extent <= 0 else 'finite'}")
+        channel._positive("map_extent", self.map_extent)
         # Python's ** raises OverflowError; channel.* keeps these calls untraced
         par = self.params
-        tx = (self.ap1.tx_power, self.ap1.tx_power_max, self.ap2.tx_power, self.ap2.tx_power_max)
+        # 1 W first: transmit_power_from_corrected divides by its corrected power, which must be normal
+        tx = (1.0, self.ap1.tx_power, self.ap1.tx_power_max, self.ap2.tx_power, self.ap2.tx_power_max)
         try:
             powers = [channel.distance_corrected_power(p, par) for p in tx]
         except OverflowError:
             powers = [math.inf]
-        if not all(0.0 < p < math.inf for p in powers):
+        if not (powers[0] >= 2.0**-1022 and all(0.0 < p < math.inf for p in powers)):
             raise ValueError(
                 "aps[].tx_power_watt and tx_power_max_watt at channel.center_freq_hz, ref_distance_m "
-                "and alpha must give finite positive corrected powers"
+                "and alpha must give finite positive corrected powers, and 1 W a normal one"
             )
-        try:
-            sinr = max(powers) * par.ref_distance_d0 ** -par.pathloss_alpha / min(par.noise_m, par.noise_e)
-        except OverflowError:
-            sinr = math.inf
-        if not sinr < math.inf:
-            raise ValueError(
-                "the largest SINR, aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of "
-                "channel.noise_m_watt and noise_e_watt, must be finite"
-            )
+        # d0**alpha is in (0, inf), as each power is; an inf SINR fails the bound below at any positive bandwidth
+        sinr = max(powers[1:]) / par.ref_distance_d0 ** par.pathloss_alpha / min(par.noise_m, par.noise_e)
         # so that the sum a mean takes over up to 2**63 cells or samples stays finite
         if not par.bandwidth_w * math.log2(1.0 + sinr) < 2.0**960:
-            raise ValueError("channel.bandwidth_hz times the largest capacity per Hz must be below 2**960")
+            raise ValueError(
+                "channel.bandwidth_hz times the largest capacity per Hz must be below 2**960, the largest SINR being "
+                "aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of noise_m_watt and noise_e_watt"
+            )
         # before the station's terms: it refuses positions so far apart that a distance's square overflows
         _check_reach(self)
         # not a field: replace() recomputes it for a new station, pickle carries it
@@ -91,7 +87,7 @@ class SelectionResult:
     def __post_init__(self):
         if self.chosen_ap not in (1, 2):
             raise ValueError("chosen_ap must be 1 or 2")
-        if self.fj_power < 0:
+        if not self.fj_power >= 0:
             raise ValueError("fj_power must be nonnegative")
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ApConfig, ChannelParams, Point2D
+from .channel import ApConfig, ChannelParams, Point2D, _positive
 from .policy import PolicyKind, Scenario
 from .sweep import SweepConfig, _integer
 
@@ -155,8 +155,7 @@ def load_scenario(path) -> LoadedScenario:
     try:
         if _integer("grid.k", grid_k, 1) > sys.float_info.max or not math.isfinite(grid_k * step_m):
             raise ValueError("grid extent k * step_m must be finite")
-        if not step_m > 0:
-            raise ValueError("grid.step_m must be positive")
+        _positive("grid.step_m", step_m)
         ap1, ap2 = (
             ApConfig(Point2D(x, y), tx_power, tx_power_max)
             for x, y, tx_power, tx_power_max in (ap.values() for ap in echo["aps"])
@@ -247,4 +246,6 @@ def watt_to_dbm(power_watt: float) -> float:
     """Transmit power in dBm; zero maps to -inf."""
     if power_watt <= 0.0:
         return -math.inf
-    return 10.0 * math.log10(power_watt * 1000.0)
+    milliwatt = power_watt * 1000.0
+    # above 1.797e305 W the product overflows, and only there the sum of logs takes its place
+    return 10.0 * math.log10(milliwatt) if milliwatt < math.inf else 10.0 * (math.log10(power_watt) + 3.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Point2D
+from .channel import Point2D, _positive
 from .fjopt import _best_power
 from .policy import PolicyKind, Scenario, SelectionResult, _check_reach, _result, _station_terms
 
@@ -62,8 +62,7 @@ class SweepConfig:
         _integer("grid_k", self.grid_k, 1)
         if not isinstance(self.policy, PolicyKind):
             raise ValueError(f"policy must be a PolicyKind, got {self.policy!r}")
-        if not 0 < self.cell_step < math.inf:
-            raise ValueError(f"cell_step must be {'positive' if self.cell_step <= 0 else 'finite'}")
+        _positive("cell_step", self.cell_step)
 
 
 @dataclass(frozen=True)

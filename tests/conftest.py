@@ -45,11 +45,13 @@ def build_scenario(
     extent=120.0,
     ap1=(40.0, 60.0),
     ap2=(80.0, 60.0),
+    f0=2.4e9,
+    d0=1.0,
 ):
     params = ChannelParams(
         bandwidth_w=bandwidth,
-        center_freq_f0=2.4e9,
-        ref_distance_d0=1.0,
+        center_freq_f0=f0,
+        ref_distance_d0=d0,
         pathloss_alpha=alpha,
         noise_m=noise_m,
         noise_e=noise_e,

@@ -144,13 +144,19 @@ def test_channel_params_validation():
         ChannelParams(pathloss_alpha=0.5)
     with pytest.raises(ValueError):
         ChannelParams(bandwidth_w=0.0)
+    # nan passed the old x < 1 and x <= 0 tests, and select then returned nan capacities
+    with pytest.raises(ValueError, match="channel.alpha must be a finite number >= 1"):
+        ChannelParams(pathloss_alpha=math.nan)
+    with pytest.raises(ValueError, match="channel.noise_e_watt must be a finite number > 0"):
+        ChannelParams(noise_e=math.nan)
 
 
 def test_ap_config_validation():
-    with pytest.raises(ValueError, match="tx_power must be positive"):
+    with pytest.raises(ValueError, match=r"aps\[\]\.tx_power_watt must be a finite number > 0"):
         ApConfig(position=Point2D(0, 0), tx_power=0.0, tx_power_max=0.05)
-    with pytest.raises(ValueError, match="must not exceed"):
-        ApConfig(position=Point2D(0, 0), tx_power=0.1, tx_power_max=0.05)
+    for cap in (0.05, math.nan):
+        with pytest.raises(ValueError, match="tx_power_watt must be a finite number <= tx_power_max_watt"):
+            ApConfig(position=Point2D(0, 0), tx_power=0.1, tx_power_max=cap)
 
 
 def test_point_rejects_non_finite():

@@ -163,6 +163,18 @@ def test_sweep_invalid_scenario_fails_cleanly(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_sweep_writes_a_finite_dbm_for_jamming_powers_above_1_8e305_watt(tmp_path):
+    # power_watt * 1000 overflowed there, and 19 of the 64 cells read inf
+    doc = strong_ap_document(1e306, 1e307, center_freq_hz=2.385732596947511e157, noise_m_watt=20.0, noise_e_watt=20.0)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--scenario", str(write_document(tmp_path, doc)), "--policy", "smart_fj", "--out-dir", str(out)])
+    assert rc == 0
+    _, _, dbm = read_heatmap(out / "smart_fj_fj_power_dbm.csv")
+    jamming = dbm[dbm > -math.inf]
+    assert len(dbm) == 64 and np.isfinite(jamming).all() and (jamming > 3082.5).sum() == 19
+    assert jamming.max() < 3092.2
+
+
 @pytest.mark.parametrize(
     "section, key, literal, message",
     [
@@ -187,6 +199,15 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
     assert not out.exists()
 
 
+def strong_ap_document(tx, cap, **channel):
+    """scenario1 on an 8 x 8 grid of 15 m steps, both APs at ``tx`` W with caps ``cap`` W, channel keys updated."""
+    doc = bundled_document("scenario1", **channel)
+    for ap in doc["aps"]:
+        ap.update(tx_power_watt=tx, tx_power_max_watt=cap)
+    doc["grid"] = {"k": 8, "step_m": 15.0}
+    return doc
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "doc, key",
@@ -197,8 +218,15 @@ def test_sweep_non_finite_number_fails_cleanly(section, key, literal, message, t
         (bundled_document("scenario1", alpha=20.0), "channel.alpha"),
         (bundled_document("scenario1", alpha=30.0), "channel.alpha"),
         (UNDERFLOW_DOCUMENT, "channel.noise_m_watt"),
+        # 1 W's corrected power, which converts the jamming power back to W, is subnormal or infinite:
+        # once, the dBm column took inf and nan in 64 of 64 cells, or -inf in all 64
+        (strong_ap_document(1e300, 1e300, center_freq_hz=1e200, noise_m_watt=1e-100, noise_e_watt=1e-100), "1 W"),
+        (strong_ap_document(5e-316, 5e-316, center_freq_hz=2.38732414637843e-148), "1 W"),
     ],
-    ids=["f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30", "underflow"],
+    ids=[
+        "f0-1e-200", "subnormal-noise-e", "alpha-400-d0-10", "alpha-20", "alpha-30", "underflow",
+        "1-watt-subnormal", "1-watt-overflows",
+    ],
 )
 def test_sweep_refuses_derived_numbers_that_are_not_finite(doc, key, tmp_path, capsys):
     # each loads key by key, but once gave NaN summaries, overflow or

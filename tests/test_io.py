@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_defaults_bandwidth_and_grid(tmp_path):
 def test_zero_tx_power_rejected(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["aps"][0]["tx_power_watt"] = 0.0
-    with pytest.raises(ScenarioValidationError, match="tx_power must be positive"):
+    with pytest.raises(ScenarioValidationError, match=r"aps\[\]\.tx_power_watt must be a finite number > 0"):
         load_scenario(write_document(tmp_path, doc))
 
 
@@ -318,19 +319,40 @@ def single_faults():
     for where, key in INTEGER_KEYS:
         cases += [(SECTIONS[where], key, value, f"{where}.{key} must be an integer") for value in ("1", True, 1.0, None)]
     cases += [(SECTIONS["monte_carlo"], "enabled", value, "monte_carlo.enabled must be a boolean") for value in ("yes", 1, None)]
+    positive = "{} must be a finite number > 0"
+    # numbers each valid alone whose derived corrected powers, capacity sum or closed form leave the float range
+    powers = (
+        "aps[].tx_power_watt and tx_power_max_watt at channel.center_freq_hz, ref_distance_m and alpha must give "
+        "finite positive corrected powers, and 1 W a normal one"
+    )
+    bound = (
+        "channel.bandwidth_hz times the largest capacity per Hz must be below 2**960, the largest SINR being "
+        "aps[].tx_power_max_watt at channel.ref_distance_m over the smaller of noise_m_watt and noise_e_watt"
+    )
+    closed_form = (
+        "channel.alpha, ref_distance_m, noise_m_watt, noise_e_watt and aps[].tx_power_max_watt overflow the "
+        "jamming power's closed form on this map or its cells"
+    )
     ranges = [
-        ("channel", "bandwidth_hz", (0, -1.0), "bandwidth_w must be positive"),
-        ("channel", "center_freq_hz", (0, -2.4e9), "center_freq_f0 must be positive"),
-        ("channel", "ref_distance_m", (0.0, -1), "ref_distance_d0 must be positive"),
-        ("channel", "alpha", (0.5, -2.0), "pathloss_alpha must be >= 1"),
-        ("channel", "noise_m_watt", (0, -0.0, -1e-10), "noise powers must be strictly positive"),
-        ("channel", "noise_e_watt", (0.0, -1e-10), "noise powers must be strictly positive"),
-        ("aps[1]", "tx_power_watt", (0, -0.05), "tx_power must be positive"),
-        ("aps[2]", "tx_power_watt", (0.0, -1), "tx_power must be positive"),
-        ("aps[1]", "tx_power_max_watt", (0.01,), "tx_power must not exceed tx_power_max"),
-        ("aps[2]", "tx_power_max_watt", (0,), "tx_power must not exceed tx_power_max"),
+        ("channel", "bandwidth_hz", (0, -1.0), positive.format("channel.bandwidth_hz")),
+        ("channel", "center_freq_hz", (0, -2.4e9), positive.format("channel.center_freq_hz")),
+        ("channel", "ref_distance_m", (0.0, -1), positive.format("channel.ref_distance_m")),
+        ("channel", "alpha", (0.5, -2.0), "channel.alpha must be a finite number >= 1"),
+        ("channel", "noise_m_watt", (0, -0.0, -1e-10), positive.format("channel.noise_m_watt")),
+        ("channel", "noise_e_watt", (0.0, -1e-10), positive.format("channel.noise_e_watt")),
+        ("aps[1]", "tx_power_watt", (0, -0.05), positive.format("aps[].tx_power_watt")),
+        ("aps[2]", "tx_power_watt", (0.0, -1), positive.format("aps[].tx_power_watt")),
+        ("aps[1]", "tx_power_max_watt", (0.01,), "aps[].tx_power_watt must be a finite number <= tx_power_max_watt"),
+        ("aps[2]", "tx_power_max_watt", (0,), "aps[].tx_power_watt must be a finite number <= tx_power_max_watt"),
+        ("channel", "center_freq_hz", (1e-200, 1e200), powers),
+        ("channel", "ref_distance_m", (5e-324, 1e300), powers),
+        ("channel", "bandwidth_hz", (1e305,), bound),
+        ("channel", "noise_e_watt", (1e-320,), bound),
+        ("channel", "alpha", (30.0,), closed_form),
+        ("channel", "noise_m_watt", (1e300,), closed_form),
+        ("aps[2]", "tx_power_max_watt", (1e200,), closed_form),
         ("grid", "k", (0, -3), "grid.k must be an integer >= 1"),
-        ("grid", "step_m", (0, -1.0), "grid.step_m must be positive"),
+        ("grid", "step_m", (0, -1.0), positive.format("grid.step_m")),
         ("monte_carlo", "n", (0, -1), "monte_carlo.n must be an integer >= 1"),
         ("monte_carlo", "seed", (-1,), "monte_carlo.seed must be an integer >= 0"),
     ]
@@ -462,6 +484,14 @@ def test_watt_to_dbm():
     assert_close(watt_to_dbm(0.05), 16.98970004336019, rel=1e-12)
     assert_close(watt_to_dbm(0.001), 0.0, rel=0, abs_floor=1e-12)
     assert watt_to_dbm(0.0) == -math.inf
+    # above 1.797e305 W, power_watt * 1000 overflows; the dBm is still finite
+    assert_close(watt_to_dbm(1e306), 3090.0, rel=1e-15)
+    assert 3112.54 < watt_to_dbm(sys.float_info.max) < 3112.55
+    edge = sys.float_info.max / 1000.0  # the largest power whose product is finite
+    assert_close(watt_to_dbm(math.nextafter(edge, math.inf)), watt_to_dbm(edge), rel=1e-15)
+    # where the product is finite, its log keeps its bits
+    for p in (1e305, edge, 0.05, 5e-324):
+        assert watt_to_dbm(p) == 10.0 * math.log10(p * 1000.0)
 
 
 def per_value_lines(x, y, values):

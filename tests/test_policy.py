@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import secrecysim.policy as policy_module
 from secrecysim import (
@@ -246,8 +246,42 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="map_extent"):
         build_scenario(extent=0.0)
     for extent in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="map_extent must be finite"):
+        with pytest.raises(ValueError, match="map_extent must be a finite number > 0"):
             build_scenario(extent=extent)
+
+
+# each real parameter, as a build_scenario argument or "cell_step", by the file key or name its refusal gives;
+# a map too large for the closed form is refused "on this map"
+REAL_PARAMETERS = {
+    "bandwidth": "bandwidth_hz", "f0": "center_freq_hz", "d0": "ref_distance_m", "alpha": "alpha",
+    "noise_m": "noise_m_watt", "noise_e": "noise_e_watt", "tx": "tx_power_watt", "tx_max": "tx_power_max_watt",
+    "extent": "map", "cell_step": "cell_step",
+}
+BAD_REALS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(max_value=-5e-324, allow_infinity=False),
+    st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),
+    st.floats(min_value=1e100, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(REAL_PARAMETERS)), BAD_REALS)
+@example("alpha", math.nan)
+@example("noise_e", math.nan)
+def test_a_real_parameter_is_refused_by_its_key_or_selects_finite_floats(name, value):
+    # the other parameters stay valid; nan once passed the x <= 0 and x < 1 tests
+    scenario = build_scenario()
+    try:
+        if name == "cell_step":
+            SweepConfig(cell_step=value)
+        else:
+            scenario = build_scenario(**{name: value})
+    except ValueError as exc:
+        assert REAL_PARAMETERS[name] in str(exc)
+        return
+    for policy in PolicyKind:
+        assert all(math.isfinite(v) for v in vars(select(scenario, Point2D(64.0, 31.0), policy)).values())
 
 
 def test_scenario_built_in_code_is_refused_like_a_file():
@@ -270,7 +304,7 @@ def test_scenario_built_in_code_is_refused_like_a_file():
         (dict(center_freq_f0=1e300), "channel.center_freq_hz"),  # gain**2 underflows to 0
         (dict(pathloss_alpha=400.0, ref_distance_d0=10.0), "alpha"),  # d0**alpha raises OverflowError
         (dict(noise_e=1e-320), "noise_e_watt"),  # the SINR at d0 overflows
-        # d0**alpha is subnormal, so the power is finite, but d0**-alpha raises
+        # d0**alpha is subnormal, so the power is finite, but the SINR, divided by it, overflows
         (dict(pathloss_alpha=1030.0, ref_distance_d0=0.5, center_freq_f0=5e-144), "largest SINR"),
         # each factor is finite, the power 9.0e78 and d0**-alpha 316, and only the product overflows: divided
         # instead, or times the noise, it is finite, and the map's closed form is in range
@@ -307,7 +341,7 @@ def test_a_bandwidth_just_below_its_bound_sweeps_to_finite_means():
 
 def test_scenario_refuses_positions_whose_distance_squares_overflow():
     # the station's distance squared its coordinate differences before the map's reach was checked
-    with pytest.raises(ValueError, match="channel.alpha overflows"):
+    with pytest.raises(ValueError, match="overflow the jamming power's closed form"):
         build_scenario(ap2=(sys.float_info.max, 60.0))
 
 
@@ -448,8 +482,9 @@ def test_select_results_cannot_be_told_from_constructed_ones(name):
         del got.fj_power
     with pytest.raises(ValueError, match="chosen_ap"):
         SelectionResult(3, 1.0, 0.5, 0.5, 0.0)
-    with pytest.raises(ValueError, match="fj_power"):
-        SelectionResult(1, 1.0, 0.5, 0.5, -1.0)
+    for fj_power in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="fj_power"):
+            SelectionResult(1, 1.0, 0.5, 0.5, fj_power)
     with pytest.raises(ValueError, match="fj_power"):
         replace(got, fj_power=-1.0)
 

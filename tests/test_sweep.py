@@ -633,7 +633,7 @@ def test_sweep_config_validation():
         SweepConfig(cell_step=0.0)
     # a nan step would sweep nan cells, and an inf one is no step either
     for step in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="cell_step must be finite"):
+        with pytest.raises(ValueError, match="cell_step must be a finite number > 0"):
             SweepConfig(cell_step=step)
     assert SweepConfig(grid_k=np.int64(3)).grid_k == 3
 
@@ -642,13 +642,6 @@ def fsum_outcome(values):
     """``math.fsum`` as a comparable value: the float's hex, or the error type."""
     try:
         return math.fsum(values).hex()
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
-
-
-def exact_sum_outcome(array):
-    try:
-        return _exact_sums(array)[0].hex()
     except (OverflowError, ValueError) as exc:
         return type(exc)
 
@@ -673,36 +666,6 @@ finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
 subnormal = st.floats(min_value=-TINY, max_value=TINY)
 special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0])
-
-
-@given(
-    st.lists(st.one_of(finite, scaled, subnormal), max_size=300),
-    st.lists(st.one_of(scaled, subnormal), max_size=50),
-)
-def test_exact_sum_matches_fsum(values, cancelling):
-    # each cancelling value also appears negated, so large terms cancel exactly
-    values = values + cancelling + [-v for v in cancelling]
-    assert exact_sum_outcome(np.array(values, dtype=float)) == fsum_outcome(values)
-
-
-@given(st.lists(st.sampled_from([0.0, -0.0]), max_size=20))
-def test_exact_sum_of_zeros_keeps_fsum_sign(values):
-    assert exact_sum_outcome(np.array(values, dtype=float)) == fsum_outcome(values)
-
-
-@given(st.lists(st.one_of(scaled, special), min_size=1, max_size=30))
-def test_exact_sum_falls_back_on_inf_and_nan(values):
-    array = np.array(values, dtype=float)
-    assert exact_sum_outcome(array) == fsum_outcome(values)
-
-
-def test_exact_sum_on_grid_sized_arrays():
-    rng = np.random.default_rng(3)
-    full_mantissa = np.full(100_000, np.nextafter(2.0, 0.0))
-    mixed = rng.normal(size=14_400) * 10.0 ** rng.integers(-300, 300, size=14_400)
-    for array in (full_mantissa, -full_mantissa, mixed, rng.normal(size=14_400)):
-        assert _exact_sums(array)[0].hex() == math.fsum(array.tolist()).hex()
-        assert _exact_sums(array)[1].hex() == math.fsum(np.maximum(array, 0.0).tolist()).hex()
 
 
 signed_zero = st.sampled_from([0.0, -0.0])
@@ -743,6 +706,14 @@ def test_split_sums_fall_back_on_inf_and_nan(values):
 )
 def test_split_sums_of_empty_and_one_lane_arrays(values):
     assert split_sums_outcome(np.array(values, dtype=float)) == fsums_outcome(values)
+
+
+def test_split_sums_of_grid_sized_arrays():
+    rng = np.random.default_rng(3)
+    full_mantissa = np.full(100_000, np.nextafter(2.0, 0.0))
+    mixed = rng.normal(size=14_400) * 10.0 ** rng.integers(-300, 300, size=14_400)
+    for array in (full_mantissa, -full_mantissa, mixed, rng.normal(size=14_400)):
+        assert split_sums_outcome(array) == fsums_outcome(array.tolist())
 
 
 @pytest.mark.parametrize("k", range(2, 18))
