@@ -23,7 +23,7 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
-from .channel import transmit_power_from_corrected
+from .channel import distance_corrected_power
 from .policy import PolicyKind
 from .scenario_io import (
     _BLOCK_ROWS,
@@ -64,14 +64,16 @@ def _count(name: str, text: str | None, least: int) -> int | None:
 
 
 def _dbm_column(p_watt: np.ndarray) -> np.ndarray:
-    """:func:`watt_to_dbm` of every lane of a 1-D column, a block of lanes at a
-    time; the lanes it maps to ``-inf`` (``p <= 0``) skip the call, and ``nan``
-    still goes through it."""
-    dbm = np.full(p_watt.shape, -np.inf)
-    live = np.flatnonzero(~(p_watt <= 0.0))
-    for lanes in np.split(live, range(_BLOCK_ROWS, len(live), _BLOCK_ROWS)):
-        dbm[lanes] = [watt_to_dbm(p) for p in p_watt[lanes].tolist()]
-    return dbm
+    """:func:`watt_to_dbm` of every lane of a 1-D float column, written over it and
+    returned, a block of rows at a time; the lanes it maps to ``-inf`` (``p <= 0``)
+    skip the call, and ``nan`` still goes through it."""
+    for start in range(0, len(p_watt), _BLOCK_ROWS):
+        block = p_watt[start : start + _BLOCK_ROWS]
+        dead = block <= 0.0
+        live = np.flatnonzero(~dead)
+        block[live] = [watt_to_dbm(p) for p in block[live].tolist()]
+        block[dead] = -np.inf
+    return p_watt
 
 
 def _monte_carlo(loaded: LoadedScenario, args, settings: McSettings | None):
@@ -118,16 +120,20 @@ def _run_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         mc = _monte_carlo(loaded, args, loaded.monte_carlo)
 
-        for policy, summary in _sweeps(loaded.scenario, loaded.sweep, selected).items():
+        written = ("chosen", "cap_eve", "secrecy", "fj_power")
+        for policy, summary in _sweeps(loaded.scenario, loaded.sweep, selected, keep=written).items():
+            # the means are taken: the columns are converted in place, each to what its file holds
             cells = summary.arrays
             name = policy.value
-            fj_watt = transmit_power_from_corrected(cells.fj_power, loaded.scenario.params)
+            # the floor of Python's max(s, 0.0): keeps -0.0 and nan as they are
+            np.copyto(cells.secrecy, 0.0, where=cells.secrecy < 0.0)
+            # transmit_power_from_corrected, in place
+            np.divide(cells.fj_power, distance_corrected_power(1.0, loaded.scenario.params), out=cells.fj_power)
             columns = {
-                # the floor of Python's max(s, 0.0): keeps -0.0 and nan as they are
-                "secrecy": np.where(cells.secrecy < 0.0, 0.0, cells.secrecy),
+                "secrecy": cells.secrecy,
                 "eve_capacity": cells.cap_eve,
                 "association": cells.chosen,
-                "fj_power_dbm": _dbm_column(fj_watt),
+                "fj_power_dbm": _dbm_column(cells.fj_power),
             }
             for kind, values in columns.items():
                 _write(undo, write_heatmap, out_dir / f"{name}_{kind}.csv", cells.x, cells.y, values)
@@ -152,7 +158,7 @@ def _run_compare(args) -> int:
         loaded = load_scenario(scenario_path)
         # compare ignores the scenario file's monte_carlo block
         mc = _monte_carlo(loaded, args, None)
-        means = mc.means if mc else _sweeps(loaded.scenario, loaded.sweep, ALL_POLICIES)
+        means = mc.means if mc else _sweeps(loaded.scenario, loaded.sweep, ALL_POLICIES, keep=("cap_eve", "secrecy"))
         metrics = {p.value: _metrics_dict(means[p]) for p in ALL_POLICIES}
         rows.append({"scenario": label, "metrics": metrics})
     document = {

@@ -194,10 +194,14 @@ def write_heatmap(path, x, y, values) -> None:
     """Write one ``x,y,value`` CSV; the arrays must already be in row order
     (y outer ascending, x inner ascending).
 
-    Each number is converted to a float and written with 9 significant
-    digits (``-0``, ``inf``, ``-inf`` and ``nan`` as Python prints them).
+    Each number is written as its float with 9 significant digits (``-0``,
+    ``inf``, ``-inf`` and ``nan`` as Python prints them). Integer and bool
+    values are formatted as they are, with no float copy: ``%.9g`` of an int
+    formats its float.
     """
-    x, y, values = (np.asarray(column, dtype=float) for column in (x, y, values))
+    x, y = (np.asarray(column, dtype=float) for column in (x, y))
+    values = np.asarray(values)
+    values = values if values.dtype.kind in "biu" else values.astype(float, copy=False)
     if not x.ndim == y.ndim == values.ndim == 1 or not x.size == y.size == values.size:
         raise ValueError(f"x, y and values must be 1-D columns of one length, got {x.shape}, {y.shape}, {values.shape}")
     blocks = zip(_row_template(x, y), range(0, len(values), _BLOCK_ROWS))

@@ -76,7 +76,8 @@ class CellResult:
 @dataclass(frozen=True)
 class GridArrays:
     """Per-cell results of one policy over one grid, one array per field,
-    in the row order of :func:`grid_coordinates`."""
+    in the row order of :func:`grid_coordinates`; ``chosen`` is int8. A
+    sweep's caller may keep only some results, the others being None."""
 
     x: np.ndarray
     y: np.ndarray
@@ -318,20 +319,28 @@ def _cells(ev: GridArrays) -> tuple[CellResult, ...]:
     )
 
 
-def _sweeps(scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False) -> dict[PolicyKind, SweepSummary]:
+# the fields of GridArrays after x, y, and their dtypes
+_RESULTS = {"chosen": np.int8, "cap_legit": float, "cap_eve": float, "secrecy": float, "fj_power": float}
+
+
+def _sweeps(
+    scenario: Scenario, cfg: SweepConfig, policies, retain_cells: bool = False, keep=tuple(_RESULTS)
+) -> dict[PolicyKind, SweepSummary]:
     """The :class:`SweepSummary` of each of ``policies`` (not ``cfg.policy``) in the grid engine's order: one pass per
     block of at most ``_BLOCK_CELLS`` cells, each stopped after the last of ``policies``, fills each policy's arrays;
-    a cell's result does not depend on its block. Only passes that include smart_fj run the jamming optimizer."""
+    a cell's result does not depend on its block. Only passes that include smart_fj run the jamming optimizer.
+    ``keep`` names the results filled, ``cap_eve`` and ``secrecy`` (the means') among them; the others are None,
+    and ``retain_cells`` needs them all."""
     (x, y), order = _grid_cells(scenario, cfg), sorted(set(policies), key=ALL_POLICIES.index)
     n, blocks = x.size, -(-x.size // _BLOCK_CELLS)  # as even as can be, the first as large as any: 4 of 3,600 at K=120
-    grids = {p: GridArrays(x, y, np.empty(n, np.int64), *(np.empty(n) for _ in range(4))) for p in order}
+    grids = {p: GridArrays(x, y, *(np.empty(n, t) if f in keep else None for f, t in _RESULTS.items())) for p in order}
     work = _workspace(x[: -(-n // blocks)])
     for cells in (slice(-(-i * n // blocks), -(-(i + 1) * n // blocks)) for i in range(blocks)):
         eve = _eve_terms(scenario, (x[cells], y[cells]))
         for policy, ev in _evaluate_grid(scenario, scenario.sta_m, eve, work):
             if policy in grids:
-                for whole, part in list(zip(vars(grids[policy]).values(), vars(ev).values()))[2:]:
-                    whole[cells] = part
+                for name in keep:
+                    getattr(grids[policy], name)[cells] = getattr(ev, name)
             if policy is order[-1]:
                 break
         del eve, ev  # before the next block's terms, or the means' scratch, are made

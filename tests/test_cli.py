@@ -725,8 +725,10 @@ def test_dbm_column_matches_scalar_watt_to_dbm():
         [0.0, -0.0, -1e-3, -math.inf, math.nan, math.inf, 5e-324, 1e-3, 0.05, 0.1234, 2.0, 0.0]
     )
     for powers in (specials, blocks_of_live_lanes()):
+        expected = [watt_to_dbm(p) for p in powers.tolist()]
         got = cli._dbm_column(powers)
-        assert hexed(got) == hexed([watt_to_dbm(p) for p in powers.tolist()])
+        assert got is powers  # written over the column it was given
+        assert hexed(got) == hexed(expected)
 
 
 def test_sweep_without_monte_carlo_never_imports_the_pool(small_scenario, tmp_path):

@@ -17,7 +17,8 @@ in ``EVE_TERMS``.
 The grid-engine passes of whole runs are counted too: the calls of the
 eavesdropper terms and of the array jamming optimizer per command-line run,
 one per block of cells of a sweep. So is the memory a sweep takes above its
-result arrays, and the memory the command line's text takes above the grid arrays.
+result arrays, the memory the command line's text takes above the grid arrays,
+and the memory of a whole ``sweep --policy all`` command.
 """
 
 import os
@@ -363,19 +364,32 @@ def traced_peak(call, *args) -> int:
         tracemalloc.stop()
 
 
-def test_dbm_column_takes_at_most_three_grid_arrays(smart_fj_columns):
-    # the result, the live lanes' indices and one block of Python floats; all 12,881
-    # live lanes as Python floats at once take more than 900 KB
+def test_dbm_column_makes_no_whole_grid_array(smart_fj_columns):
+    # it writes over its column and holds one block of 1,024 rows at a time: two lists of Python
+    # floats (64 KB), the live lanes' indices and their powers (16 KB). A 14,400-cell float array
+    # is 112.5 KB, and all 12,881 live lanes as Python floats at once take more than 900 KB
     _, fj_watt, _ = smart_fj_columns
     assert np.count_nonzero(fj_watt > 0.0) == 12_881
-    assert traced_peak(cli._dbm_column, fj_watt) <= 3 * 14_400 * 8  # three 14,400-cell float arrays
+    assert traced_peak(cli._dbm_column, fj_watt.copy()) <= 80 * 1024
 
 
-def test_a_sweep_of_every_policy_takes_at_most_3200_kb():
-    # the 15 result arrays and the cells' coordinates take 1,913 KB; the rest is one block's scratch
-    # and terms. A pass over the whole grid at once takes 4,100 KB
+def test_a_sweep_of_every_policy_takes_at_most_2450_kb():
+    # the 15 result arrays (int8 associations) and the cells' coordinates take 1,617 KB; the rest is one
+    # block's scratch and terms, then the means' scratch. A pass over the whole grid at once takes 4,100 KB
     loaded = load_scenario(bundled_scenario_path("scenario1"))
-    assert traced_peak(sweep._sweeps, loaded.scenario, loaded.sweep, list(PolicyKind)) <= 3200 * 1024
+    assert traced_peak(sweep._sweeps, loaded.scenario, loaded.sweep, list(PolicyKind)) <= 2450 * 1024
+
+
+def test_a_sweep_command_of_every_policy_takes_at_most_2150_kb(tmp_path):
+    # its peak is the sweep's last block: the twelve columns it writes (1,055 KB, the three associations
+    # int8), the coordinates, and one block's scratch and terms. The columns are then converted in place
+    # and written through the cold template cache. With int64 associations, the unwritten cap_legit
+    # columns and a float copy of each converted column it took 3,080 KB
+    scenario = str(bundled_scenario_path("scenario1"))
+    scenario_io.write_heatmap(tmp_path / "other.csv", [0.0], [0.0], [0.0])  # other coordinates: the cache misses
+    argv = ["sweep", "--scenario", scenario, "--policy", "all", "--out-dir", str(tmp_path / "out")]
+    assert traced_peak(main, argv) <= 2150 * 1024
+    assert len(list((tmp_path / "out").iterdir())) == 15
 
 
 def test_a_cold_heatmap_write_takes_at_most_600_kb(smart_fj_columns, tmp_path):

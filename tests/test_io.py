@@ -525,17 +525,26 @@ def block_edge_columns():
             np.arange(5, dtype=float),
             np.array([1, 2, -7, 0, 2**62 + 1], dtype=np.int64),
         ),
+        # more than two blocks of rows, formatted as they are
+        (np.arange(2500.0), np.arange(2500.0), (np.arange(2500) % 256 - 128).astype(np.int8)),
+        (np.arange(2500.0), np.arange(2500.0), np.arange(2500) % 3 == 0),
         ([1, 2, 3], [4, 5, 6], [1, 2.5, -3]),
         ([], [], []),
         (np.array([]), np.array([]), np.array([])),
         block_edge_columns(),
     ],
-    ids=["special-floats", "int64-values", "python-lists", "empty-lists", "empty-arrays", "block-edges"],
+    ids=[
+        "special-floats", "int64-values", "int8-values", "bool-values", "python-lists", "empty-lists", "empty-arrays",
+        "block-edges",
+    ],
 )
 def test_heatmap_matches_per_value_formatting(tmp_path, x, y, values):
     path = tmp_path / "map.csv"
     write_heatmap(path, x, y, values)
     assert path.read_bytes() == per_value_lines(x, y, values).encode("utf-8")
+    # and the same column as float64
+    write_heatmap(tmp_path / "float.csv", x, y, np.asarray(values, dtype=np.float64))
+    assert (tmp_path / "float.csv").read_bytes() == path.read_bytes()
 
 
 def test_heatmap_row_template_follows_the_coordinates(tmp_path):

@@ -256,6 +256,34 @@ def test_a_sweep_by_blocks_has_the_bits_of_one_whole_grid_pass(k, alpha):
             assert summary.grid == (cells if retain else ())
 
 
+@pytest.mark.parametrize(
+    "keep", [("chosen", "cap_eve", "secrecy", "fj_power"), ("cap_eve", "secrecy")], ids=["sweep-command", "compare"]
+)
+def test_a_sweep_keeps_only_the_results_asked_for(keep):
+    # the command line keeps the columns it writes and compare those its means read: the same means and bits
+    scenario, cfg = build_scenario((80.0, 20.0), noise_e=1e-9, alpha=2.418), small_cfg()
+    full = sweep_module._sweeps(scenario, cfg, ALL_POLICIES)
+    kept = sweep_module._sweeps(scenario, cfg, ALL_POLICIES, keep=keep)
+    for policy in ALL_POLICIES:
+        means = [[getattr(summary[policy], f.name) for f in fields(PolicyMeans)] for summary in (kept, full)]
+        assert hexed(means[0]) == hexed(means[1])
+        arrays = {name: getattr(kept[policy].arrays, name) for name in sweep_module._RESULTS}
+        assert [name for name, a in arrays.items() if a is not None] == list(keep), policy
+        assert hexed([arrays[name] for name in keep]) == hexed([getattr(full[policy].arrays, name) for name in keep])
+
+
+def test_the_association_is_int8_on_every_path():
+    # a sweep's and a Monte Carlo pass's ``chosen`` alike: one byte per cell, AP 1 or AP 2
+    scenario, cfg = build_scenario((80.0, 20.0)), small_cfg()
+    for policy in ALL_POLICIES:
+        chosen = sweep_eavesdropper(scenario, replace(cfg, policy=policy), retain_cells=False).arrays.chosen
+        assert chosen.dtype == np.int8 and set(chosen.tolist()) <= {1, 2}, policy
+    eve = sweep_module._eve_terms(scenario, sweep_module._grid_cells(scenario, cfg))
+    sta_m = Point2D(*sweep_module._station_draw(5, 0, scenario.map_extent))
+    for policy, ev in sweep_module._evaluate_grid(scenario, sta_m, eve, sweep_module._workspace(eve[0])):
+        assert ev.chosen.dtype == np.int8 and set(ev.chosen.tolist()) <= {1, 2}, policy
+
+
 @pytest.mark.parametrize("noise_e, alpha", [(1e-10, 2.0), (1e-9, 2.418)])
 def test_one_chunk_of_four_samples_equals_four_chunks_of_one(noise_e, alpha, monkeypatch):
     # the chunk's workspace serves every sample: a step that reads a buffer before it writes it

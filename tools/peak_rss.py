@@ -24,6 +24,12 @@ The last lines give, per checkout and K, the median, first and third quartile of
 ``peak_rss_mb`` (MB, 2**20 bytes) and of ``wall_s``::
 
     CHECKOUT k=K peak_rss_mb MEDIAN Q1 Q3 wall_s MEDIAN Q1 Q3
+
+then, given two or more distinct ``--k``, the bytes each checkout's peak grows by
+per extra cell: the difference of its median peaks at the largest and smallest
+K, divided by the difference of their cell counts ``K * K``::
+
+    CHECKOUT bytes_per_extra_cell BYTES k=KMIN..KMAX
 """
 
 import argparse
@@ -108,6 +114,12 @@ def main(argv=None) -> int:
             for metric in ("peak_rss_mb", "wall_s")
         )
         print(f"{checkout} k={k} {figures}")
+    small, large = min(args.k), max(args.k)
+    if large > small:
+        for checkout in args.checkout:
+            peaks = [quartiles([u["peak_rss_mb"] for u in runs[checkout, k]])[0] for k in (small, large)]
+            per_cell = (peaks[1] - peaks[0]) * 2**20 / (large * large - small * small)
+            print(f"{checkout} bytes_per_extra_cell {per_cell:.1f} k={small}..{large}")
     return 0
 
 
